@@ -16,24 +16,22 @@ from concurrent.futures import ProcessPoolExecutor
 from .metrics import export_csv
 from .params import build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
-                       build_topology, parse_scenario, resolved_text,
-                       run_config)
+                       build_topology, delay_model, parse_scenario,
+                       resolved_text, run_config)
+from .sim import SimulationError
+from .topology import TopologyError
 
 
-def _schemes(cfg: ScenarioConfig) -> list[str]:
-    return ["ebs", "mrf"] if cfg.mrf is not None else ["ebs"]
-
-
-def _run_one(cfg: ScenarioConfig, scheme: str, seed: int, out_dir: str,
-             name: str, trace: bool) -> dict:
-    """Worker: one simulation run, exported to CSV.  Top level for pickling."""
-    result = run_config(cfg, scheme=scheme, seed=seed, trace=trace)
+def _run_one(cfg: ScenarioConfig, override: tuple[str, object], scheme: str,
+             out_dir: str, name: str, trace: bool, columns: dict) -> dict:
+    """Worker: one run of cfg with one key overridden, exported to CSV; its
+    summary row carries the point's columns.  Top level for pickling."""
+    point = apply_override(cfg, *override)
+    result = run_config(point, scheme=scheme, trace=trace)
     path = os.path.join(out_dir, name)
     export_csv(result.series, path)
-    steady = result.series.steady_state()
-    row = {"file": name, "scheme": scheme, "seed": seed}
-    row.update(steady)
-    row["warnings"] = "; ".join(result.warnings)
+    row = {"file": name, "scheme": scheme, "seed": point.seed, **columns,
+           **result.series.steady_state(), "warnings": "; ".join(result.warnings)}
     if trace and result.trace:
         trace_path = path[:-4] + ".trace.txt"
         with open(trace_path, "w", encoding="utf-8") as fh:
@@ -46,15 +44,6 @@ _SUMMARY_FIELDS = ("file", "scheme", "seed", "parameter", "value",
                    "thr_pct", "steady_pct", "flaps", "warnings")
 
 
-def _write_summary(out_dir: str, rows: list[dict]) -> None:
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS,
-                                restval="", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(*t) for t in tasks]
@@ -63,43 +52,40 @@ def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
         return [f.result() for f in futures]
 
 
-def _prepare_out(out_dir: str, cfg: ScenarioConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved-config.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(resolved_text(cfg))
+def _execute_points(args: argparse.Namespace, cfg: ScenarioConfig,
+                    points: list[tuple[str, dict, tuple[str, object]]]) -> int:
+    """Run each (file tag, columns, override) point of cfg under its schemes.
 
-
-def _cleanup(out_dir: str, rows: list[dict]) -> None:
-    # drop partial outputs so a failed invocation leaves no half-written set
-    for row in rows:
-        try:
-            os.remove(os.path.join(out_dir, row["file"]))
-        except OSError:
-            pass
-    for name in ("summary.csv", "resolved-config.txt"):
-        try:
-            os.remove(os.path.join(out_dir, name))
-        except OSError:
-            pass
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = apply_override(cfg, "run.seed", args.seed)
-    _prepare_out(args.out, cfg)
-    tasks = [(cfg, scheme, cfg.seed, args.out, f"{scheme}_seed{cfg.seed}.csv",
-              args.trace) for scheme in _schemes(cfg)]
-    rows = []
+    Every point is checked before anything is written and rebuilt by its
+    worker rather than held; a failure removes what this run wrote."""
+    tasks, written = [], ["resolved-config.txt"]
+    for tag, columns, override in points:
+        point = apply_override(cfg, *override)
+        for scheme in ("ebs", "mrf") if point.mrf is not None else ("ebs",):
+            name = f"{scheme}_{tag}seed{point.seed}.csv"
+            tasks.append((cfg, override, scheme, args.out, name, args.trace, columns))
+            written += [name, name[:-4] + ".trace.txt"] if args.trace else [name]
+    os.makedirs(args.out, exist_ok=True)
     try:
+        with open(os.path.join(args.out, "resolved-config.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(resolved_text(cfg))
         rows = _execute(args.jobs, tasks)
     except Exception:
-        _cleanup(args.out, rows)
+        for name in written:
+            try:
+                os.remove(os.path.join(args.out, name))
+            except OSError:
+                pass
         raise
-    _write_summary(args.out, rows)
+    with open(os.path.join(args.out, "summary.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, restval="",
+                                extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     for row in rows:
-        print(f"{row['scheme']} seed={row['seed']}: "
+        print(f"{row['scheme']} {row['label']}: "
               f"dphi_circular={row['dphi_circular']:.6f} "
               f"duty={row['duty_pct']:.2f}% thr={row['thr_pct']:.2f}% "
               f"flaps={row['flaps']}")
@@ -108,44 +94,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
     cfg = parse_scenario(args.scenario)
-    if cfg.sweep is None:
-        raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
     if args.seed is not None:
         cfg = apply_override(cfg, "run.seed", args.seed)
-    _prepare_out(args.out, cfg)
-    short = cfg.sweep.parameter.split(".")[-1]
-    tasks = []
-    meta = []
-    for value in cfg.sweep.values:
-        point = apply_override(cfg, cfg.sweep.parameter, value)
-        for scheme in _schemes(point):
-            name = f"{scheme}_{short}={value}_seed{point.seed}.csv"
-            tasks.append((point, scheme, point.seed, args.out, name, args.trace))
-            meta.append((cfg.sweep.parameter, value))
-    rows = []
-    try:
-        rows = _execute(args.jobs, tasks)
-    except Exception:
-        _cleanup(args.out, rows)
-        raise
-    for row, (param, value) in zip(rows, meta):
-        row["parameter"] = param
-        row["value"] = value
-    _write_summary(args.out, rows)
-    for row in rows:
-        print(f"{row['scheme']} {short}={row['value']}: "
-              f"dphi_circular={row['dphi_circular']:.6f} "
-              f"duty={row['duty_pct']:.2f}% thr={row['thr_pct']:.2f}% "
-              f"flaps={row['flaps']}")
-    return 0
+    return cfg
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = _scenario(args)
+    return _execute_points(args, cfg, [("", {"label": f"seed={cfg.seed}"},
+                                        ("run.seed", cfg.seed))])
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = _scenario(args)
+    if cfg.sweep is None:
+        raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
+    param = cfg.sweep.parameter
+    short = param.split(".")[-1]
+    return _execute_points(args, cfg, [
+        (f"{short}={value}_", {"label": f"{short}={value}", "parameter": param,
+                                "value": value}, (param, value))
+        for value in cfg.sweep.values])
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     topology = build_topology(cfg.topology)
-    nu = cfg.delay.worst_case()
+    nu = delay_model(cfg, topology).worst_case()
     report = build_report(epsilon=cfg.protocol.epsilon, sigma=cfg.protocol.sigma,
                           t=cfg.protocol.period_t, c0=cfg.protocol.c0, nu=nu,
                           s_th=cfg.protocol.s_th, topology=topology,
@@ -196,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, TopologyError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

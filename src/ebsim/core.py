@@ -9,60 +9,16 @@ and event queues live elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Tuple
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Wake-window half-width (epsilon) and coupling strength (sigma).
-
-    epsilon is the tolerance window as a fraction of the period, at most
-    0.5; sigma in (0, 1) scales how far a node jumps when it hears a fire.
-    sigma = 0 is rejected: it would make every listener fire immediately
-    and collide.
-    """
-
-    epsilon: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5], got {self.epsilon}")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-
-    @property
-    def stable(self) -> bool:
-        """Pairwise stability: a heard fire always lands the listener back
-        inside the firer's wake window."""
-        return self.sigma < self.epsilon / (1.0 - self.epsilon)
-
-
-def jump_remaining(phi: float, sigma: float) -> float:
-    """Remaining phase left after reacting to a heard fire: sigma * (1 - phi)."""
-    return sigma * (1.0 - phi)
-
-
-def phase_advance(phi: float, params: CouplingParams) -> float:
-    """New phase after hearing a fire.
-
-    Advances to 1 - sigma*(1 - phi) when phi is strictly between epsilon and
-    1 - epsilon; inside the wake window the phase is left untouched.  Never
-    decreases the phase.
-    """
-    if params.epsilon < phi < 1.0 - params.epsilon:
-        return 1.0 - jump_remaining(phi, params.sigma)
-    return phi
+from typing import Mapping
 
 
 def advance_remaining_ticks(remaining: int, sigma: float) -> int:
     """Tick-domain advancement: new tick count until the node's next fire.
 
-    Mirrors phase_advance on the remaining side: new remaining is
-    sigma * remaining, rounded half-up, floored at 1 tick so a reaction
-    never fires within the same tick, and capped at the old remaining so
-    phases only move forward.
+    Hearing a fire at phase phi advances it to 1 - sigma * (1 - phi), so
+    the new remaining is sigma * remaining, rounded half-up, floored at 1
+    tick so a reaction never fires within the same tick, and capped at the
+    old remaining so phases only move forward.
     """
     if remaining <= 1:
         return remaining
@@ -76,61 +32,24 @@ def in_setw(phi: float, epsilon: float) -> bool:
     return phi <= epsilon or phi >= 1.0 - epsilon
 
 
-def remaining_phase(phi: float) -> float:
-    return 1.0 - phi
-
-
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two phases on the unit circle, in [0, 0.5]."""
-    d = abs(a - b)
-    return min(d, 1.0 - d)
-
-
 def avg_phase_difference(phases: Mapping[int, float], topology, circular: bool) -> float:
     """Network-average per-neighbourhood phase difference.
 
-    For every node, average |phi_i - phi_j| over its neighbours (wrapped
-    onto the circle when circular=True), then average over nodes.  Raises
-    ValueError for nodes without neighbours; callers must exclude isolated
-    nodes first.
+    For every node in phases, average |phi_i - phi_j| over its neighbours
+    (wrapped onto the circle when circular=True), then average over those
+    nodes.  Raises ValueError for nodes without neighbours; callers must
+    leave isolated nodes out of phases.
     """
-    ids = topology.node_ids
     total = 0.0
-    for i in ids:
+    for i, phi in phases.items():
         neigh = topology.neighbors(i)
         if not neigh:
             raise ValueError(f"node {i} has no neighbours; exclude isolated nodes")
         acc = 0.0
         for j in sorted(neigh):
-            d = abs(phases[i] - phases[j])
+            d = abs(phi - phases[j])
             if circular:
                 d = min(d, 1.0 - d)
             acc += d
         total += acc / len(neigh)
-    return total / len(ids)
-
-
-def avg_phase_advancement(jumps: Iterable[Tuple[float, float]], n: int) -> float:
-    """Average per-node phase displacement over one period.
-
-    jumps holds (old, new) phase pairs; nodes that did not jump simply
-    contribute nothing.  Returns the summed jump magnitudes divided by n.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return sum(abs(new - old) for old, new in jumps) / n
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """One period's convergence readings."""
-
-    avg_phase_diff: float
-    avg_phase_advancement: float
-    period_index: int
-
-    def __post_init__(self) -> None:
-        if self.avg_phase_diff < 0 or self.avg_phase_advancement < 0:
-            raise ValueError("metrics must be non-negative")
-        if self.period_index < 0:
-            raise ValueError("period_index must be >= 0")
+    return total / len(phases)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 COLUMNS = ("period", "dphi_literal", "dphi_circular", "dplus",
            "duty_pct", "thr_pct", "steady_pct", "flaps")
@@ -54,15 +53,6 @@ class MetricsSeries:
             out[name] = sum(getattr(r, name) for r in tail) / len(tail)
         out["flaps"] = self.rows[-1].flaps
         return out
-
-
-def duty_cycle(awake_ticks: Iterable[int], elapsed_ticks: int, n: int) -> float:
-    """Network-average percentage of time spent awake."""
-    if elapsed_ticks <= 0:
-        raise ValueError("elapsed_ticks must be positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return sum(100.0 * a / elapsed_ticks for a in awake_ticks) / n
 
 
 def throughput(received_total: int, avg_degree: float, n: int) -> float:

@@ -20,14 +20,18 @@ def epsilon_opt(beta: int, neighborhood: int, nu: int, t: int) -> float:
     return min(raw, 0.5)
 
 
+def _sigma_bound(epsilon: float, delta: float) -> float:
+    """Pairwise stability bound: a heard fire lands the listener back inside
+    the firer's window while sigma < (epsilon - 2*delta) / (1 - epsilon)."""
+    return (epsilon - 2 * delta) / (1.0 - epsilon)
+
+
 def sigma_max(epsilon: float, nu: int, t: int) -> float:
     """Largest coupling strength that keeps a heard fire inside the firer's
     window under symmetric propagation delay nu."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if t <= 0:
-        raise ValueError("period T must be positive")
-    return (epsilon - 2 * nu / t) / (1.0 - epsilon)
+    return _sigma_bound(epsilon, delta_from_ticks(nu, t))
 
 
 def adaptive_c(c0: int, neighborhood: int, s_th: float) -> int:
@@ -59,7 +63,7 @@ def check_stability(epsilon: float, sigma: float, delta: float = 0.0) -> tuple[b
         raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    bound = (epsilon - 2 * delta) / (1.0 - epsilon)
+    bound = _sigma_bound(epsilon, delta)
     stable = sigma < bound and epsilon > 2 * delta
     return stable, bound - sigma
 
@@ -106,10 +110,10 @@ def build_report(epsilon: float, sigma: float, t: int, c0: int, nu: int,
     """
     warnings: list[str] = []
     avg_deg = topology.average_degree if topology is not None else 1.0
-    raw_eps_opt = (c0 * avg_deg + 4 * nu) / (2 * t)
-    eps_opt = min(raw_eps_opt, 0.5)
-    if raw_eps_opt > 0.5:
-        warnings.append(f"epsilon_opt {raw_eps_opt:.4f} exceeds 0.5; clamped")
+    # c0 ticks of receive budget per neighbour play the role of beta
+    eps_opt = epsilon_opt(c0, avg_deg, nu, t)
+    if eps_opt == 0.5:
+        warnings.append("epsilon_opt reaches the 0.5 ceiling; clamped")
     smax = sigma_max(epsilon, nu, t)
     if smax <= 0:
         warnings.append("no valid sigma: delay consumes the whole window")

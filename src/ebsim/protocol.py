@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import CouplingParams, advance_remaining_ticks, in_setw
+from .core import advance_remaining_ticks, in_setw
 from .params import adaptive_c
 
 
@@ -65,10 +65,6 @@ class ProtocolConfig:
         if self.init_listen_periods < 0:
             raise ValueError("init_listen_periods must be >= 0")
 
-    @property
-    def coupling(self) -> CouplingParams:
-        return CouplingParams(self.epsilon, self.sigma)
-
 
 @dataclass(frozen=True)
 class MrfConfig:
@@ -88,13 +84,6 @@ class MrfConfig:
     def __post_init__(self) -> None:
         if not 0 < self.refractory < self.period_t:
             raise ValueError("refractory must satisfy 0 < refractory < period_t")
-
-
-@dataclass(frozen=True)
-class BroadcastMessage:
-    sender: int
-    emitted_at: int
-    carries_payload: bool = False
 
 
 @dataclass
@@ -121,12 +110,8 @@ class NodeState:
     init_periods_left: int = 0
     synchronicity: float = 0.0
     pending_payload: bool = False
-    pending_tx_delay: int | None = None
-    stored_advance: float | None = None
     recovering: bool = False
-    awake_ticks_total: int = 0
     flap_count: int = 0
-    skew_ppm: float = 0.0
     # simulator bookkeeping
     fire_seq: int = 0
     advance_accum: float = 0.0
@@ -175,13 +160,11 @@ def on_period_start(node: NodeState, cfg: ProtocolConfig, now: int) -> NodeState
             node.neighbor_count_estimate = len(node.init_heard)
     node.heard_this_period = set()
     node.heard_any = set()
-    node.stored_advance = None
-    node.pending_tx_delay = None
     node.epsilon_eff = effective_epsilon(cfg, node.neighbor_count_estimate)
     return node
 
 
-def on_fire(node: NodeState, cfg: ProtocolConfig, now: int) -> BroadcastMessage | None:
+def on_fire(node: NodeState, cfg: ProtocolConfig, now: int) -> bool:
     """Phase reached 1: reset it and decide whether to transmit.
 
     Without reach-back every fire broadcasts (a fresh sync message when no
@@ -189,15 +172,23 @@ def on_fire(node: NodeState, cfg: ProtocolConfig, now: int) -> BroadcastMessage 
     only fires carrying an upper-layer payload go on air.
     """
     node.next_fire = now + node.period_ticks
-    node.pending_tx_delay = None
-    if cfg.variant is Variant.NO_REACHBACK:
-        msg = BroadcastMessage(node.id, now, carries_payload=node.pending_payload)
-        node.pending_payload = False
-        return msg
-    if node.pending_payload:
-        node.pending_payload = False
-        return BroadcastMessage(node.id, now, carries_payload=True)
-    return None
+    emit = cfg.variant is Variant.NO_REACHBACK or node.pending_payload
+    node.pending_payload = False
+    return emit
+
+
+def _couple(node: NodeState, remaining: int, phi: float, epsilon: float,
+            sigma: float, now: int) -> float:
+    """The pulse-coupling step (Mirollo & Strogatz 1990) on integer ticks.
+
+    Strictly between the window edges the remaining time shrinks to
+    sigma * remaining (advance_remaining_ticks); returns the phase jump.
+    """
+    if not epsilon < phi < 1.0 - epsilon:
+        return 0.0
+    new_remaining = advance_remaining_ticks(remaining, sigma)
+    node.next_fire = now + new_remaining
+    return (remaining - new_remaining) / node.period_ticks
 
 
 def on_message(node: NodeState, sender: int, cfg: ProtocolConfig, now: int) -> float:
@@ -215,15 +206,7 @@ def on_message(node: NodeState, sender: int, cfg: ProtocolConfig, now: int) -> f
         node.heard_this_period.add(sender)
     if node.mode is Mode.INITIALIZATION:
         return 0.0
-    if node.epsilon_eff < phi < 1.0 - node.epsilon_eff:
-        new_remaining = advance_remaining_ticks(remaining, cfg.sigma)
-        node.next_fire = now + new_remaining
-        if cfg.variant is Variant.NO_REACHBACK:
-            node.pending_tx_delay = new_remaining
-        else:
-            node.stored_advance = 1.0 - new_remaining / node.period_ticks
-        return (remaining - new_remaining) / node.period_ticks
-    return 0.0
+    return _couple(node, remaining, phi, node.epsilon_eff, cfg.sigma, now)
 
 
 def end_of_period_evaluation(node: NodeState, cfg: ProtocolConfig) -> NodeState:
@@ -280,21 +263,19 @@ def mrf_is_awake(node: NodeState, phi: float, mrf: MrfConfig) -> bool:
     return phi * node.period_ticks >= mrf.refractory
 
 
-def mrf_on_message(node: NodeState, sender: int, coupling: CouplingParams,
+def mrf_on_message(node: NodeState, sender: int, cfg: ProtocolConfig,
                    now: int, refractory: int = 0) -> float:
-    """Outside the refractory stretch the same coupling rule applies."""
+    """Outside the refractory stretch the same coupling rule applies, with
+    the configured (never adapted) window."""
     remaining = node.next_fire - now
     phi = 1.0 - remaining / node.period_ticks
     node.heard_any.add(sender)
     if phi * node.period_ticks < refractory:
         return 0.0
-    if coupling.epsilon < phi < 1.0 - coupling.epsilon:
-        new_remaining = advance_remaining_ticks(remaining, coupling.sigma)
-        node.next_fire = now + new_remaining
-        return (remaining - new_remaining) / node.period_ticks
-    return 0.0
+    return _couple(node, remaining, phi, cfg.epsilon, cfg.sigma, now)
 
 
-def mrf_on_fire(node: NodeState, now: int) -> BroadcastMessage:
+def mrf_on_fire(node: NodeState, now: int) -> bool:
+    """The baseline broadcasts on every fire."""
     node.next_fire = now + node.period_ticks
-    return BroadcastMessage(node.id, now)
+    return True

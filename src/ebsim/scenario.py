@@ -3,10 +3,12 @@
 Grammar (one entry per line):
 
     key = value            # '#' starts a comment
-    key = [v1, v2, v3]     # list value (sweeps, churn edges)
+    key = [v1, v2, v3]     # list value (sweeps)
 
-Durations are integer ticks (1 tick = 1 ms).  See the README for the full
-key table.  Churn entries use indexed keys:
+Durations are integer ticks (1 tick = 1 ms).  KEYS is the one registry of
+keys: parsing, sweep overrides and the resolved-config echo are all derived
+from it (the README's key table mirrors it).  Churn entries use indexed
+keys:
 
     churn.1 = leave 12 at 30
     churn.2 = join 25 at 60 edges 7,11,13,17
@@ -15,7 +17,8 @@ key table.  Churn entries use indexed keys:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
@@ -40,6 +43,15 @@ class TopologySpec:
     path: str = ""
 
 
+class LinkDelaySpec(NamedTuple):
+    """Fixed per-directed-link delay offsets drawn from [lo, hi] with the
+    given seed; materialized against the topology at run time."""
+
+    lo: int
+    hi: int
+    seed: int
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
@@ -48,20 +60,27 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario.
+
+    values holds one entry per KEYS entry, in registry order: the key's
+    value with defaults filled in, or None where the key does not apply.
+    It is what resolved_text echoes and what sweep points are rebuilt
+    from; the other fields are built from it.
+    """
+
+    values: tuple
     topology: TopologySpec
     protocol: ProtocolConfig
-    mrf: MrfConfig | None = None
-    delay: DelayModel = field(default_factory=DelayModel)
-    fault: LinkFaultModel = field(default_factory=LinkFaultModel)
-    drift: ClockDriftModel = field(default_factory=ClockDriftModel)
-    churn: tuple[ChurnEvent, ...] = ()
-    horizon: int = 50
-    seed: int = 0
-    payload_rate: float = 1.0
-    sweep: SweepSpec | None = None
-    # fixed per-directed-link delay offsets drawn from [lo, hi] with the
-    # given seed; materialized against the topology at run time
-    link_delay: tuple[int, int, int] | None = None
+    mrf: MrfConfig | None
+    delay: DelayModel
+    fault: LinkFaultModel
+    drift: ClockDriftModel
+    link_delay: LinkDelaySpec | None
+    churn: tuple[ChurnEvent, ...]
+    horizon: int
+    seed: int
+    payload_rate: float
+    sweep: SweepSpec | None
 
 
 def build_topology(spec: TopologySpec) -> Topology:
@@ -76,111 +95,70 @@ def build_topology(spec: TopologySpec) -> Topology:
     raise ScenarioError(f"unknown topology kind {spec.kind!r}")
 
 
+def delay_model(cfg: ScenarioConfig, topology: Topology) -> DelayModel:
+    """The scenario's delay model with its per-link offsets, if any, drawn
+    against the built topology: what a run uses and what `check` judges."""
+    if cfg.link_delay is None:
+        return cfg.delay
+    return replace(cfg.delay, overrides=make_link_delay_table(topology, *cfg.link_delay))
+
+
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
-               seed: int | None = None, trace: bool = False) -> RunResult:
-    """Execute one run of a scenario (EBS or the refractory baseline)."""
+               trace: bool = False) -> RunResult:
+    """Execute one run of a scenario (EBS or the refractory baseline); other
+    seeds are sweep points or apply_override(cfg, "run.seed", seed)."""
     topology = build_topology(cfg.topology)
-    delay = cfg.delay
-    if cfg.link_delay is not None:
-        lo, hi, table_seed = cfg.link_delay
-        delay = replace(delay, overrides=make_link_delay_table(topology, lo, hi, table_seed))
     return run(topology, cfg.protocol, scheme=scheme,
                mrf_cfg=cfg.mrf if scheme == "mrf" else None,
-               delay=delay, fault=cfg.fault, drift=cfg.drift,
-               churn=cfg.churn, horizon=cfg.horizon,
-               seed=cfg.seed if seed is None else seed,
-               payload_rate=cfg.payload_rate, trace=trace)
+               delay=delay_model(cfg, topology), fault=cfg.fault,
+               drift=cfg.drift, churn=cfg.churn, horizon=cfg.horizon,
+               seed=cfg.seed, payload_rate=cfg.payload_rate, trace=trace)
 
 
-# --- parsing ----------------------------------------------------------------
+# --- the key registry -------------------------------------------------------
+
+class _Type(NamedTuple):
+    name: str                                # as in "expected <name>"
+    parse: Callable[[str], object]           # raises ValueError on bad text
+    text: Callable[[object], str] = str      # the echo; parse(text(v)) == v
+
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False,
           "on": True, "off": False}
 
-# key -> (type tag, required)
-_KEYS: dict[str, str] = {
-    "topology.kind": "str",
-    "topology.rows": "int",
-    "topology.cols": "int",
-    "topology.wraparound": "bool",
-    "topology.n": "int",
-    "topology.radius": "float",
-    "topology.seed": "int",
-    "topology.path": "str",
-    "protocol.period_t": "int",
-    "protocol.epsilon": "float",
-    "protocol.sigma": "float",
-    "protocol.s_th": "float",
-    "protocol.c0": "int",
-    "protocol.variant": "str",
-    "protocol.adaptive_c": "bool",
-    "protocol.init_listen_periods": "int",
-    "mrf.enabled": "bool",
-    "mrf.t_ref": "int",
-    "mrf.sleep": "bool",
-    "delay.kind": "str",
-    "delay.nu": "int",
-    "delay.lo": "int",
-    "delay.hi": "int",
-    "delay.link_lo": "int",
-    "delay.link_hi": "int",
-    "delay.link_seed": "int",
-    "fault.loss_probability": "float",
-    "fault.collisions": "bool",
-    "fault.beta": "int",
-    "drift.skew_ppm_min": "float",
-    "drift.skew_ppm_max": "float",
-    "run.horizon": "int",
-    "run.seed": "int",
-    "run.payload_rate": "float",
-    "sweep.parameter": "str",
-    "sweep.values": "list",
-}
 
-_REQUIRED = ("topology.kind", "protocol.period_t", "protocol.epsilon",
-             "protocol.sigma", "protocol.s_th")
-
-# keys a sweep may vary (re-parsed per point through the same validation)
-SWEEPABLE = tuple(k for k in _KEYS
-                  if k.split(".")[0] in ("protocol", "delay", "fault", "run", "mrf")
-                  and _KEYS[k] != "list")
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(text)
+    return _BOOLS[text.lower()]
 
 
-def _scalar(key: str, text: str, lineno: int, source: str):
-    tag = _KEYS[key]
-    try:
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            if text.lower() not in _BOOLS:
-                raise ValueError
-            return _BOOLS[text.lower()]
-        return text
-    except ValueError:
-        raise ScenarioError(
-            f"{source}:{lineno}: {key}: expected {tag}, got {text!r}") from None
+def _checked(convert, ok):
+    """A parser that also rejects converted values outside a domain."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return parse
 
 
-def _parse_list(text: str, lineno: int, source: str) -> tuple:
-    inner = text.strip()
-    if not (inner.startswith("[") and inner.endswith("]")):
-        raise ScenarioError(f"{source}:{lineno}: expected a [a, b, ...] list")
-    items = [s.strip() for s in inner[1:-1].split(",") if s.strip()]
-    out = []
-    for item in items:
+def _item(text: str):
+    for convert in (int, float):
         try:
-            out.append(int(item))
+            return convert(text)
         except ValueError:
-            try:
-                out.append(float(item))
-            except ValueError:
-                out.append(item)
-    return tuple(out)
+            pass
+    return text
 
 
-def _parse_churn(text: str, lineno: int, source: str) -> ChurnEvent:
+def _list(text: str) -> tuple:
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(text)
+    return tuple(_item(s.strip()) for s in text[1:-1].split(",") if s.strip())
+
+
+def _churn(text: str) -> ChurnEvent:
     parts = text.split()
     try:
         if parts[0] == "leave" and len(parts) == 4 and parts[2] == "at":
@@ -188,17 +166,172 @@ def _parse_churn(text: str, lineno: int, source: str) -> ChurnEvent:
         if parts[0] == "join" and len(parts) == 6 and parts[2] == "at" and parts[4] == "edges":
             edges = tuple(int(e) for e in parts[5].split(","))
             return ChurnEvent(int(parts[3]), "join", int(parts[1]), edges)
-    except (ValueError, IndexError):
+    except IndexError:
         pass
-    raise ScenarioError(
-        f"{source}:{lineno}: churn entry must be 'leave <id> at <period>' "
-        f"or 'join <id> at <period> edges <id,id,...>', got {text!r}")
+    raise ValueError(text)
+
+
+def _churn_text(ev: ChurnEvent) -> str:
+    if ev.action == "leave":
+        return f"leave {ev.node_id} at {ev.at_period}"
+    return f"join {ev.node_id} at {ev.at_period} edges {','.join(map(str, ev.edges))}"
+
+
+_INT = _Type("int", int)
+_FLOAT = _Type("float", float)
+_STR = _Type("str", str)
+_BOOL = _Type("bool", _bool, lambda v: str(v).lower())
+_TOPOLOGY_KINDS = ("grid", "random_geometric", "complete", "file")
+
+
+class Key(NamedTuple):
+    """One scenario key: how its value is read and echoed, its default and
+    the ScenarioConfig field it sets ("section.attribute", or a top-level
+    attribute).  A key without a field only switches other keys on.
+    applies(given) says whether the key takes part at all; a key that does
+    not is neither required, built nor echoed.  An indexed key is written
+    as key.1, key.2, ... and collects a tuple."""
+
+    type: _Type
+    default: object
+    field: str | None
+    applies: Callable[[dict], bool] | None = None
+    indexed: bool = False
+
+
+_REQUIRED = object()  # default of a key that must be given where it applies
+
+
+# cross-key rules: the keys each topology kind reads, and the optional
+# sections, present when switched on or when any of their keys is given
+def _when(key: str, *values) -> Callable[[dict], bool]:
+    return lambda given: given.get(key) in values
+
+
+def _any_given(*keys: str) -> Callable[[dict], bool]:
+    return lambda given: any(key in given for key in keys)
+
+
+_LINK = _any_given("delay.link_lo", "delay.link_hi", "delay.link_seed")
+_SWEEP = _any_given("sweep.parameter", "sweep.values")
+
+KEYS: dict[str, Key] = {
+    "topology.kind": Key(_Type(" or ".join(_TOPOLOGY_KINDS),
+                               _checked(str, _TOPOLOGY_KINDS.__contains__)),
+                         _REQUIRED, "topology.kind"),
+    "topology.rows": Key(_INT, _REQUIRED, "topology.rows", _when("topology.kind", "grid")),
+    "topology.cols": Key(_INT, _REQUIRED, "topology.cols", _when("topology.kind", "grid")),
+    "topology.wraparound": Key(_BOOL, False, "topology.wraparound", _when("topology.kind", "grid")),
+    "topology.n": Key(_INT, _REQUIRED, "topology.n",
+                      _when("topology.kind", "random_geometric", "complete")),
+    "topology.radius": Key(_FLOAT, _REQUIRED, "topology.radius",
+                           _when("topology.kind", "random_geometric")),
+    "topology.seed": Key(_INT, 0, "topology.seed", _when("topology.kind", "random_geometric")),
+    "topology.path": Key(_STR, _REQUIRED, "topology.path", _when("topology.kind", "file")),
+    "protocol.period_t": Key(_INT, _REQUIRED, "protocol.period_t"),
+    "protocol.epsilon": Key(_FLOAT, _REQUIRED, "protocol.epsilon"),
+    "protocol.sigma": Key(_FLOAT, _REQUIRED, "protocol.sigma"),
+    "protocol.s_th": Key(_FLOAT, _REQUIRED, "protocol.s_th"),
+    "protocol.c0": Key(_INT, 50, "protocol.c0"),
+    "protocol.variant": Key(_Type(" or ".join(v.value for v in Variant), Variant,
+                                  lambda v: v.value),
+                            Variant.NO_REACHBACK, "protocol.variant"),
+    "protocol.adaptive_c": Key(_BOOL, False, "protocol.adaptive_c"),
+    "protocol.init_listen_periods": Key(_INT, 5, "protocol.init_listen_periods"),
+    "mrf.enabled": Key(_BOOL, False, None),
+    "mrf.t_ref": Key(_INT, lambda values: values["protocol.period_t"] // 2,
+                     "mrf.refractory", _when("mrf.enabled", True)),
+    "mrf.sleep": Key(_BOOL, True, "mrf.sleep_during_refractory", _when("mrf.enabled", True)),
+    "delay.kind": Key(_STR, "none", "delay.kind"),
+    "delay.nu": Key(_INT, 0, "delay.nu"),
+    "delay.lo": Key(_INT, 0, "delay.lo"),
+    "delay.hi": Key(_INT, 0, "delay.hi"),
+    "delay.link_lo": Key(_INT, 0, "link_delay.lo", _LINK),
+    "delay.link_hi": Key(_INT, _REQUIRED, "link_delay.hi", _LINK),
+    "delay.link_seed": Key(_INT, 0, "link_delay.seed", _LINK),
+    "fault.loss_probability": Key(_FLOAT, 0.0, "fault.loss_probability"),
+    "fault.collisions": Key(_BOOL, False, "fault.collisions_enabled"),
+    "fault.beta": Key(_INT, 4, "fault.airtime_beta"),
+    "drift.skew_ppm_min": Key(_FLOAT, 0.0, "drift.skew_ppm_min"),
+    "drift.skew_ppm_max": Key(_FLOAT, 0.0, "drift.skew_ppm_max"),
+    "run.horizon": Key(_Type("int >= 1", _checked(int, lambda v: v >= 1)), 50, "horizon"),
+    "run.seed": Key(_INT, 0, "seed"),
+    "run.payload_rate": Key(_Type("probability in [0, 1]",
+                                  _checked(float, lambda v: 0.0 <= v <= 1.0)),
+                            1.0, "payload_rate"),
+    "churn": Key(_Type("churn entry 'leave <id> at <period>' or "
+                       "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
+                 (), "churn", indexed=True),
+    "sweep.parameter": Key(_STR, _REQUIRED, "sweep.parameter", _SWEEP),
+    "sweep.values": Key(_Type("non-empty [a, b, ...] list", _checked(_list, bool),
+                              lambda v: f"[{', '.join(map(str, v))}]"),
+                        _REQUIRED, "sweep.values", _SWEEP),
+}
+
+# a sweep may vary any single-valued key outside the topology (churn
+# entries name its node ids) and the sweep itself
+SWEEPABLE = tuple(key for key, spec in KEYS.items()
+                  if not spec.indexed and key.split(".")[0] not in ("topology", "sweep"))
+
+# ScenarioConfig fields built from the keys' "section.attribute" fields
+_SECTIONS = {"topology": TopologySpec, "protocol": ProtocolConfig,
+             "mrf": MrfConfig, "delay": DelayModel, "fault": LinkFaultModel,
+             "drift": ClockDriftModel, "link_delay": LinkDelaySpec,
+             "sweep": SweepSpec}
+
+
+def _read(key: str, text: str, where: str):
+    kind = KEYS[key].type
+    try:
+        return kind.parse(text)
+    except ValueError:
+        raise ScenarioError(f"{where}: {key}: expected {kind.name}, got {text!r}") from None
+
+
+def _build(given: dict[str, object], where: Callable[[str | None], str]) -> ScenarioConfig:
+    """Resolve the given keys against the registry and build the config.
+
+    where(key) names the place a key's value came from (where(None): the
+    scenario as a whole) for error messages.
+    """
+    if _SWEEP(given) and not all(key in given for key in ("sweep.parameter", "sweep.values")):
+        raise ScenarioError(f"{where(None)}: sweep needs both sweep.parameter and sweep.values")
+    values: dict[str, object] = {}
+    for key, spec in KEYS.items():
+        if spec.applies is not None and not spec.applies(given):
+            continue
+        if key in given:
+            values[key] = given[key]
+        elif spec.default is _REQUIRED:
+            raise ScenarioError(f"{where(None)}: missing required key {key!r}")
+        else:
+            values[key] = spec.default(values) if callable(spec.default) else spec.default
+    parameter = values.get("sweep.parameter")
+    if parameter is not None and parameter not in SWEEPABLE:
+        raise ScenarioError(f"{where('sweep.parameter')}: cannot sweep {parameter!r}")
+    if _LINK(values) and not 0 <= values["delay.link_lo"] <= values["delay.link_hi"]:
+        raise ScenarioError(f"{where('delay.link_hi')}: link delays need 0 <= link_lo <= link_hi")
+
+    kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
+    top: dict[str, object] = {}
+    for key, value in values.items():
+        section, _, attr = (KEYS[key].field or "").rpartition(".")
+        if attr:
+            (kwargs[section] if section else top)[attr] = value
+    if kwargs["mrf"]:
+        kwargs["mrf"]["period_t"] = values["protocol.period_t"]  # baseline runs on T
+    built = {}
+    for name, cls in _SECTIONS.items():
+        try:
+            built[name] = cls(**kwargs[name]) if kwargs[name] else None
+        except ValueError as exc:
+            raise ScenarioError(f"{where(None)}: {name}: {exc}") from None
+    return ScenarioConfig(values=tuple(values.get(key) for key in KEYS), **built, **top)
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
-    values: dict[str, object] = {}
+    given: dict[str, object] = {}
     lines: dict[str, int] = {}
-    churn: list[ChurnEvent] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -207,115 +340,17 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ScenarioError(f"{source}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key.startswith("churn."):
-            churn.append(_parse_churn(val, lineno, source))
+        head = key.rsplit(".", 1)[0]
+        if head in KEYS and KEYS[head].indexed:
+            given[head] = given.get(head, ()) + (_read(head, val, f"{source}:{lineno}"),)
             continue
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
+        if key in given:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
-        if _KEYS[key] == "list":
-            values[key] = _parse_list(val, lineno, source)
-        else:
-            values[key] = _scalar(key, val, lineno, source)
+        given[key] = _read(key, val, f"{source}:{lineno}")
         lines[key] = lineno
-
-    def where(key: str) -> str:
-        return f"{source}:{lines.get(key, '?')}"
-
-    for key in _REQUIRED:
-        if key not in values:
-            raise ScenarioError(f"{source}: missing required key {key!r}")
-
-    def get(key: str, default):
-        return values.get(key, default)
-
-    topo_kind = values["topology.kind"]
-    if topo_kind not in ("grid", "random_geometric", "complete", "file"):
-        raise ScenarioError(f"{where('topology.kind')}: unknown topology kind {topo_kind!r}")
-    if topo_kind == "grid" and ("topology.rows" not in values or "topology.cols" not in values):
-        raise ScenarioError(f"{source}: grid topology needs topology.rows and topology.cols")
-    if topo_kind in ("random_geometric", "complete") and "topology.n" not in values:
-        raise ScenarioError(f"{source}: {topo_kind} topology needs topology.n")
-    if topo_kind == "random_geometric" and "topology.radius" not in values:
-        raise ScenarioError(f"{source}: random_geometric topology needs topology.radius")
-    if topo_kind == "file" and "topology.path" not in values:
-        raise ScenarioError(f"{source}: file topology needs topology.path")
-    topo = TopologySpec(
-        kind=topo_kind, rows=get("topology.rows", 0), cols=get("topology.cols", 0),
-        wraparound=get("topology.wraparound", False), n=get("topology.n", 0),
-        radius=get("topology.radius", 0.0), seed=get("topology.seed", 0),
-        path=get("topology.path", ""))
-
-    variant_name = get("protocol.variant", "no_reachback")
-    try:
-        variant = Variant(variant_name)
-    except ValueError:
-        raise ScenarioError(f"{where('protocol.variant')}: unknown variant {variant_name!r}") from None
-    try:
-        proto = ProtocolConfig(
-            period_t=values["protocol.period_t"],
-            epsilon=values["protocol.epsilon"],
-            sigma=values["protocol.sigma"],
-            s_th=values["protocol.s_th"],
-            c0=get("protocol.c0", 50),
-            variant=variant,
-            adaptive_c=get("protocol.adaptive_c", False),
-            init_listen_periods=get("protocol.init_listen_periods", 5))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: protocol config: {exc}") from None
-
-    mrf = None
-    if get("mrf.enabled", False):
-        try:
-            mrf = MrfConfig(proto.period_t, get("mrf.t_ref", proto.period_t // 2),
-                            sleep_during_refractory=get("mrf.sleep", True))
-        except ValueError as exc:
-            raise ScenarioError(f"{source}: mrf config: {exc}") from None
-
-    link_delay = None
-    if "delay.link_hi" in values:
-        link_lo = get("delay.link_lo", 0)
-        link_hi = values["delay.link_hi"]
-        if link_lo < 0 or link_hi < link_lo:
-            raise ScenarioError(
-                f"{where('delay.link_hi')}: link delays need 0 <= link_lo <= link_hi")
-        link_delay = (link_lo, link_hi, get("delay.link_seed", 0))
-
-    try:
-        delay = DelayModel(kind=get("delay.kind", "none"), nu=get("delay.nu", 0),
-                           lo=get("delay.lo", 0), hi=get("delay.hi", 0))
-        fault = LinkFaultModel(loss_probability=get("fault.loss_probability", 0.0),
-                               collisions_enabled=get("fault.collisions", False),
-                               airtime_beta=get("fault.beta", 4))
-        drift = ClockDriftModel(skew_ppm_min=get("drift.skew_ppm_min", 0.0),
-                                skew_ppm_max=get("drift.skew_ppm_max", 0.0))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from None
-
-    horizon = get("run.horizon", 50)
-    if horizon < 1:
-        raise ScenarioError(f"{where('run.horizon')}: run.horizon must be >= 1")
-    payload_rate = get("run.payload_rate", 1.0)
-    if payload_rate < 0:
-        raise ScenarioError(f"{where('run.payload_rate')}: run.payload_rate must be >= 0")
-
-    sweep = None
-    if "sweep.parameter" in values or "sweep.values" in values:
-        if "sweep.parameter" not in values or "sweep.values" not in values:
-            raise ScenarioError(f"{source}: sweep needs both sweep.parameter and sweep.values")
-        param = values["sweep.parameter"]
-        if param not in SWEEPABLE:
-            raise ScenarioError(f"{where('sweep.parameter')}: cannot sweep {param!r}")
-        if not values["sweep.values"]:
-            raise ScenarioError(f"{where('sweep.values')}: empty sweep")
-        sweep = SweepSpec(param, values["sweep.values"])
-
-    return ScenarioConfig(topology=topo, protocol=proto, mrf=mrf, delay=delay,
-                          fault=fault, drift=drift, churn=tuple(churn),
-                          horizon=horizon, seed=get("run.seed", 0),
-                          payload_rate=payload_rate, sweep=sweep,
-                          link_delay=link_delay)
+    return _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
@@ -326,110 +361,23 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def apply_override(cfg: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    """Return a copy of the scenario with one sweepable key replaced."""
+    """Return the scenario with one sweepable key set to value (read from
+    str(value), as from a scenario file), rebuilt through the same type
+    check and validation as a parsed file."""
     if parameter not in SWEEPABLE:
         raise ScenarioError(f"cannot sweep {parameter!r}")
-    section, name = parameter.split(".", 1)
-    if section == "protocol":
-        if name == "variant":
-            value = Variant(value)
-        proto = replace(cfg.protocol, **{name: value})
-        mrf = cfg.mrf
-        if mrf is not None and name == "period_t":
-            mrf = MrfConfig(value, min(mrf.refractory, value - 1),
-                            sleep_during_refractory=mrf.sleep_during_refractory)
-        return replace(cfg, protocol=proto, mrf=mrf)
-    if section == "delay":
-        if name.startswith("link_"):
-            lo, hi, table_seed = cfg.link_delay or (0, 0, 0)
-            slot = name.removeprefix("link_")
-            lo, hi, table_seed = {
-                "lo": (value, hi, table_seed),
-                "hi": (lo, value, table_seed),
-                "seed": (lo, hi, value),
-            }[slot]
-            if lo < 0 or hi < lo:
-                raise ScenarioError("link delays need 0 <= link_lo <= link_hi")
-            return replace(cfg, link_delay=(lo, hi, table_seed))
-        return replace(cfg, delay=replace(cfg.delay, **{name: value}))
-    if section == "fault":
-        field_name = {"loss_probability": "loss_probability",
-                      "collisions": "collisions_enabled",
-                      "beta": "airtime_beta"}[name]
-        return replace(cfg, fault=replace(cfg.fault, **{field_name: value}))
-    if section == "mrf":
-        old = cfg.mrf
-        if name == "enabled":
-            return replace(cfg, mrf=MrfConfig(cfg.protocol.period_t,
-                                              cfg.protocol.period_t // 2) if value else None)
-        if name == "sleep":
-            refractory = old.refractory if old else cfg.protocol.period_t // 2
-            return replace(cfg, mrf=MrfConfig(cfg.protocol.period_t, refractory,
-                                              sleep_during_refractory=value))
-        sleep = old.sleep_during_refractory if old else True
-        return replace(cfg, mrf=MrfConfig(cfg.protocol.period_t, value,
-                                          sleep_during_refractory=sleep))
-    # run.*
-    key = {"horizon": "horizon", "seed": "seed", "payload_rate": "payload_rate"}[name]
-    return replace(cfg, **{key: value})
+    point = f"sweep point {parameter} = {value}"
+    given = {key: v for key, v in zip(KEYS, cfg.values) if v is not None}
+    given[parameter] = _read(parameter, str(value), point)
+    return _build(given, lambda key: point)
 
 
 def resolved_text(cfg: ScenarioConfig) -> str:
     """Echo of the fully materialized configuration, defaults included."""
-    t = cfg.topology
-    out = [f"topology.kind = {t.kind}"]
-    if t.kind == "grid":
-        out += [f"topology.rows = {t.rows}", f"topology.cols = {t.cols}",
-                f"topology.wraparound = {str(t.wraparound).lower()}"]
-    elif t.kind == "random_geometric":
-        out += [f"topology.n = {t.n}", f"topology.radius = {t.radius}",
-                f"topology.seed = {t.seed}"]
-    elif t.kind == "complete":
-        out += [f"topology.n = {t.n}"]
-    else:
-        out += [f"topology.path = {t.path}"]
-    p = cfg.protocol
-    out += [
-        f"protocol.period_t = {p.period_t}",
-        f"protocol.epsilon = {p.epsilon}",
-        f"protocol.sigma = {p.sigma}",
-        f"protocol.s_th = {p.s_th}",
-        f"protocol.c0 = {p.c0}",
-        f"protocol.variant = {p.variant.value}",
-        f"protocol.adaptive_c = {str(p.adaptive_c).lower()}",
-        f"protocol.init_listen_periods = {p.init_listen_periods}",
-        f"mrf.enabled = {str(cfg.mrf is not None).lower()}",
-    ]
-    if cfg.mrf is not None:
-        out.append(f"mrf.t_ref = {cfg.mrf.refractory}")
-        out.append(f"mrf.sleep = {str(cfg.mrf.sleep_during_refractory).lower()}")
-    out += [
-        f"delay.kind = {cfg.delay.kind}",
-        f"delay.nu = {cfg.delay.nu}",
-        f"delay.lo = {cfg.delay.lo}",
-        f"delay.hi = {cfg.delay.hi}",
-    ]
-    if cfg.link_delay is not None:
-        lo, hi, table_seed = cfg.link_delay
-        out += [f"delay.link_lo = {lo}", f"delay.link_hi = {hi}",
-                f"delay.link_seed = {table_seed}"]
-    out += [
-        f"fault.loss_probability = {cfg.fault.loss_probability}",
-        f"fault.collisions = {str(cfg.fault.collisions_enabled).lower()}",
-        f"fault.beta = {cfg.fault.airtime_beta}",
-        f"drift.skew_ppm_min = {cfg.drift.skew_ppm_min}",
-        f"drift.skew_ppm_max = {cfg.drift.skew_ppm_max}",
-        f"run.horizon = {cfg.horizon}",
-        f"run.seed = {cfg.seed}",
-        f"run.payload_rate = {cfg.payload_rate}",
-    ]
-    for i, ev in enumerate(cfg.churn, start=1):
-        if ev.action == "leave":
-            out.append(f"churn.{i} = leave {ev.node_id} at {ev.at_period}")
-        else:
-            edges = ",".join(str(e) for e in ev.edges)
-            out.append(f"churn.{i} = join {ev.node_id} at {ev.at_period} edges {edges}")
-    if cfg.sweep is not None:
-        out.append(f"sweep.parameter = {cfg.sweep.parameter}")
-        out.append(f"sweep.values = [{', '.join(str(v) for v in cfg.sweep.values)}]")
-    return "\n".join(out) + "\n"
+    out = []
+    for (key, spec), value in zip(KEYS.items(), cfg.values):
+        if spec.indexed:
+            out += [f"{key}.{i} = {spec.type.text(v)}" for i, v in enumerate(value, start=1)]
+        elif value is not None:
+            out.append(f"{key} = {spec.type.text(value)}")
+    return "".join(line + "\n" for line in out)

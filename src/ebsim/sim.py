@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from . import protocol
@@ -20,7 +20,7 @@ from .core import avg_phase_difference
 from .metrics import MetricsRow, MetricsSeries, throughput
 from .protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
                        ProtocolConfig)
-from .topology import Topology
+from .topology import Topology, TopologyError
 
 
 class SimulationError(RuntimeError):
@@ -75,14 +75,8 @@ class DelayModel:
         return fixed + rng.randint(self.lo, self.hi)
 
     def worst_case(self) -> int:
-        base = 0
-        if self.kind == "deterministic":
-            base = self.nu
-        elif self.kind == "uniform":
-            base = self.hi
-        if self.overrides:
-            base += max(d for _, d in self.overrides)
-        return base
+        base = {"deterministic": self.nu, "uniform": self.hi}.get(self.kind, 0)
+        return base + max(self._table.values(), default=0)
 
 
 def make_link_delay_table(topology: Topology, lo: int, hi: int,
@@ -131,12 +125,8 @@ class ClockDriftModel:
         if self.skew_ppm_max < self.skew_ppm_min:
             raise ValueError("skew_ppm_max must be >= skew_ppm_min")
 
-    @property
-    def enabled(self) -> bool:
-        return self.skew_ppm_min != 0.0 or self.skew_ppm_max != 0.0
-
     def sample(self, rng: random.Random) -> float:
-        if not self.enabled:
+        if self.skew_ppm_min == 0.0 and self.skew_ppm_max == 0.0:
             return 0.0
         return rng.uniform(self.skew_ppm_min, self.skew_ppm_max)
 
@@ -158,8 +148,6 @@ class ChurnEvent:
 @dataclass
 class RunResult:
     series: MetricsSeries
-    avg_degree_measured: float
-    avg_degree_topology: float
     flap_events: list[tuple[int, int]]           # (tick, node id)
     mode_history: list[dict[int, str]]           # one dict per sampled period
     fire_times: dict[int, list[int]]
@@ -167,15 +155,6 @@ class RunResult:
     warnings: list[str]
     stats: dict[str, int]
     trace: list[str] | None = None
-
-
-def measure_average_degree(topology: Topology) -> float:
-    """Calibration round: every node broadcasts once with all radios awake
-    and lossless links; the per-node average of receptions is the degree."""
-    received = 0
-    for sender in topology.node_ids:
-        received += len(topology.neighbors(sender))
-    return received / topology.n
 
 
 class Engine:
@@ -213,8 +192,8 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace: list[str] | None = [] if trace else None
 
-        self.avg_degree_topology = self.topology.average_degree
-        self.avg_degree_measured = measure_average_degree(self.topology)
+        # lossless all-awake ceiling of receptions per node and period
+        self.avg_degree = self.topology.average_degree
 
         self._heap: list = []
         self._counter = 0
@@ -229,11 +208,10 @@ class Engine:
         self._bucket_received = 0
         self._isolated_warned: set[int] = set()
 
+        _check_churn(self.topology, churn, horizon)
         for nid in self.topology.node_ids:
             self._spawn_node(nid, 0)
         for ev in churn:
-            if ev.at_period >= horizon:
-                raise SimulationError(f"churn at period {ev.at_period} beyond horizon")
             self._push(ev.at_period * self.T, EventKind.CHURN, ev.node_id, -1, ev)
         for k in range(1, horizon + 1):
             self._push(k * self.T, EventKind.SAMPLE, -1, -1, None)
@@ -249,11 +227,9 @@ class Engine:
             self.trace.append(f"{time}\t{what}")
 
     def _draw_payload(self) -> bool:
-        if self.payload_rate >= 1.0:
-            return True
-        if self.payload_rate <= 0.0:
-            return False
-        return self.rng.random() < self.payload_rate
+        # no draw at the certain rates, so they leave the RNG stream alone
+        rate = self.payload_rate
+        return rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
 
     def _spawn_node(self, nid: int, now: int) -> None:
         skew = self.drift.sample(self.rng)
@@ -262,7 +238,7 @@ class Engine:
         node = NodeState(
             id=nid, period_ticks=period, next_fire=now + r0,
             epsilon_eff=self.cfg.epsilon, period_start=now,
-            init_periods_left=self.cfg.init_listen_periods, skew_ppm=skew)
+            init_periods_left=self.cfg.init_listen_periods)
         if self.scheme == "mrf":
             node.mode = Mode.SYNCHRONIZATION  # unused by the baseline
         elif self.cfg.init_listen_periods == 0:
@@ -296,8 +272,6 @@ class Engine:
                 self._handle_sample(time)
         return RunResult(
             series=self.series,
-            avg_degree_measured=self.avg_degree_measured,
-            avg_degree_topology=self.avg_degree_topology,
             flap_events=self.flap_events,
             mode_history=self.mode_history,
             fire_times={nid: list(node.fires) for nid, node in sorted(self.nodes.items())},
@@ -318,7 +292,6 @@ class Engine:
             awake = min(period_len, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
         else:
             awake = period_len
-        node.awake_ticks_total += awake
         self._bucket_awake += awake
 
     def _handle_fire(self, now: int, nid: int, seq) -> None:
@@ -328,10 +301,10 @@ class Engine:
         self._attribute_duty(node, now)
         node.fires.append(now)
         if self.scheme == "mrf":
-            msg = protocol.mrf_on_fire(node, now)
+            emit = protocol.mrf_on_fire(node, now)
             node.period_start = now
         else:
-            msg = protocol.on_fire(node, self.cfg, now)
+            emit = protocol.on_fire(node, self.cfg, now)
             flaps_before = node.flap_count
             try:
                 protocol.end_of_period_evaluation(node, self.cfg)
@@ -347,8 +320,8 @@ class Engine:
             node.pending_payload = self._draw_payload()
         node.fire_seq += 1
         self._push(node.next_fire, EventKind.FIRE, nid, -1, node.fire_seq)
-        self._log(now, f"fire\tnode={nid}\temit={msg is not None}")
-        if msg is not None:
+        self._log(now, f"fire\tnode={nid}\temit={emit}")
+        if emit:
             self._deliver(now, nid)
 
     def _deliver(self, now: int, sender: int) -> None:
@@ -399,7 +372,7 @@ class Engine:
         self.stats["received"] += 1
         self._bucket_received += 1
         if self.scheme == "mrf":
-            delta = protocol.mrf_on_message(node, sender, self.cfg.coupling, now,
+            delta = protocol.mrf_on_message(node, sender, self.cfg, now,
                                             self.mrf_cfg.refractory)
         else:
             delta = protocol.on_message(node, sender, self.cfg, now)
@@ -411,8 +384,6 @@ class Engine:
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
         if ev.action == "leave":
-            if ev.node_id not in self.nodes:
-                raise SimulationError(f"churn leave of unknown node {ev.node_id}")
             self.topology.remove_node(ev.node_id)
             del self.nodes[ev.node_id]
             self._log(now, f"leave\tnode={ev.node_id}")
@@ -430,13 +401,12 @@ class Engine:
             if len(eligible) < n and "isolated nodes excluded from phase metrics" not in self.warnings:
                 self.warnings.append("isolated nodes excluded from phase metrics")
             if eligible:
-                view = _SubView(self.topology, eligible)
                 phases = {nid: self.nodes[nid].phase_at(now) for nid in eligible}
-                dphi_lit = avg_phase_difference(phases, view, circular=False)
-                dphi_circ = avg_phase_difference(phases, view, circular=True)
+                dphi_lit = avg_phase_difference(phases, self.topology, circular=False)
+                dphi_circ = avg_phase_difference(phases, self.topology, circular=True)
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * self._bucket_awake / (n * self.T)
-            thr = throughput(self._bucket_received, self.avg_degree_measured, n)
+            thr = throughput(self._bucket_received, self.avg_degree, n)
             steady = 100.0 * sum(
                 1 for nd in self.nodes.values()
                 if nd.mode is Mode.STEADY and not nd.recovering) / n
@@ -453,16 +423,22 @@ class Engine:
         self._bucket_received = 0
 
 
-class _SubView:
-    """Topology restricted to the given nodes, for the phase-difference
-    metrics (neighbour sets are untouched; only isolated ids are dropped)."""
-
-    def __init__(self, topology: Topology, ids: list[int]) -> None:
-        self._topology = topology
-        self.node_ids = ids
-
-    def neighbors(self, nid: int) -> set[int]:
-        return self._topology.neighbors(nid)
+def _check_churn(topology: Topology, churn: tuple[ChurnEvent, ...],
+                 horizon: int) -> None:
+    """Replay the churn schedule on a copy of the topology, in the order
+    the engine runs it, so that a bad entry fails before the first event."""
+    replay = topology.copy()
+    for ev in sorted(churn, key=lambda ev: (ev.at_period, ev.node_id)):
+        what = f"churn {ev.action} of node {ev.node_id} at period {ev.at_period}"
+        if ev.at_period >= horizon:
+            raise SimulationError(f"{what}: beyond the horizon of {horizon} periods")
+        try:
+            if ev.action == "leave":
+                replay.remove_node(ev.node_id)
+            else:
+                replay.add_node(ev.node_id, ev.edges)
+        except TopologyError as exc:
+            raise SimulationError(f"{what}: {exc}") from None
 
 
 def run(topology: Topology, cfg: ProtocolConfig, **kwargs) -> RunResult:

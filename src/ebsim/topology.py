@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TopologyError(ValueError):
@@ -15,13 +15,12 @@ class TopologyError(ValueError):
 class Topology:
     """Graph with per-node neighbour sets.
 
-    Undirected by default; adjacency must then be symmetric.  Node ids are
-    non-negative integers.  Instances are cheap to copy and are treated as
+    Undirected: adjacency must be symmetric.  Node ids are non-negative
+    integers.  Instances are cheap to copy and are treated as
     immutable by everything except the churn machinery in the simulator.
     """
 
     adjacency: dict[int, set[int]]
-    directed: bool = False
 
     def __post_init__(self) -> None:
         if not self.adjacency:
@@ -32,8 +31,8 @@ class Topology:
             for v in neigh:
                 if v not in self.adjacency:
                     raise TopologyError(f"edge {u}-{v} references unknown node {v}")
-                if not self.directed and u not in self.adjacency[v]:
-                    raise TopologyError(f"asymmetric edge {u}-{v} in undirected topology")
+                if u not in self.adjacency[v]:
+                    raise TopologyError(f"asymmetric edge {u}-{v}")
 
     @property
     def node_ids(self) -> list[int]:
@@ -51,15 +50,14 @@ class Topology:
 
     @property
     def edge_count(self) -> int:
-        total = sum(len(v) for v in self.adjacency.values())
-        return total if self.directed else total // 2
+        return sum(len(v) for v in self.adjacency.values()) // 2
 
     @property
     def average_degree(self) -> float:
         return sum(len(v) for v in self.adjacency.values()) / self.n
 
     def copy(self) -> "Topology":
-        return Topology({u: set(v) for u, v in self.adjacency.items()}, self.directed)
+        return Topology({u: set(v) for u, v in self.adjacency.items()})
 
     def add_node(self, nid: int, edges: tuple[int, ...] | list[int]) -> None:
         if nid in self.adjacency:
@@ -70,9 +68,8 @@ class Topology:
             if v not in self.adjacency:
                 raise TopologyError(f"edge {nid}-{v} references unknown node {v}")
         self.adjacency[nid] = set(edges)
-        if not self.directed:
-            for v in edges:
-                self.adjacency[v].add(nid)
+        for v in edges:
+            self.adjacency[v].add(nid)
 
     def remove_node(self, nid: int) -> None:
         if nid not in self.adjacency:

@@ -1,7 +1,9 @@
 import pytest
 
-from ebsim.metrics import (COLUMNS, MetricsRow, MetricsSeries, duty_cycle,
-                           export_csv, throughput)
+from ebsim.metrics import COLUMNS, MetricsRow, MetricsSeries, export_csv, throughput
+from ebsim.protocol import Mode, ProtocolConfig
+from ebsim.sim import ChurnEvent, Engine, run
+from ebsim.topology import Topology, make_complete
 
 
 def _row(period, **kw):
@@ -11,24 +13,45 @@ def _row(period, **kw):
     return MetricsRow(**base)
 
 
+def _duty(topology, epsilon, horizon, seed=0, **kw):
+    cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=0.01,
+                         s_th=80.0, **kw)
+    return [r.duty_pct for r in run(topology, cfg, horizon=horizon, seed=seed).series]
+
+
 def test_duty_cycle_all_awake():
-    assert duty_cycle([1000, 1000], 1000, 2) == pytest.approx(100.0)
+    # initializing nodes listen the whole period; the first row holds only
+    # the stretch before each node's first fire
+    duty = _duty(make_complete(3), 0.025, horizon=5, init_listen_periods=10)
+    assert duty[1:] == [100.0] * 4
 
 
 def test_duty_cycle_steady_window():
     # a steady node with epsilon = 0.025 is awake 2 * 0.025 of the period
-    assert duty_cycle([50], 1000, 1) == pytest.approx(5.0)
+    duty = _duty(Topology({0: {1}, 1: {0}}), 0.025, horizon=30, seed=4,
+                 init_listen_periods=0)
+    assert duty[-1] == pytest.approx(5.0)
 
 
 def test_duty_cycle_mixed():
-    assert duty_cycle([1000, 50], 1000, 2) == pytest.approx(52.5)
+    # one steady node awake 2 * 0.025 of the period, one listening all of it
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
+    eng = Engine(make_complete(2), cfg, horizon=1, seed=0)
+    steady, awake = eng.nodes[0], eng.nodes[1]
+    steady.mode, awake.mode = Mode.STEADY, Mode.SYNCHRONIZATION
+    for node in (steady, awake):
+        node.period_start = 0
+        eng._attribute_duty(node, 1000)
+    eng._handle_sample(1000)
+    assert eng.series.rows[-1].duty_pct == pytest.approx(52.5)
 
 
 def test_duty_cycle_validation():
-    with pytest.raises(ValueError):
-        duty_cycle([10], 0, 1)
-    with pytest.raises(ValueError):
-        duty_cycle([10], 100, 0)
+    # a network emptied by churn reads 0% duty rather than dividing by zero
+    churn = (ChurnEvent(1, "leave", 0), ChurnEvent(1, "leave", 1))
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
+    res = run(make_complete(2), cfg, horizon=3, seed=0, churn=churn)
+    assert [r.duty_pct for r in res.series][1:] == [0.0, 0.0]
 
 
 def test_throughput_lossless_ceiling():

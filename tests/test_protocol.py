@@ -1,6 +1,5 @@
 import pytest
 
-from ebsim.core import CouplingParams
 from ebsim.protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
                             ProtocolConfig, Variant, effective_epsilon,
                             end_of_period_evaluation, is_awake, mrf_is_awake,
@@ -94,8 +93,7 @@ def test_is_awake_by_mode():
 def test_on_fire_no_reachback_always_broadcasts():
     cfg = make_cfg()
     node = make_node(next_fire=T)
-    msg = on_fire(node, cfg, T)
-    assert msg is not None and not msg.carries_payload
+    assert on_fire(node, cfg, T) is True
     assert node.next_fire == 2 * T
 
 
@@ -103,18 +101,19 @@ def test_on_fire_no_reachback_piggybacks_payload():
     cfg = make_cfg()
     node = make_node(next_fire=T)
     node.pending_payload = True
-    msg = on_fire(node, cfg, T)
-    assert msg.carries_payload and not node.pending_payload
+    assert on_fire(node, cfg, T) is True
+    assert not node.pending_payload  # the payload went out with the fire
 
 
 def test_on_fire_partial_reachback_silent_without_payload():
     cfg = make_cfg(variant=Variant.PARTIAL_REACHBACK)
     node = make_node(next_fire=T)
-    assert on_fire(node, cfg, T) is None
+    assert on_fire(node, cfg, T) is False
     assert node.next_fire == 2 * T
     node.pending_payload = True
     node.next_fire = 2 * T
-    assert on_fire(node, cfg, 2 * T).carries_payload
+    assert on_fire(node, cfg, 2 * T) is True
+    assert not node.pending_payload
 
 
 def test_on_message_couples_mid_period():
@@ -125,7 +124,6 @@ def test_on_message_couples_mid_period():
     assert jump == pytest.approx(0.495)
     assert node.heard_any == {7}
     assert node.heard_this_period == set()  # not inside the window
-    assert node.pending_tx_delay == 5  # staggered reply
 
 
 def test_on_message_inside_window_records_only():
@@ -148,9 +146,9 @@ def test_on_message_ignored_during_initialization():
 def test_on_message_reachback_stores_advance():
     cfg = make_cfg(variant=Variant.PARTIAL_REACHBACK)
     node = make_node(next_fire=1500)
-    on_message(node, 7, cfg, 1000)
-    assert node.stored_advance is not None
-    assert node.pending_tx_delay is None
+    # the advance is kept in next_fire; the reply waits for a payload
+    assert on_message(node, 7, cfg, 1000) == pytest.approx(0.495)
+    assert node.next_fire == 1005
 
 
 def test_evaluation_promotes_at_threshold():
@@ -248,16 +246,14 @@ def test_mrf_config_validation():
 
 
 def test_mrf_refractory_blocks_coupling():
-    coupling = CouplingParams(0.01, 0.01)
     node = make_node(next_fire=1700)  # phi = 0.3 at t=1000
-    jump = mrf_on_message(node, 2, coupling, 1000, refractory=T // 2)
+    jump = mrf_on_message(node, 2, make_cfg(), 1000, refractory=T // 2)
     assert jump == 0.0 and node.next_fire == 1700
 
 
 def test_mrf_couples_outside_refractory():
-    coupling = CouplingParams(0.01, 0.01)
     node = make_node(next_fire=1300)  # phi = 0.7 at t=1000
-    jump = mrf_on_message(node, 2, coupling, 1000, refractory=T // 2)
+    jump = mrf_on_message(node, 2, make_cfg(), 1000, refractory=T // 2)
     assert jump > 0.0 and node.next_fire == 1003
 
 
@@ -272,5 +268,5 @@ def test_mrf_sleep_rule():
 
 def test_mrf_fire_resets_and_broadcasts():
     node = make_node(next_fire=T)
-    msg = mrf_on_fire(node, T)
-    assert msg.sender == 0 and node.next_fire == 2 * T
+    assert mrf_on_fire(node, T) is True
+    assert node.next_fire == 2 * T

@@ -1,10 +1,11 @@
 import os
+import re
 
 import pytest
 
 from ebsim.cli import main
 from ebsim.protocol import Variant
-from ebsim.scenario import (ScenarioError, apply_override, build_topology,
+from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
                             parse_scenario, parse_scenario_text,
                             resolved_text, run_config)
 
@@ -19,6 +20,7 @@ protocol.s_th = 80
 """
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_minimal_defaults():
@@ -45,6 +47,9 @@ def test_comments_and_blank_lines():
     ("sweep.values = [1, 2]", "sweep needs both"),
     ("delay.link_hi = -3", "link_lo <= link_hi"),
     ("churn.1 = vanish 3 at 9", "churn entry"),
+    ("run.payload_rate = 7", "probability"),
+    ("run.payload_rate = -0.5", "probability"),
+    ("delay.link_seed = 4", "delay.link_hi"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -120,6 +125,60 @@ def test_resolved_text_round_trips():
             "sweep.parameter = protocol.sigma\nsweep.values = [0.001, 0.005]\n")
     cfg = parse_scenario_text(text)
     assert parse_scenario_text(resolved_text(cfg)) == cfg
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        cfg = parse_scenario(os.path.join(SCENARIO_DIR, name))
+        assert parse_scenario_text(resolved_text(cfg)) == cfg, name
+
+
+def test_sweep_values_are_typed_like_the_file():
+    cfg = parse_scenario_text(MINIMAL + "sweep.parameter = fault.collisions\n"
+                                        "sweep.values = [false, true]\n")
+    points = [apply_override(cfg, cfg.sweep.parameter, v) for v in cfg.sweep.values]
+    assert [p.fault.collisions_enabled for p in points] == [False, True]
+    assert apply_override(cfg, "protocol.s_th", 20).protocol.s_th == 20.0
+
+
+@pytest.mark.parametrize("parameter,value,fragment", [
+    ("run.horizon", 0, "int >= 1"),
+    ("run.payload_rate", -1, "probability"),
+    ("run.payload_rate", 1.5, "probability"),
+    ("delay.nu", 2.5, "expected int"),
+    ("fault.collisions", "maybe", "expected bool"),
+    ("protocol.sigma", 1.0, "sigma"),
+])
+def test_sweep_points_are_validated(parameter, value, fragment):
+    cfg = parse_scenario_text(MINIMAL)
+    with pytest.raises(ScenarioError, match=fragment) as err:
+        apply_override(cfg, parameter, value)
+    assert f"sweep point {parameter} = {value}" in str(err.value)
+
+
+def test_sweep_file_with_bad_point_fails_before_running(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL + "sweep.parameter = run.horizon\n"
+                                      "sweep.values = [3, 0]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--out", str(out)]) == 1
+    assert "sweep point run.horizon = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_period_override_below_refractory_is_an_error():
+    cfg = parse_scenario_text(MINIMAL + "mrf.enabled = true\nmrf.t_ref = 600\n")
+    with pytest.raises(ScenarioError, match="sweep point protocol.period_t = 500"):
+        apply_override(cfg, "protocol.period_t", 500)
+
+
+def test_readme_key_table_matches_registry():
+    with open(README, encoding="utf-8") as fh:
+        rows = [line for line in fh if line.startswith("| `")]
+    documented = set()
+    for row in rows:
+        for span in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            head, *rest = span.split("/")
+            section = head.rsplit(".", 1)[0]
+            documented |= {head} | {f"{section}.{name}" for name in rest}
+    registry = {f"{key}.N" if spec.indexed else key for key, spec in KEYS.items()}
+    assert documented == registry
 
 
 def test_run_config_materializes_link_table():
@@ -189,6 +248,33 @@ def test_cli_parse_error_is_reported(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL + "protocol.s_th = 70\n")
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_cli_bad_churn_fails_cleanly(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL + "run.horizon = 5\n"
+                                      "churn.1 = join 20 at 2 edges 0,99\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: churn join of node 20 at period 2")
+    assert "unknown node 99" in err and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_cli_failed_sweep_leaves_no_outputs(tmp_path, capsys):
+    # the first point runs and writes its CSV; the second fails in set-up
+    path = _write(tmp_path, MINIMAL + "churn.1 = leave 4 at 3\n"
+                                      "sweep.parameter = run.horizon\n"
+                                      "sweep.values = [5, 2]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--out", str(out)]) == 1
+    assert "beyond the horizon" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_cli_check_counts_link_delays(capsys):
+    assert main(["check", os.path.join(SCENARIO_DIR, "sth_sweep.txt")]) == 0
+    assert "delta (nu/T)     = 0.005\n" in capsys.readouterr().out
 
 
 def test_cli_identical_reruns_are_byte_identical(tmp_path):

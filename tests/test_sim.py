@@ -3,7 +3,7 @@ import pytest
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                        LinkFaultModel, SimulationError,
-                       make_link_delay_table, measure_average_degree, run)
+                       make_link_delay_table, run)
 from ebsim.topology import Topology, make_complete, make_regular_grid
 
 
@@ -49,8 +49,11 @@ def test_different_seed_differs():
 
 
 def test_measure_average_degree():
-    assert measure_average_degree(make_regular_grid(5, 5, True)) == 4.0
-    assert measure_average_degree(make_complete(4)) == 3.0
+    # the throughput ceiling is the lossless all-awake reception count:
+    # initializing nodes listen all period, so every full period reads 100%
+    for topo in (make_regular_grid(5, 5, True), make_complete(4)):
+        res = run(topo, make_cfg(init_listen_periods=10), horizon=4, seed=0)
+        assert [r.thr_pct for r in res.series][1:] == [100.0] * 3
 
 
 def test_lossless_delivery_counts():
