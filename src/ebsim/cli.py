@@ -15,9 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import export_csv
 from .params import build_report
+from .protocol import effective_epsilon
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
-                       build_topology, delay_model, parse_scenario,
-                       resolved_text, run_config)
+                       build_topology, parse_scenario, resolved_text,
+                       run_config)
 from .sim import SimulationError
 from .topology import TopologyError
 
@@ -121,12 +122,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
+    p = cfg.protocol
     topology = build_topology(cfg.topology)
-    nu = delay_model(cfg, topology).worst_case()
-    report = build_report(epsilon=cfg.protocol.epsilon, sigma=cfg.protocol.sigma,
-                          t=cfg.protocol.period_t, c0=cfg.protocol.c0, nu=nu,
-                          s_th=cfg.protocol.s_th, topology=topology,
-                          adaptive=cfg.protocol.adaptive_c)
+    # adaptive C widens each coupled node's window; the narrowest decides
+    windows = [effective_epsilon(p, topology.degree(nid))
+               for nid in topology.node_ids if topology.degree(nid) > 0] or [p.epsilon]
+    report = build_report(epsilon=min(windows), sigma=p.sigma, t=p.period_t, c0=p.c0,
+                          nu=cfg.delay.worst_case(topology), s_th=p.s_th, topology=topology,
+                          adaptive=p.adaptive_c, epsilon_max=max(windows))
     for line in report.lines():
         print(line)
     if args.strict and not report.stable:

@@ -32,24 +32,24 @@ def in_setw(phi: float, epsilon: float) -> bool:
     return phi <= epsilon or phi >= 1.0 - epsilon
 
 
-def avg_phase_difference(phases: Mapping[int, float], topology, circular: bool) -> float:
-    """Network-average per-neighbourhood phase difference.
+def avg_phase_difference(phases: Mapping[int, float], topology) -> tuple[float, float]:
+    """Network-average per-neighbourhood phase difference, (literal, circular).
 
     For every node in phases, average |phi_i - phi_j| over its neighbours
-    (wrapped onto the circle when circular=True), then average over those
-    nodes.  Raises ValueError for nodes without neighbours; callers must
-    leave isolated nodes out of phases.
+    (for the circular value, each distance wrapped onto the circle), then
+    average over those nodes.  Raises ValueError for nodes without
+    neighbours; callers must leave isolated nodes out of phases.
     """
-    total = 0.0
+    literal = circular = 0.0
     for i, phi in phases.items():
         neigh = topology.neighbors(i)
         if not neigh:
             raise ValueError(f"node {i} has no neighbours; exclude isolated nodes")
-        acc = 0.0
+        lit = circ = 0.0
         for j in sorted(neigh):
             d = abs(phi - phases[j])
-            if circular:
-                d = min(d, 1.0 - d)
-            acc += d
-        total += acc / len(neigh)
-    return total / len(phases)
+            lit += d
+            circ += min(d, 1.0 - d)
+        literal += lit / len(neigh)
+        circular += circ / len(neigh)
+    return literal / len(phases), circular / len(phases)

@@ -81,6 +81,7 @@ class ParamReport:
     margin: float
     adaptive_c_per_node: dict[int, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    epsilon_max: float | None = None
 
     def lines(self) -> list[str]:
         out = [
@@ -96,17 +97,22 @@ class ParamReport:
             budgets = sorted(set(self.adaptive_c_per_node.values()))
             out.append(f"adaptive C range = {budgets[0]}..{budgets[-1]} ticks "
                        f"({len(self.adaptive_c_per_node)} nodes)")
+            if self.epsilon_max is not None:
+                out.append(f"adaptive epsilon = {self.epsilon:.4g}..{self.epsilon_max:.4g} "
+                           "(judged at the smallest)")
         for w in self.warnings:
             out.append(f"warning: {w}")
         return out
 
 
 def build_report(epsilon: float, sigma: float, t: int, c0: int, nu: int,
-                 s_th: float, topology=None, adaptive: bool = False) -> ParamReport:
+                 s_th: float, topology=None, adaptive: bool = False,
+                 epsilon_max: float | None = None) -> ParamReport:
     """Assemble the calculator outputs for one configuration.
 
     When a topology is supplied, epsilon_opt uses its average degree and,
-    with adaptive=True, per-node receive budgets are tabulated.
+    with adaptive=True, per-node receive budgets are tabulated; epsilon is
+    then the narrowest window any node runs and epsilon_max the widest.
     """
     warnings: list[str] = []
     avg_deg = topology.average_degree if topology is not None else 1.0
@@ -127,4 +133,4 @@ def build_report(epsilon: float, sigma: float, t: int, c0: int, nu: int,
         warnings.append(f"epsilon {epsilon} below epsilon_opt {eps_opt:.4f}; "
                         "expect flapping unless adaptive C widens the window")
     return ParamReport(epsilon, sigma, delta, eps_opt, smax, stable, margin,
-                       per_node, warnings)
+                       per_node, warnings, epsilon_max)

@@ -116,16 +116,13 @@ class NodeState:
     fire_seq: int = 0
     advance_accum: float = 0.0
     rx_busy_until: int = -1
-    rx_pending: set = field(default_factory=set)
+    # the reception in flight as (sender, arrival tick): a commit sorts
+    # before a same-tick arrival and a collision clears it, so at most one
+    rx_pending: tuple[int, int] | None = None
     fires: list[int] = field(default_factory=list)
 
     def phase_at(self, now: int) -> float:
         return 1.0 - (self.next_fire - now) / self.period_ticks
-
-    def mode_label(self) -> str:
-        if self.mode is Mode.STEADY and self.recovering:
-            return "steady_recovering"
-        return self.mode.value
 
 
 def effective_epsilon(cfg: ProtocolConfig, estimate: int) -> float:

@@ -17,12 +17,12 @@ keys:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                  RunResult, make_link_delay_table, run)
+                  RunResult, run)
 from .topology import (Topology, load_topology, make_complete,
                        make_random_geometric, make_regular_grid)
 
@@ -41,15 +41,6 @@ class TopologySpec:
     radius: float = 0.0
     seed: int = 0
     path: str = ""
-
-
-class LinkDelaySpec(NamedTuple):
-    """Fixed per-directed-link delay offsets drawn from [lo, hi] with the
-    given seed; materialized against the topology at run time."""
-
-    lo: int
-    hi: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,6 @@ class ScenarioConfig:
     delay: DelayModel
     fault: LinkFaultModel
     drift: ClockDriftModel
-    link_delay: LinkDelaySpec | None
     churn: tuple[ChurnEvent, ...]
     horizon: int
     seed: int
@@ -95,24 +85,19 @@ def build_topology(spec: TopologySpec) -> Topology:
     raise ScenarioError(f"unknown topology kind {spec.kind!r}")
 
 
-def delay_model(cfg: ScenarioConfig, topology: Topology) -> DelayModel:
-    """The scenario's delay model with its per-link offsets, if any, drawn
-    against the built topology: what a run uses and what `check` judges."""
-    if cfg.link_delay is None:
-        return cfg.delay
-    return replace(cfg.delay, overrides=make_link_delay_table(topology, *cfg.link_delay))
-
-
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
                trace: bool = False) -> RunResult:
-    """Execute one run of a scenario (EBS or the refractory baseline); other
+    """Execute one run of a scenario, "ebs" or (with mrf.enabled) "mrf"; other
     seeds are sweep points or apply_override(cfg, "run.seed", seed)."""
-    topology = build_topology(cfg.topology)
-    return run(topology, cfg.protocol, scheme=scheme,
-               mrf_cfg=cfg.mrf if scheme == "mrf" else None,
-               delay=delay_model(cfg, topology), fault=cfg.fault,
-               drift=cfg.drift, churn=cfg.churn, horizon=cfg.horizon,
-               seed=cfg.seed, payload_rate=cfg.payload_rate, trace=trace)
+    if scheme not in ("ebs", "mrf"):
+        raise ScenarioError(f"unknown scheme {scheme!r}; expected 'ebs' or 'mrf'")
+    if scheme == "mrf" and cfg.mrf is None:
+        raise ScenarioError("scheme 'mrf' needs mrf.enabled = true")
+    return run(build_topology(cfg.topology), cfg.protocol,
+               mrf=cfg.mrf if scheme == "mrf" else None, delay=cfg.delay,
+               fault=cfg.fault, drift=cfg.drift, churn=cfg.churn,
+               horizon=cfg.horizon, seed=cfg.seed,
+               payload_rate=cfg.payload_rate, trace=trace)
 
 
 # --- the key registry -------------------------------------------------------
@@ -246,9 +231,9 @@ KEYS: dict[str, Key] = {
     "delay.nu": Key(_INT, 0, "delay.nu"),
     "delay.lo": Key(_INT, 0, "delay.lo"),
     "delay.hi": Key(_INT, 0, "delay.hi"),
-    "delay.link_lo": Key(_INT, 0, "link_delay.lo", _LINK),
-    "delay.link_hi": Key(_INT, _REQUIRED, "link_delay.hi", _LINK),
-    "delay.link_seed": Key(_INT, 0, "link_delay.seed", _LINK),
+    "delay.link_lo": Key(_INT, 0, "delay.link_lo", _LINK),
+    "delay.link_hi": Key(_INT, _REQUIRED, "delay.link_hi", _LINK),
+    "delay.link_seed": Key(_INT, 0, "delay.link_seed", _LINK),
     "fault.loss_probability": Key(_FLOAT, 0.0, "fault.loss_probability"),
     "fault.collisions": Key(_BOOL, False, "fault.collisions_enabled"),
     "fault.beta": Key(_INT, 4, "fault.airtime_beta"),
@@ -276,8 +261,7 @@ SWEEPABLE = tuple(key for key, spec in KEYS.items()
 # ScenarioConfig fields built from the keys' "section.attribute" fields
 _SECTIONS = {"topology": TopologySpec, "protocol": ProtocolConfig,
              "mrf": MrfConfig, "delay": DelayModel, "fault": LinkFaultModel,
-             "drift": ClockDriftModel, "link_delay": LinkDelaySpec,
-             "sweep": SweepSpec}
+             "drift": ClockDriftModel, "sweep": SweepSpec}
 
 
 def _read(key: str, text: str, where: str):

@@ -44,55 +44,49 @@ class EventKind(IntEnum):
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Per-message-per-receiver propagation delay in ticks.
-
-    ``overrides`` maps a directed link (sender, receiver) to a fixed offset
-    added to every sampled delay on that link; it models stable per-link
-    propagation/processing skew, while ``kind`` models per-message jitter.
+    """Propagation delay in ticks: per-message jitter (``kind``) plus,
+    when link_hi is set, a fixed offset per directed link drawn once from
+    [link_lo, link_hi]; the offsets model stable propagation/processing
+    skew, so coincidences between senders are stable too.
     """
 
     kind: str = "none"  # none | deterministic | uniform
     nu: int = 0
     lo: int = 0
     hi: int = 0
-    overrides: tuple[tuple[tuple[int, int], int], ...] = ()
+    link_lo: int = 0
+    link_hi: int | None = None  # None: no per-link offsets
+    link_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "deterministic", "uniform"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.nu < 0 or self.lo < 0 or self.hi < self.lo:
             raise ValueError("delays must be non-negative with lo <= hi")
-        if any(d < 0 for _, d in self.overrides):
-            raise ValueError("link override delays must be non-negative")
-        object.__setattr__(self, "_table", dict(self.overrides))
+        if self.link_hi is not None and not 0 <= self.link_lo <= self.link_hi:
+            raise ValueError("link delays need 0 <= link_lo <= link_hi")
 
-    def sample(self, rng: random.Random, link: tuple[int, int] | None = None) -> int:
-        fixed = self._table.get(link, 0) if link is not None else 0
+    def link_table(self, topology: Topology) -> dict[tuple[int, int], int]:
+        """Each directed link's offset, drawn from Random(link_seed) in
+        sorted (sender, receiver) order; empty when link_hi is None."""
+        if self.link_hi is None:
+            return {}
+        rng = random.Random(self.link_seed)
+        return {(a, b): rng.randint(self.link_lo, self.link_hi)
+                for a in sorted(topology.node_ids)
+                for b in sorted(topology.neighbors(a))}
+
+    def sample(self, rng: random.Random) -> int:
+        """One message's jitter, without the link offset."""
         if self.kind == "none":
-            return fixed
+            return 0
         if self.kind == "deterministic":
-            return fixed + self.nu
-        return fixed + rng.randint(self.lo, self.hi)
+            return self.nu
+        return rng.randint(self.lo, self.hi)
 
-    def worst_case(self) -> int:
+    def worst_case(self, topology: Topology) -> int:
         base = {"deterministic": self.nu, "uniform": self.hi}.get(self.kind, 0)
-        return base + max(self._table.values(), default=0)
-
-
-def make_link_delay_table(topology: Topology, lo: int, hi: int,
-                          seed: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Fixed delay per directed link, drawn once from [lo, hi].
-
-    Models the stable spread of propagation/processing offsets across
-    links; unlike per-message jitter, each link keeps its delay for the
-    whole run, so coincidences between senders are stable too.
-    """
-    rng = random.Random(seed)
-    pairs = []
-    for a in sorted(topology.node_ids):
-        for b in sorted(topology.neighbors(a)):
-            pairs.append(((a, b), rng.randint(lo, hi)))
-    return tuple(pairs)
+        return base + max(self.link_table(topology).values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,6 @@ class ChurnEvent:
 class RunResult:
     series: MetricsSeries
     flap_events: list[tuple[int, int]]           # (tick, node id)
-    mode_history: list[dict[int, str]]           # one dict per sampled period
     fire_times: dict[int, list[int]]
     final_nodes: dict[int, NodeState]
     warnings: list[str]
@@ -160,13 +153,13 @@ class RunResult:
 class Engine:
     """Single-threaded event loop over one network.
 
-    scheme selects the node behaviour: "ebs" runs the three-state protocol,
-    "mrf" the refractory-period baseline (always broadcasting, deaf and
-    asleep for the refractory stretch after each own fire).
+    Without mrf the nodes run the three-state protocol; with it, the
+    refractory-period baseline (always broadcasting, deaf and asleep for
+    the refractory stretch after each own fire).
     """
 
     def __init__(self, topology: Topology, cfg: ProtocolConfig, *,
-                 scheme: str = "ebs", mrf_cfg: MrfConfig | None = None,
+                 mrf: MrfConfig | None = None,
                  delay: DelayModel | None = None,
                  fault: LinkFaultModel | None = None,
                  drift: ClockDriftModel | None = None,
@@ -175,15 +168,12 @@ class Engine:
                  payload_rate: float = 1.0, trace: bool = False) -> None:
         if horizon < 1:
             raise SimulationError("horizon must be >= 1 period")
-        if scheme not in ("ebs", "mrf"):
-            raise SimulationError(f"unknown scheme {scheme!r}")
-        if scheme == "mrf" and mrf_cfg is None:
-            mrf_cfg = MrfConfig(cfg.period_t, cfg.period_t // 2)
         self.topology = topology.copy()
         self.cfg = cfg
-        self.scheme = scheme
-        self.mrf_cfg = mrf_cfg
+        self.mrf = mrf
         self.delay = delay or DelayModel()
+        # drawn against the initial links; links made by a join get none
+        self.link_delay = self.delay.link_table(self.topology)
         self.fault = fault or LinkFaultModel()
         self.drift = drift or ClockDriftModel()
         self.horizon = horizon
@@ -200,7 +190,6 @@ class Engine:
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
-        self.mode_history: list[dict[int, str]] = []
         self.series = MetricsSeries()
         self.stats = {"broadcasts": 0, "arrival_attempts": 0, "lost": 0,
                       "collisions": 0, "dropped_asleep": 0, "received": 0}
@@ -239,7 +228,7 @@ class Engine:
             id=nid, period_ticks=period, next_fire=now + r0,
             epsilon_eff=self.cfg.epsilon, period_start=now,
             init_periods_left=self.cfg.init_listen_periods)
-        if self.scheme == "mrf":
+        if self.mrf is not None:
             node.mode = Mode.SYNCHRONIZATION  # unused by the baseline
         elif self.cfg.init_listen_periods == 0:
             # pre-initialized start: coupling active from the first tick,
@@ -273,7 +262,6 @@ class Engine:
         return RunResult(
             series=self.series,
             flap_events=self.flap_events,
-            mode_history=self.mode_history,
             fire_times={nid: list(node.fires) for nid, node in sorted(self.nodes.items())},
             final_nodes=self.nodes,
             warnings=self.warnings,
@@ -283,9 +271,9 @@ class Engine:
 
     def _attribute_duty(self, node: NodeState, now: int) -> None:
         period_len = now - node.period_start
-        if self.scheme == "mrf":
-            if self.mrf_cfg.sleep_during_refractory:
-                awake = max(0, period_len - self.mrf_cfg.refractory)
+        if self.mrf is not None:
+            if self.mrf.sleep_during_refractory:
+                awake = max(0, period_len - self.mrf.refractory)
             else:
                 awake = period_len
         elif node.mode is Mode.STEADY and not node.recovering:
@@ -300,7 +288,7 @@ class Engine:
             return
         self._attribute_duty(node, now)
         node.fires.append(now)
-        if self.scheme == "mrf":
+        if self.mrf is not None:
             emit = protocol.mrf_on_fire(node, now)
             node.period_start = now
         else:
@@ -331,7 +319,8 @@ class Engine:
             if self.fault.loss_probability > 0 and self.rng.random() < self.fault.loss_probability:
                 self.stats["lost"] += 1
                 continue
-            self._push(now + self.delay.sample(self.rng, (sender, recv)),
+            self._push(now + self.link_delay.get((sender, recv), 0)
+                       + self.delay.sample(self.rng),
                        EventKind.ARRIVAL, recv, sender, None)
 
     def _handle_arrival(self, now: int, recv: int, sender: int) -> None:
@@ -339,8 +328,8 @@ class Engine:
         if node is None:
             return
         phi = node.phase_at(now)
-        if self.scheme == "mrf":
-            awake = protocol.mrf_is_awake(node, phi, self.mrf_cfg)
+        if self.mrf is not None:
+            awake = protocol.mrf_is_awake(node, phi, self.mrf)
         else:
             awake = protocol.is_awake(node, phi)
         if not awake:
@@ -349,31 +338,31 @@ class Engine:
         if self.fault.collisions_enabled:
             if now < node.rx_busy_until:
                 # overlapping airtime destroys both the in-flight and the new one
-                node.rx_pending.clear()
+                node.rx_pending = None
                 node.rx_busy_until = max(node.rx_busy_until, now + self.fault.airtime_beta)
                 self.stats["collisions"] += 1
                 self._log(now, f"collision\tnode={recv}\tsender={sender}")
                 return
             node.rx_busy_until = now + self.fault.airtime_beta
-            token = (sender, now)
-            node.rx_pending.add(token)
-            self._push(now + self.fault.airtime_beta, EventKind.RX_COMMIT, recv, sender, token)
+            node.rx_pending = (sender, now)
+            self._push(now + self.fault.airtime_beta, EventKind.RX_COMMIT, recv, sender,
+                       node.rx_pending)
         else:
             self._receive(now, node, sender)
 
     def _handle_commit(self, now: int, recv: int, sender: int, token) -> None:
         node = self.nodes.get(recv)
-        if node is None or token not in node.rx_pending:
+        if node is None or token != node.rx_pending:
             return
-        node.rx_pending.discard(token)
+        node.rx_pending = None
         self._receive(now, node, sender)
 
     def _receive(self, now: int, node: NodeState, sender: int) -> None:
         self.stats["received"] += 1
         self._bucket_received += 1
-        if self.scheme == "mrf":
+        if self.mrf is not None:
             delta = protocol.mrf_on_message(node, sender, self.cfg, now,
-                                            self.mrf_cfg.refractory)
+                                            self.mrf.refractory)
         else:
             delta = protocol.on_message(node, sender, self.cfg, now)
         self._log(now, f"rx\tnode={node.id}\tsender={sender}\tjump={delta}")
@@ -402,8 +391,7 @@ class Engine:
                 self.warnings.append("isolated nodes excluded from phase metrics")
             if eligible:
                 phases = {nid: self.nodes[nid].phase_at(now) for nid in eligible}
-                dphi_lit = avg_phase_difference(phases, self.topology, circular=False)
-                dphi_circ = avg_phase_difference(phases, self.topology, circular=True)
+                dphi_lit, dphi_circ = avg_phase_difference(phases, self.topology)
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * self._bucket_awake / (n * self.T)
             thr = throughput(self._bucket_received, self.avg_degree, n)
@@ -415,8 +403,6 @@ class Engine:
         flaps = sum(node.flap_count for node in self.nodes.values())
         self.series.append(MetricsRow(period_index, dphi_lit, dphi_circ, dplus,
                                       duty, thr, steady, flaps))
-        self.mode_history.append({nid: node.mode_label()
-                                  for nid, node in sorted(self.nodes.items())})
         for node in self.nodes.values():
             node.advance_accum = 0.0
         self._bucket_awake = 0

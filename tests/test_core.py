@@ -129,35 +129,36 @@ def test_circular_distance():
     # the circular metric wraps each neighbour distance onto [0, 0.5]
     pair = make_complete(2)
     for a, b, d in ((0.99, 0.01, 0.02), (0.2, 0.4, 0.2), (0.0, 0.5, 0.5)):
-        assert avg_phase_difference({0: a, 1: b}, pair, circular=True) == pytest.approx(d)
+        assert avg_phase_difference({0: a, 1: b}, pair)[1] == pytest.approx(d)
 
 
 def test_avg_phase_difference_pair():
     topo = make_complete(2)
-    assert avg_phase_difference({0: 0.2, 1: 0.4}, topo, circular=False) == pytest.approx(0.2)
+    assert avg_phase_difference({0: 0.2, 1: 0.4}, topo) == pytest.approx((0.2, 0.2))
 
 
 def test_avg_phase_difference_all_equal():
     topo = make_regular_grid(3, 3, wraparound=True)
     phases = {i: 0.37 for i in topo.node_ids}
-    assert avg_phase_difference(phases, topo, circular=False) == 0.0
-    assert avg_phase_difference(phases, topo, circular=True) == 0.0
+    assert avg_phase_difference(phases, topo) == (0.0, 0.0)
 
 
 def test_avg_phase_difference_torus_against_double_loop():
     topo = make_regular_grid(5, 5, wraparound=True)
     phases = {i: i / 25 for i in topo.node_ids}
     # independent brute-force over all (i, j in N_i) pairs
-    total = 0.0
+    literal = circular = 0.0
     for i in topo.node_ids:
         neigh = topo.neighbors(i)
-        acc = 0.0
+        lit = circ = 0.0
         for j in neigh:
             d = abs(phases[i] - phases[j])
-            acc += min(d, 1.0 - d)
-        total += acc / len(neigh)
-    expected = total / 25
-    assert avg_phase_difference(phases, topo, circular=True) == pytest.approx(expected)
+            lit += d
+            circ += min(d, 1.0 - d)
+        literal += lit / len(neigh)
+        circular += circ / len(neigh)
+    expected = (literal / 25, circular / 25)
+    assert avg_phase_difference(phases, topo) == pytest.approx(expected)
 
 
 def test_avg_phase_difference_rejects_isolated():
@@ -165,15 +166,15 @@ def test_avg_phase_difference_rejects_isolated():
     topo.adjacency[0].clear()
     topo.adjacency[1].clear()
     with pytest.raises(ValueError):
-        avg_phase_difference({0: 0.1, 1: 0.2}, topo, circular=True)
+        avg_phase_difference({0: 0.1, 1: 0.2}, topo)
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
 def test_avg_phase_difference_circular_bounded(vals):
     topo = make_complete(4)
     phases = dict(enumerate(vals))
-    d = avg_phase_difference(phases, topo, circular=True)
-    assert 0.0 <= d <= 0.5
+    literal, circular = avg_phase_difference(phases, topo)
+    assert 0.0 <= circular <= 0.5 and circular <= literal
 
 
 def test_avg_phase_advancement():

@@ -229,13 +229,6 @@ def test_effective_epsilon_adaptive_widens():
     assert effective_epsilon(cfg, 20) == 0.01
 
 
-def test_mode_label():
-    node = make_node(mode=Mode.STEADY)
-    assert node.mode_label() == "steady"
-    node.recovering = True
-    assert node.mode_label() == "steady_recovering"
-
-
 # --- refractory baseline ---------------------------------------------------
 
 def test_mrf_config_validation():

@@ -28,7 +28,7 @@ def test_minimal_defaults():
     assert cfg.horizon == 50 and cfg.seed == 0
     assert cfg.protocol.variant is Variant.NO_REACHBACK
     assert cfg.protocol.init_listen_periods == 5
-    assert cfg.mrf is None and cfg.sweep is None and cfg.link_delay is None
+    assert cfg.mrf is None and cfg.sweep is None and cfg.delay.link_hi is None
     assert cfg.delay.kind == "none"
     assert not cfg.fault.collisions_enabled
     assert build_topology(cfg.topology).n == 9
@@ -101,9 +101,10 @@ def test_churn_entries():
 def test_link_delay_parsing_and_override():
     cfg = parse_scenario_text(MINIMAL + "delay.link_hi = 150\n"
                                         "delay.link_seed = 1000\n")
-    assert cfg.link_delay == (0, 150, 1000)
+    link = lambda c: (c.delay.link_lo, c.delay.link_hi, c.delay.link_seed)
+    assert link(cfg) == (0, 150, 1000)
     cfg2 = apply_override(cfg, "delay.link_hi", 300)
-    assert cfg2.link_delay == (0, 300, 1000)
+    assert link(cfg2) == (0, 300, 1000)
     with pytest.raises(ScenarioError):
         apply_override(cfg, "delay.link_lo", 500)
 
@@ -185,6 +186,17 @@ def test_run_config_materializes_link_table():
     cfg = parse_scenario_text(MINIMAL + "delay.link_hi = 20\nrun.horizon = 3\n")
     res = run_config(cfg)
     assert res.stats["received"] > 0
+
+
+def test_run_config_rejects_unknown_or_disabled_scheme():
+    cfg = parse_scenario_text(MINIMAL + "run.horizon = 3\n")
+    with pytest.raises(ScenarioError, match="unknown scheme 'tdma'"):
+        run_config(cfg, scheme="tdma")
+    # without mrf.enabled there is no baseline to run (no silent T/2 default)
+    with pytest.raises(ScenarioError, match="mrf.enabled"):
+        run_config(cfg, scheme="mrf")
+    cfg = parse_scenario_text(MINIMAL + "run.horizon = 3\nmrf.enabled = true\n")
+    assert run_config(cfg, scheme="mrf").series.rows[-1].duty_pct < 100.0
 
 
 def test_parse_scenario_missing_file():
@@ -275,6 +287,19 @@ def test_cli_failed_sweep_leaves_no_outputs(tmp_path, capsys):
 def test_cli_check_counts_link_delays(capsys):
     assert main(["check", os.path.join(SCENARIO_DIR, "sth_sweep.txt")]) == 0
     assert "delta (nu/T)     = 0.005\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,epsilon,widest", [
+    # adaptive C widens the configured 0.001 to at least 240 / (2 * 30000)
+    ("sth_sweep.txt", "0.004", "0.02267"),
+    # the configured 0.0133 already exceeds the narrowest adaptive window
+    ("mrf_compare.txt", "0.0133", "0.02267"),
+])
+def test_cli_check_judges_the_narrowest_adaptive_window(capsys, name, epsilon, widest):
+    assert main(["check", os.path.join(SCENARIO_DIR, name)]) == 0
+    out = capsys.readouterr().out
+    assert f"epsilon          = {epsilon}\n" in out
+    assert f"adaptive epsilon = {epsilon}..{widest} " in out
 
 
 def test_cli_identical_reruns_are_byte_identical(tmp_path):

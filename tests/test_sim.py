@@ -2,8 +2,7 @@ import pytest
 
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
-                       LinkFaultModel, SimulationError,
-                       make_link_delay_table, run)
+                       EventKind, LinkFaultModel, SimulationError, run)
 from ebsim.topology import Topology, make_complete, make_regular_grid
 
 
@@ -25,8 +24,8 @@ def path3():
 def test_invalid_engine_args():
     with pytest.raises(SimulationError):
         run(pair(), make_cfg(), horizon=0)
-    with pytest.raises(SimulationError):
-        run(pair(), make_cfg(), scheme="tdma")
+    with pytest.raises(TypeError):
+        run(pair(), make_cfg(), scheme="mrf")  # the baseline is chosen by mrf=
 
 
 def test_determinism_same_seed():
@@ -82,16 +81,22 @@ def test_deterministic_delay_shifts_arrivals():
 
 
 def test_link_delay_table_is_deterministic_and_additive():
-    topo = path3()
-    table = make_link_delay_table(topo, 5, 25, seed=9)
-    assert table == make_link_delay_table(topo, 5, 25, seed=9)
-    assert {link for link, _ in table} == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    assert all(5 <= d <= 25 for _, d in table)
-    model = DelayModel(kind="deterministic", nu=3, overrides=table)
-    fixed = dict(table)
     import random
-    assert model.sample(random.Random(0), (0, 1)) == fixed[(0, 1)] + 3
-    assert model.worst_case() == 3 + max(fixed.values())
+    topo = path3()
+    model = DelayModel(kind="deterministic", nu=3, link_lo=5, link_hi=25, link_seed=9)
+    table = model.link_table(topo)
+    # one draw per directed link from Random(link_seed), in sorted link order
+    rng = random.Random(9)
+    links = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert table == {link: rng.randint(5, 25) for link in links}
+    assert table == model.link_table(topo)
+    assert model.worst_case(topo) == 3 + max(table.values())
+    assert DelayModel(kind="deterministic", nu=3).link_table(topo) == {}
+    eng = Engine(topo, make_cfg(), horizon=3, seed=0, delay=model)
+    assert eng.link_delay == table
+    eng._deliver(100, 1)
+    arrivals = {(ev[0], ev[2]) for ev in eng._heap if ev[1] == EventKind.ARRIVAL}
+    assert arrivals == {(100 + table[(1, r)] + 3, r) for r in (0, 2)}
 
 
 def test_delay_model_validation():
@@ -100,7 +105,9 @@ def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel(kind="uniform", lo=5, hi=2)
     with pytest.raises(ValueError):
-        DelayModel(overrides=(((0, 1), -3),))
+        DelayModel(link_lo=-3, link_hi=5)
+    with pytest.raises(ValueError):
+        DelayModel(link_lo=5, link_hi=2)
     with pytest.raises(ValueError):
         LinkFaultModel(loss_probability=1.5)
     with pytest.raises(ValueError):
@@ -115,10 +122,10 @@ def test_collision_overlapping_airtimes_destroy_both():
                  fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
     node = eng.nodes[1]
     eng._handle_arrival(100, 1, 0)
-    assert node.rx_pending == {(0, 100)}
+    assert node.rx_pending == (0, 100)
     eng._handle_arrival(103, 1, 2)
     assert eng.stats["collisions"] == 1
-    assert node.rx_pending == set()
+    assert node.rx_pending is None
     eng._handle_commit(105, 1, 0, (0, 100))  # stale commit must be a no-op
     assert eng.stats["received"] == 0
     assert node.heard_any == set()
@@ -140,7 +147,6 @@ def test_back_to_back_receptions_do_not_collide():
 
 def test_commit_ordered_before_same_tick_arrival():
     # event-queue ordering backs the previous test at the heap level
-    from ebsim.sim import EventKind
     assert EventKind.RX_COMMIT < EventKind.ARRIVAL
     assert EventKind.CHURN < EventKind.FIRE < EventKind.RX_COMMIT
     assert EventKind.SAMPLE > EventKind.ARRIVAL
@@ -173,8 +179,8 @@ def test_churn_leave_and_join():
              ChurnEvent(10, "join", 9, (0, 2, 6)))
     res = run(topo, make_cfg(), horizon=20, seed=0, churn=churn)
     assert 4 not in res.fire_times and 9 in res.fire_times
-    assert len(res.mode_history[-1]) == 9
-    assert res.mode_history[-1][9] == "steady"
+    assert len(res.final_nodes) == 9
+    assert res.final_nodes[9].mode is Mode.STEADY and not res.final_nodes[9].recovering
 
 
 def test_churn_validation():
@@ -202,15 +208,15 @@ def test_trace_capture():
 
 def test_mrf_scheme_duty_cycle_near_half():
     topo = make_regular_grid(3, 3, wraparound=True)
-    res = run(topo, make_cfg(epsilon=0.01, sigma=0.005), scheme="mrf",
-              mrf_cfg=MrfConfig(1000, 500), horizon=20, seed=0)
+    res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
+              mrf=MrfConfig(1000, 500), horizon=20, seed=0)
     assert res.series.rows[-1].duty_pct == pytest.approx(50.0, abs=5.0)
 
 
 def test_mrf_always_listening_duty_is_full():
     topo = make_regular_grid(3, 3, wraparound=True)
-    res = run(topo, make_cfg(epsilon=0.01, sigma=0.005), scheme="mrf",
-              mrf_cfg=MrfConfig(1000, 500, sleep_during_refractory=False),
+    res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
+              mrf=MrfConfig(1000, 500, sleep_during_refractory=False),
               horizon=20, seed=0)
     assert res.series.rows[-1].duty_pct == pytest.approx(100.0, abs=1.0)
 
