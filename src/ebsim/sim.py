@@ -11,6 +11,7 @@ message arrivals, then the metrics sample.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from enum import IntEnum
@@ -40,6 +41,10 @@ class EventKind(IntEnum):
     RX_COMMIT = 2
     ARRIVAL = 3
     SAMPLE = 4
+
+
+# plain ints for the heap entries and the dispatch in Engine.run
+_CHURN, _FIRE, _RX_COMMIT, _ARRIVAL, _SAMPLE = map(int, EventKind)
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,18 @@ class DelayModel:
                 for a in sorted(topology.node_ids)
                 for b in sorted(topology.neighbors(a))}
 
+    def constant(self) -> int | None:
+        """Every message's jitter when it takes no draw; None for uniform."""
+        return {"none": 0, "deterministic": self.nu}.get(self.kind)
+
     def sample(self, rng: random.Random) -> int:
         """One message's jitter, without the link offset."""
-        if self.kind == "none":
-            return 0
-        if self.kind == "deterministic":
-            return self.nu
-        return rng.randint(self.lo, self.hi)
+        jitter = self.constant()
+        return rng.randint(self.lo, self.hi) if jitter is None else jitter
 
     def worst_case(self, topology: Topology) -> int:
-        base = {"deterministic": self.nu, "uniform": self.hi}.get(self.kind, 0)
+        jitter = self.constant()
+        base = self.hi if jitter is None else jitter
         return base + max(self.link_table(topology).values(), default=0)
 
 
@@ -168,12 +175,16 @@ class Engine:
                  payload_rate: float = 1.0, trace: bool = False) -> None:
         if horizon < 1:
             raise SimulationError("horizon must be >= 1 period")
+        if mrf is not None and mrf.period_t != cfg.period_t:
+            raise SimulationError(f"mrf.period_t {mrf.period_t} differs from "
+                                  f"the protocol period {cfg.period_t}")
         self.topology = topology.copy()
         self.cfg = cfg
         self.mrf = mrf
         self.delay = delay or DelayModel()
         # drawn against the initial links; links made by a join get none
         self.link_delay = self.delay.link_table(self.topology)
+        self._jitter = self.delay.constant()  # None: draw per message
         self.fault = fault or LinkFaultModel()
         self.drift = drift or ClockDriftModel()
         self.horizon = horizon
@@ -186,7 +197,10 @@ class Engine:
         self.avg_degree = self.topology.average_degree
 
         self._heap: list = []
-        self._counter = 0
+        self._counter = itertools.count(1)
+        # per sender: (receiver, link offset) in receiver order; churn
+        # rebuilds the entries whose neighbour set changed
+        self._fanout = {nid: self._fan(nid) for nid in self.topology.node_ids}
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
@@ -201,19 +215,18 @@ class Engine:
         for nid in self.topology.node_ids:
             self._spawn_node(nid, 0)
         for ev in churn:
-            self._push(ev.at_period * self.T, EventKind.CHURN, ev.node_id, -1, ev)
+            self._push(ev.at_period * self.T, _CHURN, ev.node_id, -1, ev)
         for k in range(1, horizon + 1):
-            self._push(k * self.T, EventKind.SAMPLE, -1, -1, None)
+            self._push(k * self.T, _SAMPLE, -1, -1, None)
 
     # -- plumbing ------------------------------------------------------
 
-    def _push(self, time: int, kind: EventKind, node: int, sender: int, payload) -> None:
-        self._counter += 1
-        heapq.heappush(self._heap, (time, int(kind), node, sender, self._counter, payload))
+    def _push(self, time: int, kind: int, node: int, sender: int, payload) -> None:
+        heapq.heappush(self._heap, (time, kind, node, sender, next(self._counter), payload))
 
-    def _log(self, time: int, what: str) -> None:
-        if self.trace is not None:
-            self.trace.append(f"{time}\t{what}")
+    def _fan(self, sender: int) -> tuple[tuple[int, int], ...]:
+        return tuple((recv, self.link_delay.get((sender, recv), 0))
+                     for recv in sorted(self.topology.neighbors(sender)))
 
     def _draw_payload(self) -> bool:
         # no draw at the certain rates, so they leave the RNG stream alone
@@ -239,23 +252,25 @@ class Engine:
                 self.cfg, node.neighbor_count_estimate)
         node.pending_payload = self._draw_payload()
         self.nodes[nid] = node
-        self._push(node.next_fire, EventKind.FIRE, nid, -1, node.fire_seq)
+        self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
 
     # -- event handlers --------------------------------------------------
 
     def run(self) -> RunResult:
         end = self.horizon * self.T
-        while self._heap:
-            time, kind, nid, sender, _, payload = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        arrival, fire, commit = self._handle_arrival, self._handle_fire, self._handle_commit
+        while heap:
+            time, kind, nid, sender, _, payload = pop(heap)
             if time > end:
                 break
-            if kind == EventKind.FIRE:
-                self._handle_fire(time, nid, payload)
-            elif kind == EventKind.ARRIVAL:
-                self._handle_arrival(time, nid, sender)
-            elif kind == EventKind.RX_COMMIT:
-                self._handle_commit(time, nid, sender, payload)
-            elif kind == EventKind.CHURN:
+            if kind == _ARRIVAL:
+                arrival(time, nid, sender)
+            elif kind == _FIRE:
+                fire(time, nid, payload)
+            elif kind == _RX_COMMIT:
+                commit(time, nid, sender, payload)
+            elif kind == _CHURN:
                 self._handle_churn(time, payload)
             else:
                 self._handle_sample(time)
@@ -303,25 +318,31 @@ class Engine:
                         f"node {nid} has no known neighbours and cannot synchronize")
             if node.flap_count > flaps_before:
                 self.flap_events.append((now, nid))
-                self._log(now, f"flap\tnode={nid}")
+                if self.trace is not None:
+                    self.trace.append(f"{now}\tflap\tnode={nid}")
             protocol.on_period_start(node, self.cfg, now)
             node.pending_payload = self._draw_payload()
         node.fire_seq += 1
-        self._push(node.next_fire, EventKind.FIRE, nid, -1, node.fire_seq)
-        self._log(now, f"fire\tnode={nid}\temit={emit}")
+        self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
+        if self.trace is not None:
+            self.trace.append(f"{now}\tfire\tnode={nid}\temit={emit}")
         if emit:
             self._deliver(now, nid)
 
     def _deliver(self, now: int, sender: int) -> None:
-        self.stats["broadcasts"] += 1
-        for recv in sorted(self.topology.neighbors(sender)):
-            self.stats["arrival_attempts"] += 1
-            if self.fault.loss_probability > 0 and self.rng.random() < self.fault.loss_probability:
-                self.stats["lost"] += 1
+        stats, rng, jitter = self.stats, self.rng, self._jitter
+        loss = self.fault.loss_probability
+        heap, push, counter = self._heap, heapq.heappush, self._counter
+        fanout = self._fanout[sender]
+        stats["broadcasts"] += 1
+        stats["arrival_attempts"] += len(fanout)
+        for recv, offset in fanout:
+            # per receiver the loss draw comes before the jitter draw
+            if loss > 0 and rng.random() < loss:
+                stats["lost"] += 1
                 continue
-            self._push(now + self.link_delay.get((sender, recv), 0)
-                       + self.delay.sample(self.rng),
-                       EventKind.ARRIVAL, recv, sender, None)
+            at = now + offset + (self.delay.sample(rng) if jitter is None else jitter)
+            push(heap, (at, _ARRIVAL, recv, sender, next(counter), None))
 
     def _handle_arrival(self, now: int, recv: int, sender: int) -> None:
         node = self.nodes.get(recv)
@@ -341,11 +362,12 @@ class Engine:
                 node.rx_pending = None
                 node.rx_busy_until = max(node.rx_busy_until, now + self.fault.airtime_beta)
                 self.stats["collisions"] += 1
-                self._log(now, f"collision\tnode={recv}\tsender={sender}")
+                if self.trace is not None:
+                    self.trace.append(f"{now}\tcollision\tnode={recv}\tsender={sender}")
                 return
             node.rx_busy_until = now + self.fault.airtime_beta
             node.rx_pending = (sender, now)
-            self._push(now + self.fault.airtime_beta, EventKind.RX_COMMIT, recv, sender,
+            self._push(now + self.fault.airtime_beta, _RX_COMMIT, recv, sender,
                        node.rx_pending)
         else:
             self._receive(now, node, sender)
@@ -365,21 +387,28 @@ class Engine:
                                             self.mrf.refractory)
         else:
             delta = protocol.on_message(node, sender, self.cfg, now)
-        self._log(now, f"rx\tnode={node.id}\tsender={sender}\tjump={delta}")
+        if self.trace is not None:
+            self.trace.append(f"{now}\trx\tnode={node.id}\tsender={sender}\tjump={delta}")
         if delta > 0.0:
             node.advance_accum += delta
             node.fire_seq += 1
-            self._push(node.next_fire, EventKind.FIRE, node.id, -1, node.fire_seq)
+            self._push(node.next_fire, _FIRE, node.id, -1, node.fire_seq)
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
         if ev.action == "leave":
+            changed = tuple(self.topology.neighbors(ev.node_id))
             self.topology.remove_node(ev.node_id)
-            del self.nodes[ev.node_id]
-            self._log(now, f"leave\tnode={ev.node_id}")
+            del self.nodes[ev.node_id], self._fanout[ev.node_id]
+            if self.trace is not None:
+                self.trace.append(f"{now}\tleave\tnode={ev.node_id}")
         else:
             self.topology.add_node(ev.node_id, ev.edges)
+            changed = (ev.node_id, *ev.edges)
             self._spawn_node(ev.node_id, now)
-            self._log(now, f"join\tnode={ev.node_id}\tedges={len(ev.edges)}")
+            if self.trace is not None:
+                self.trace.append(f"{now}\tjoin\tnode={ev.node_id}\tedges={len(ev.edges)}")
+        for nid in changed:
+            self._fanout[nid] = self._fan(nid)
 
     def _handle_sample(self, now: int) -> None:
         period_index = now // self.T - 1

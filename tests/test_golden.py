@@ -16,6 +16,10 @@ import os
 import pytest
 
 from ebsim import cli
+from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
+from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
+                       RunResult, run)
+from ebsim.topology import make_random_geometric, make_regular_grid
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -79,3 +83,60 @@ def test_shipped_scenario_outputs_are_pinned(name, tmp_path, monkeypatch, capsys
 
 def test_every_shipped_scenario_is_pinned():
     assert sorted(os.listdir(SCENARIO_DIR)) == sorted(GOLDEN)
+
+
+# --- library runs through the engine's random paths ------------------------
+#
+# No shipped scenario draws loss, uniform jitter, link offsets, collisions,
+# drift or payloads with partial reach-back, so these two configurations pin
+# those paths: each digest covers the trace, the series rows, fire times,
+# stats, flap events and warnings of one library run.
+
+def _rng_torus(seed: int) -> RunResult:
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0,
+                         variant=Variant.PARTIAL_REACHBACK, init_listen_periods=2)
+    churn = (ChurnEvent(10, "leave", 12), ChurnEvent(20, "join", 25, (7, 11, 13, 17)))
+    return run(make_regular_grid(5, 5, True), cfg, horizon=30, seed=seed,
+               delay=DelayModel(kind="uniform", lo=0, hi=30,
+                                link_lo=0, link_hi=20, link_seed=3),
+               fault=LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
+                                    airtime_beta=3),
+               drift=ClockDriftModel(-50, 50), churn=churn,
+               payload_rate=0.5, trace=True)
+
+
+def _rng_mrf(seed: int) -> RunResult:
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
+    return run(make_random_geometric(30, 0.35, 2), cfg, mrf=MrfConfig(1000, 500),
+               horizon=30, seed=seed, delay=DelayModel(kind="deterministic", nu=40),
+               fault=LinkFaultModel(loss_probability=0.05), trace=True)
+
+
+def _run_digest(result: RunResult) -> str:
+    h = hashlib.sha256()
+    for part in ("\n".join(result.trace or ()),
+                 "\n".join(repr(row.as_tuple()) for row in result.series),
+                 repr(sorted(result.fire_times.items())),
+                 repr(sorted(result.stats.items())),
+                 repr(result.flap_events),
+                 repr(result.warnings)):
+        h.update(part.encode() + b"\0")
+    return h.hexdigest()
+
+
+RNG_GOLDEN = {
+    ("torus", 0):
+        "8609dbb68886dcb6314b307cd3c248f2819f2114758a815ac6e0cc772a152da5",
+    ("torus", 1):
+        "24f950ad6af91805e06b77b5c55071125fd1970850ad1d2780761da91d2019f8",
+    ("mrf", 0):
+        "5bd3c2167dc3b07a802ffaef8ba1d9e421c642b9ea770605192268e4a499e986",
+    ("mrf", 1):
+        "1ab6d32497a3272b3cf5b30e30544927ecbe99b2c70f8baaa87288d7b01edba8",
+}
+
+
+@pytest.mark.parametrize("config,seed", sorted(RNG_GOLDEN))
+def test_rng_path_outputs_are_pinned(config, seed):
+    build = {"torus": _rng_torus, "mrf": _rng_mrf}[config]
+    assert _run_digest(build(seed)) == RNG_GOLDEN[config, seed]

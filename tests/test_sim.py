@@ -1,5 +1,10 @@
+import heapq
+import random
+from collections import Counter
+
 import pytest
 
+from ebsim import sim
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                        EventKind, LinkFaultModel, SimulationError, run)
@@ -81,7 +86,6 @@ def test_deterministic_delay_shifts_arrivals():
 
 
 def test_link_delay_table_is_deterministic_and_additive():
-    import random
     topo = path3()
     model = DelayModel(kind="deterministic", nu=3, link_lo=5, link_hi=25, link_seed=9)
     table = model.link_table(topo)
@@ -97,6 +101,17 @@ def test_link_delay_table_is_deterministic_and_additive():
     eng._deliver(100, 1)
     arrivals = {(ev[0], ev[2]) for ev in eng._heap if ev[1] == EventKind.ARRIVAL}
     assert arrivals == {(100 + table[(1, r)] + 3, r) for r in (0, 2)}
+
+
+def test_delay_constant_and_draw_split():
+    # only uniform jitter draws; the other kinds add a constant
+    assert DelayModel().constant() == 0
+    assert DelayModel(kind="deterministic", nu=7).constant() == 7
+    assert DelayModel(kind="uniform", lo=2, hi=9).constant() is None
+    rng, ref = random.Random(4), random.Random(4)
+    assert DelayModel(kind="uniform", lo=2, hi=9).sample(rng) == ref.randint(2, 9)
+    assert DelayModel(kind="deterministic", nu=7).sample(rng) == 7
+    assert rng.random() == ref.random()  # the constant took no draw
 
 
 def test_delay_model_validation():
@@ -183,6 +198,39 @@ def test_churn_leave_and_join():
     assert res.final_nodes[9].mode is Mode.STEADY and not res.final_nodes[9].recovering
 
 
+def test_fanout_follows_churn():
+    # 3x3 torus: node 1 links to 0, 2, 4 and 7; node 4 leaves, node 9 joins
+    delay = DelayModel(kind="deterministic", nu=3, link_lo=1, link_hi=9, link_seed=2)
+    eng = Engine(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
+                 delay=delay)
+    table = dict(eng.link_delay)
+
+    def broadcast(now, sender):
+        # (receiver, delay) of the arrivals one broadcast pushes, in push
+        # order, and how far arrival_attempts grew
+        attempts = eng.stats["arrival_attempts"]
+        eng._heap.clear()
+        eng._deliver(now, sender)
+        arrivals = sorted(eng._heap, key=lambda ev: ev[4])
+        assert all(ev[1] == EventKind.ARRIVAL for ev in arrivals)
+        return ([(ev[2], ev[0] - now) for ev in arrivals],
+                eng.stats["arrival_attempts"] - attempts)
+
+    eng._handle_churn(100, ChurnEvent(0, "leave", 4))
+    arrivals, attempts = broadcast(200, 1)
+    assert [r for r, _ in arrivals] == [0, 2, 7]
+    assert attempts == eng.topology.degree(1) == 3
+    assert arrivals == [(r, table[(1, r)] + 3) for r in (0, 2, 7)]
+
+    eng._handle_churn(300, ChurnEvent(0, "join", 9, (6, 0, 2)))
+    arrivals, attempts = broadcast(400, 9)
+    assert arrivals == [(0, 3), (2, 3), (6, 3)]  # links made by a join: offset 0
+    assert attempts == 3
+    arrivals, _ = broadcast(500, 0)
+    assert [r for r, _ in arrivals] == sorted(eng.topology.neighbors(0))
+    assert arrivals[-1] == (9, 3)
+
+
 def test_churn_validation():
     with pytest.raises(ValueError):
         ChurnEvent(5, "explode", 4)
@@ -213,6 +261,13 @@ def test_mrf_scheme_duty_cycle_near_half():
     assert res.series.rows[-1].duty_pct == pytest.approx(50.0, abs=5.0)
 
 
+def test_mrf_period_must_match_protocol_period():
+    # a 500-tick refractory meant for T = 1000 must not run in T = 10000
+    with pytest.raises(SimulationError, match="period"):
+        run(make_regular_grid(3, 3, True), make_cfg(period_t=10000),
+            mrf=MrfConfig(1000, 500), horizon=5)
+
+
 def test_mrf_always_listening_duty_is_full():
     topo = make_regular_grid(3, 3, wraparound=True)
     res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
@@ -227,3 +282,45 @@ def test_metrics_sample_resets_buckets():
     assert periods == list(range(10))
     # advancement settles to zero once the pair locks
     assert res.series.rows[-1].dplus == 0.0
+
+
+class _CountingHeap:
+    """Stand-in for heapq that tallies entries by kind, as a profiler
+    rebinding ebsim.sim.heapq would."""
+
+    def __init__(self) -> None:
+        self.engine = None
+        self.pushes, self.pops = Counter(), Counter()
+        self.stale_fire_pops = 0
+
+    def heappush(self, heap, entry) -> None:
+        self.pushes[entry[1]] += 1
+        heapq.heappush(heap, entry)
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        self.pops[entry[1]] += 1
+        eng = self.engine
+        if entry[1] == EventKind.FIRE:
+            node = eng.nodes.get(entry[2])
+            if entry[0] > eng.horizon * eng.T or node is None or entry[-1] != node.fire_seq:
+                self.stale_fire_pops += 1
+        return entry
+
+
+def test_heap_is_looked_up_through_the_module(monkeypatch):
+    # every push and pop goes through ebsim.sim.heapq at call time, so a
+    # stand-in bound there sees the whole run and reconciles with the outputs
+    counting = _CountingHeap()
+    monkeypatch.setattr(sim, "heapq", counting)
+    eng = Engine(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
+                 delay=DelayModel(kind="uniform", lo=0, hi=30),
+                 fault=LinkFaultModel(loss_probability=0.1))
+    counting.engine = eng
+    res = eng.run()
+    assert sum(counting.pushes.values()) - sum(counting.pops.values()) == len(eng._heap)
+    assert counting.pops[EventKind.SAMPLE] == 10
+    assert counting.pushes[EventKind.ARRIVAL] == (res.stats["arrival_attempts"]
+                                                 - res.stats["lost"]) > 0
+    fires = sum(len(ts) for ts in res.fire_times.values())
+    assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires > 0
