@@ -13,9 +13,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .metrics import export_csv
+from .metrics import COLUMNS, export_csv
 from .params import build_report
-from .protocol import effective_epsilon
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
                        build_topology, parse_scenario, resolved_text,
                        run_config)
@@ -41,8 +40,7 @@ def _run_one(cfg: ScenarioConfig, override: tuple[str, object], scheme: str,
 
 
 _SUMMARY_FIELDS = ("file", "scheme", "seed", "parameter", "value",
-                   "dphi_literal", "dphi_circular", "dplus", "duty_pct",
-                   "thr_pct", "steady_pct", "flaps", "warnings")
+                   *COLUMNS[1:], "warnings")
 
 
 def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
@@ -122,14 +120,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
-    p = cfg.protocol
     topology = build_topology(cfg.topology)
-    # adaptive C widens each coupled node's window; the narrowest decides
-    windows = [effective_epsilon(p, topology.degree(nid))
-               for nid in topology.node_ids if topology.degree(nid) > 0] or [p.epsilon]
-    report = build_report(epsilon=min(windows), sigma=p.sigma, t=p.period_t, c0=p.c0,
-                          nu=cfg.delay.worst_case(topology), s_th=p.s_th, topology=topology,
-                          adaptive=p.adaptive_c, epsilon_max=max(windows))
+    report = build_report(cfg.protocol, topology, cfg.delay.worst_case(topology))
     for line in report.lines():
         print(line)
     if args.strict and not report.stable:

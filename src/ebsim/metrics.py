@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
-
-COLUMNS = ("period", "dphi_literal", "dphi_circular", "dplus",
-           "duty_pct", "thr_pct", "steady_pct", "flaps")
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One period's measurements; the fields are the CSV columns, in order."""
+
     period: int
     dphi_literal: float
     dphi_circular: float
@@ -20,8 +18,8 @@ class MetricsRow:
     steady_pct: float
     flaps: int
 
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+
+COLUMNS = MetricsRow._fields
 
 
 class MetricsSeries:
@@ -47,22 +45,11 @@ class MetricsSeries:
             raise ValueError("empty series")
         k = max(1, int(len(self.rows) * tail_fraction))
         tail = self.rows[-k:]
-        out = {}
-        for name in ("dphi_literal", "dphi_circular", "dplus",
-                     "duty_pct", "thr_pct", "steady_pct"):
-            out[name] = sum(getattr(r, name) for r in tail) / len(tail)
+        # every column but the period index and the cumulative flaps
+        out = {name: sum(getattr(r, name) for r in tail) / len(tail)
+               for name in COLUMNS[1:-1]}
         out["flaps"] = self.rows[-1].flaps
         return out
-
-
-def throughput(received_total: int, avg_degree: float, n: int) -> float:
-    """Broadcasts received in one period as a percentage of the lossless
-    all-awake ceiling avg_degree * n."""
-    if avg_degree <= 0:
-        raise ValueError("avg_degree must be positive")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return 100.0 * received_total / (avg_degree * n)
 
 
 def export_csv(series: MetricsSeries, path: str) -> None:
@@ -71,7 +58,6 @@ def export_csv(series: MetricsSeries, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(COLUMNS)
-            for row in series:
-                writer.writerow(row.as_tuple())
+            writer.writerows(series)
     except OSError as exc:
         raise OSError(f"cannot write metrics CSV {path}: {exc}") from exc

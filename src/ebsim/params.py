@@ -6,8 +6,10 @@ time by default) and phase quantities are fractions of the period.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .protocol import ProtocolConfig, adaptive_c, effective_epsilon
+from .topology import Topology
 
 
 def epsilon_opt(beta: int, neighborhood: int, nu: int, t: int) -> float:
@@ -20,57 +22,39 @@ def epsilon_opt(beta: int, neighborhood: int, nu: int, t: int) -> float:
     return min(raw, 0.5)
 
 
-def _sigma_bound(epsilon: float, delta: float) -> float:
-    """Pairwise stability bound: a heard fire lands the listener back inside
-    the firer's window while sigma < (epsilon - 2*delta) / (1 - epsilon)."""
-    return (epsilon - 2 * delta) / (1.0 - epsilon)
+def _stability(epsilon: float, sigma: float, delta: float) -> tuple[bool, float]:
+    """(stable, bound): a heard fire lands the listener back inside the
+    firer's window while sigma < bound = (epsilon - 2*delta) / (1 - epsilon)
+    and, strictly, epsilon > 2*delta."""
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    bound = (epsilon - 2 * delta) / (1.0 - epsilon)
+    return sigma < bound and epsilon > 2 * delta, bound
 
 
 def sigma_max(epsilon: float, nu: int, t: int) -> float:
     """Largest coupling strength that keeps a heard fire inside the firer's
     window under symmetric propagation delay nu."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return _sigma_bound(epsilon, delta_from_ticks(nu, t))
-
-
-def adaptive_c(c0: int, neighborhood: int, s_th: float) -> int:
-    """Per-node receive budget: c0 * |N_i| * S_th / 100, in ticks."""
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
-    if neighborhood < 0:
-        raise ValueError("neighborhood must be >= 0")
-    if not 0.0 <= s_th <= 100.0:
-        raise ValueError("s_th must be within [0, 100]")
-    return int(math.floor(c0 * neighborhood * s_th / 100.0 + 0.5))
-
-
-def delta_from_ticks(nu: int, t: int) -> float:
-    """Propagation delay expressed as a phase fraction."""
     if t <= 0:
         raise ValueError("period T must be positive")
-    return nu / t
+    return _stability(epsilon, 0.0, nu / t)[1]
 
 
 def check_stability(epsilon: float, sigma: float, delta: float = 0.0) -> tuple[bool, float]:
     """Whether (epsilon, sigma) tolerates a per-hop phase delay delta.
 
-    Stable iff sigma < (epsilon - 2*delta) / (1 - epsilon) and, strictly,
-    epsilon > 2*delta.  Returns (stable, margin) where margin is the bound
-    minus sigma.
+    Returns (stable, margin) where margin is the bound minus sigma.
     """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    bound = _sigma_bound(epsilon, delta)
-    stable = sigma < bound and epsilon > 2 * delta
+    stable, bound = _stability(epsilon, sigma, delta)
     return stable, bound - sigma
 
 
 @dataclass
 class ParamReport:
-    """Everything the `check` subcommand prints."""
+    """Everything the `check` subcommand prints.  With adaptive C, budgets
+    is the (lowest, highest) per-node receive budget in ticks."""
 
     epsilon: float
     sigma: float
@@ -79,9 +63,10 @@ class ParamReport:
     sigma_max: float
     stable: bool
     margin: float
-    adaptive_c_per_node: dict[int, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    epsilon_max: float | None = None
+    warnings: list[str]
+    budgets: tuple[int, int] | None
+    nodes: int
+    epsilon_max: float
 
     def lines(self) -> list[str]:
         out = [
@@ -93,44 +78,42 @@ class ParamReport:
             f"stable           = {'yes' if self.stable else 'NO'}",
             f"stability margin = {self.margin}",
         ]
-        if self.adaptive_c_per_node:
-            budgets = sorted(set(self.adaptive_c_per_node.values()))
-            out.append(f"adaptive C range = {budgets[0]}..{budgets[-1]} ticks "
-                       f"({len(self.adaptive_c_per_node)} nodes)")
-            if self.epsilon_max is not None:
-                out.append(f"adaptive epsilon = {self.epsilon:.4g}..{self.epsilon_max:.4g} "
-                           "(judged at the smallest)")
+        if self.budgets is not None:
+            out.append(f"adaptive C range = {self.budgets[0]}..{self.budgets[1]} ticks "
+                       f"({self.nodes} nodes)")
+            out.append(f"adaptive epsilon = {self.epsilon:.4g}..{self.epsilon_max:.4g} "
+                       "(judged at the smallest)")
         for w in self.warnings:
             out.append(f"warning: {w}")
         return out
 
 
-def build_report(epsilon: float, sigma: float, t: int, c0: int, nu: int,
-                 s_th: float, topology=None, adaptive: bool = False,
-                 epsilon_max: float | None = None) -> ParamReport:
-    """Assemble the calculator outputs for one configuration.
+def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamReport:
+    """The analysis of cfg on topology under a worst-case delay of nu ticks.
 
-    When a topology is supplied, epsilon_opt uses its average degree and,
-    with adaptive=True, per-node receive budgets are tabulated; epsilon is
-    then the narrowest window any node runs and epsilon_max the widest.
+    Adaptive C widens each coupled node's window with its degree, so
+    stability is judged at the narrowest window any node runs (epsilon) and
+    epsilon_max is the widest; epsilon_opt uses the average degree.
     """
+    t = cfg.period_t
+    degrees = [topology.degree(nid) for nid in topology.node_ids]
+    windows = [effective_epsilon(cfg, d) for d in degrees if d > 0] or [cfg.epsilon]
+    epsilon = min(windows)
+    delta = nu / t
+    stable, smax = _stability(epsilon, cfg.sigma, delta)
     warnings: list[str] = []
-    avg_deg = topology.average_degree if topology is not None else 1.0
     # c0 ticks of receive budget per neighbour play the role of beta
-    eps_opt = epsilon_opt(c0, avg_deg, nu, t)
+    eps_opt = epsilon_opt(cfg.c0, topology.average_degree, nu, t)
     if eps_opt == 0.5:
         warnings.append("epsilon_opt reaches the 0.5 ceiling; clamped")
-    smax = sigma_max(epsilon, nu, t)
     if smax <= 0:
         warnings.append("no valid sigma: delay consumes the whole window")
-    delta = delta_from_ticks(nu, t)
-    stable, margin = check_stability(epsilon, sigma, delta)
-    per_node: dict[int, int] = {}
-    if adaptive and topology is not None:
-        per_node = {nid: adaptive_c(c0, topology.degree(nid), s_th)
-                    for nid in topology.node_ids}
     if epsilon < eps_opt:
         warnings.append(f"epsilon {epsilon} below epsilon_opt {eps_opt:.4f}; "
                         "expect flapping unless adaptive C widens the window")
-    return ParamReport(epsilon, sigma, delta, eps_opt, smax, stable, margin,
-                       per_node, warnings, epsilon_max)
+    budgets = None
+    if cfg.adaptive_c:
+        per_node = [adaptive_c(cfg, d) for d in degrees]
+        budgets = (min(per_node), max(per_node))
+    return ParamReport(epsilon, cfg.sigma, delta, eps_opt, smax, stable,
+                       smax - cfg.sigma, warnings, budgets, topology.n, max(windows))

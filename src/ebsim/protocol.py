@@ -12,11 +12,11 @@ simulator; time is integer ticks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import advance_remaining_ticks, in_setw
-from .params import adaptive_c
 
 
 class Mode(Enum):
@@ -69,7 +69,8 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class MrfConfig:
     """Refractory-period baseline: coupling is ignored for the first
-    refractory ticks after every own fire.
+    refractory ticks after every own fire.  It runs on the protocol's
+    period T, which the refractory must stay below.
 
     With sleep_during_refractory the radio also sleeps through that
     stretch (duty cycle (T - refractory)/T); without it the node listens
@@ -77,13 +78,12 @@ class MrfConfig:
     as in the original always-on refractory schemes.
     """
 
-    period_t: int
     refractory: int
     sleep_during_refractory: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.refractory < self.period_t:
-            raise ValueError("refractory must satisfy 0 < refractory < period_t")
+        if self.refractory <= 0:
+            raise ValueError("refractory must be positive")
 
 
 @dataclass
@@ -125,6 +125,13 @@ class NodeState:
         return 1.0 - (self.next_fire - now) / self.period_ticks
 
 
+def adaptive_c(cfg: ProtocolConfig, neighborhood: int) -> int:
+    """Per-node receive budget: c0 * |N_i| * S_th / 100, in ticks."""
+    if neighborhood < 0:
+        raise ValueError("neighborhood must be >= 0")
+    return int(math.floor(cfg.c0 * neighborhood * cfg.s_th / 100.0 + 0.5))
+
+
 def effective_epsilon(cfg: ProtocolConfig, estimate: int) -> float:
     """Window half-width actually used by a node.
 
@@ -133,7 +140,7 @@ def effective_epsilon(cfg: ProtocolConfig, estimate: int) -> float:
     epsilon is the floor.
     """
     if cfg.adaptive_c and estimate > 0:
-        budget = adaptive_c(cfg.c0, estimate, cfg.s_th)
+        budget = adaptive_c(cfg, estimate)
         return max(cfg.epsilon, budget / (2 * cfg.period_t))
     return cfg.epsilon
 

@@ -295,6 +295,9 @@ def _build(given: dict[str, object], where: Callable[[str | None], str]) -> Scen
         raise ScenarioError(f"{where('sweep.parameter')}: cannot sweep {parameter!r}")
     if _LINK(values) and not 0 <= values["delay.link_lo"] <= values["delay.link_hi"]:
         raise ScenarioError(f"{where('delay.link_hi')}: link delays need 0 <= link_lo <= link_hi")
+    if "mrf.t_ref" in values and not 0 < values["mrf.t_ref"] < values["protocol.period_t"]:
+        raise ScenarioError(f"{where('mrf.t_ref')}: mrf.t_ref must satisfy "
+                            "0 < t_ref < protocol.period_t")
 
     kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
     top: dict[str, object] = {}
@@ -302,8 +305,6 @@ def _build(given: dict[str, object], where: Callable[[str | None], str]) -> Scen
         section, _, attr = (KEYS[key].field or "").rpartition(".")
         if attr:
             (kwargs[section] if section else top)[attr] = value
-    if kwargs["mrf"]:
-        kwargs["mrf"]["period_t"] = values["protocol.period_t"]  # baseline runs on T
     built = {}
     for name, cls in _SECTIONS.items():
         try:

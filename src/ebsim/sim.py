@@ -18,7 +18,7 @@ from enum import IntEnum
 
 from . import protocol
 from .core import avg_phase_difference
-from .metrics import MetricsRow, MetricsSeries, throughput
+from .metrics import MetricsRow, MetricsSeries
 from .protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
                        ProtocolConfig)
 from .topology import Topology, TopologyError
@@ -175,8 +175,8 @@ class Engine:
                  payload_rate: float = 1.0, trace: bool = False) -> None:
         if horizon < 1:
             raise SimulationError("horizon must be >= 1 period")
-        if mrf is not None and mrf.period_t != cfg.period_t:
-            raise SimulationError(f"mrf.period_t {mrf.period_t} differs from "
+        if mrf is not None and mrf.refractory >= cfg.period_t:
+            raise SimulationError(f"mrf refractory {mrf.refractory} must be below "
                                   f"the protocol period {cfg.period_t}")
         self.topology = topology.copy()
         self.cfg = cfg
@@ -195,6 +195,8 @@ class Engine:
 
         # lossless all-awake ceiling of receptions per node and period
         self.avg_degree = self.topology.average_degree
+        if self.avg_degree == 0:
+            raise SimulationError("the network has no links: no node can hear another")
 
         self._heap: list = []
         self._counter = itertools.count(1)
@@ -397,6 +399,9 @@ class Engine:
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
         if ev.action == "leave":
             changed = tuple(self.topology.neighbors(ev.node_id))
+            for nid in changed:  # a later join under this id makes new links
+                self.link_delay.pop((ev.node_id, nid), None)
+                self.link_delay.pop((nid, ev.node_id), None)
             self.topology.remove_node(ev.node_id)
             del self.nodes[ev.node_id], self._fanout[ev.node_id]
             if self.trace is not None:
@@ -423,7 +428,7 @@ class Engine:
                 dphi_lit, dphi_circ = avg_phase_difference(phases, self.topology)
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * self._bucket_awake / (n * self.T)
-            thr = throughput(self._bucket_received, self.avg_degree, n)
+            thr = 100.0 * self._bucket_received / (self.avg_degree * n)
             steady = 100.0 * sum(
                 1 for nd in self.nodes.values()
                 if nd.mode is Mode.STEADY and not nd.recovering) / n

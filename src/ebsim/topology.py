@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -47,10 +46,6 @@ class Topology:
 
     def degree(self, nid: int) -> int:
         return len(self.adjacency[nid])
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
 
     @property
     def average_degree(self) -> float:
@@ -142,24 +137,6 @@ def make_random_geometric(n: int, radius: float, seed: int) -> Topology:
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return Topology(adjacency)
-
-
-def radius_for_average_degree(n: int, target: float, seed: int,
-                              tol: float = 0.25, iterations: int = 48) -> float:
-    """Bisect the connection radius until the generated graph's average
-    degree is within tol of the target (same seed as the final graph)."""
-    lo, hi = 0.0, math.sqrt(2.0)
-    r = hi
-    for _ in range(iterations):
-        r = (lo + hi) / 2
-        deg = make_random_geometric(n, r, seed).average_degree
-        if abs(deg - target) <= tol:
-            return r
-        if deg < target:
-            lo = r
-        else:
-            hi = r
-    return r
 
 
 def load_topology(path: str) -> Topology:

@@ -200,7 +200,7 @@ def test_c8_mrf_comparison():
     topo = _testbed_analog()
     ebs = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0)
     mrf = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0,
-                       mrf=MrfConfig(30000, 15000, sleep_during_refractory=False))
+                       mrf=MrfConfig(15000, sleep_during_refractory=False))
     ebs_duty = _tail_mean(ebs.series.rows, "duty_pct")
     mrf_duty = _tail_mean(mrf.series.rows, "duty_pct")
     ebs_thr = _tail_mean(ebs.series.rows, "thr_pct")

@@ -1,5 +1,8 @@
 """Golden outputs: every shipped scenario through the CLI, pinned by digest.
 
+The ``check`` report of each shipped scenario is pinned by the digest of
+its stdout.
+
 Each digest covers the bytes of every file the CLI writes (per-run CSVs,
 ``summary.csv``, ``resolved-config.txt``) plus the fire times of every run,
 read from ``run_config``'s results during the same invocation.  A change
@@ -82,7 +85,28 @@ def test_shipped_scenario_outputs_are_pinned(name, tmp_path, monkeypatch, capsys
 
 
 def test_every_shipped_scenario_is_pinned():
-    assert sorted(os.listdir(SCENARIO_DIR)) == sorted(GOLDEN)
+    assert sorted(os.listdir(SCENARIO_DIR)) == sorted(GOLDEN) == sorted(CHECK_GOLDEN)
+
+
+CHECK_GOLDEN = {
+    "churn.txt":
+        "0ae00f98cb9559f8005741e4c297e798c8f40b8fa364c286f9966ee6fd7e5f86",
+    "convergence_sigma.txt":
+        "b16f867a4b23fda7ed2c161874b35bb19090fe99aaabf18bf59e93b35b7a55d0",
+    "delay_sweep.txt":
+        "052419bc3c2758fd8ceb213f32b93eee58ae2d2f3fc0e0e370dab0bfbf42b9ef",
+    "mrf_compare.txt":
+        "f4f01ce29f4db69bf024b37068d2c610b93cf197e0df616b24536396898c6146",
+    "sth_sweep.txt":
+        "13b6e4f1886b2f4a5d9de679267e0e2451d293a3e16c07bab75f7bd6aa10f1e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN))
+def test_check_report_is_pinned(name, capsys):
+    assert cli.main(["check", os.path.join(SCENARIO_DIR, name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_GOLDEN[name]
 
 
 # --- library runs through the engine's random paths ------------------------
@@ -107,7 +131,7 @@ def _rng_torus(seed: int) -> RunResult:
 
 def _rng_mrf(seed: int) -> RunResult:
     cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
-    return run(make_random_geometric(30, 0.35, 2), cfg, mrf=MrfConfig(1000, 500),
+    return run(make_random_geometric(30, 0.35, 2), cfg, mrf=MrfConfig(500),
                horizon=30, seed=seed, delay=DelayModel(kind="deterministic", nu=40),
                fault=LinkFaultModel(loss_probability=0.05), trace=True)
 
@@ -115,7 +139,7 @@ def _rng_mrf(seed: int) -> RunResult:
 def _run_digest(result: RunResult) -> str:
     h = hashlib.sha256()
     for part in ("\n".join(result.trace or ()),
-                 "\n".join(repr(row.as_tuple()) for row in result.series),
+                 "\n".join(repr(tuple(row)) for row in result.series),
                  repr(sorted(result.fire_times.items())),
                  repr(sorted(result.stats.items())),
                  repr(result.flap_events),

@@ -1,9 +1,9 @@
 import pytest
 
-from ebsim.metrics import COLUMNS, MetricsRow, MetricsSeries, export_csv, throughput
+from ebsim.metrics import COLUMNS, MetricsRow, MetricsSeries, export_csv
 from ebsim.protocol import Mode, ProtocolConfig
 from ebsim.sim import ChurnEvent, Engine, run
-from ebsim.topology import Topology, make_complete
+from ebsim.topology import Topology, make_complete, make_regular_grid
 
 
 def _row(period, **kw):
@@ -54,20 +54,22 @@ def test_duty_cycle_validation():
     assert [r.duty_pct for r in res.series][1:] == [0.0, 0.0]
 
 
+def _thr(received):
+    # 25 nodes of degree 4: one period's receptions against the ceiling of
+    # one broadcast per node heard by every neighbour
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
+    eng = Engine(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0)
+    eng._bucket_received = received
+    eng._handle_sample(1000)
+    return eng.series.rows[-1].thr_pct
+
+
 def test_throughput_lossless_ceiling():
-    # 25 nodes of degree 4, one broadcast each, everything received
-    assert throughput(100, 4.0, 25) == pytest.approx(100.0)
+    assert _thr(100) == pytest.approx(100.0)
 
 
 def test_throughput_half_lost():
-    assert throughput(50, 4.0, 25) == pytest.approx(50.0)
-
-
-def test_throughput_validation():
-    with pytest.raises(ValueError):
-        throughput(10, 0.0, 25)
-    with pytest.raises(ValueError):
-        throughput(10, 4.0, 0)
+    assert _thr(50) == pytest.approx(50.0)
 
 
 def test_series_orders_periods():
@@ -84,6 +86,7 @@ def test_series_steady_state_tail():
     for k in range(8):
         s.append(_row(k, duty_pct=float(k), flaps=k))
     tail = s.steady_state(tail_fraction=0.25)
+    assert list(tail) == list(COLUMNS[1:])  # every column but the period
     assert tail["duty_pct"] == pytest.approx(6.5)  # mean of last 2 rows
     assert tail["flaps"] == 7
     with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ebsim.params import (adaptive_c, build_report, check_stability,
-                          delta_from_ticks, epsilon_opt, sigma_max)
-from ebsim.topology import make_random_geometric, make_regular_grid
+from ebsim.params import build_report, check_stability, epsilon_opt, sigma_max
+from ebsim.protocol import ProtocolConfig, adaptive_c
+from ebsim.topology import make_complete, make_random_geometric, make_regular_grid
 
 
 def test_epsilon_opt_zero_airtime():
@@ -39,32 +39,35 @@ def test_sigma_max():
     assert sigma_max(0.1, 500, 10000) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         sigma_max(1.0, 0, 10000)
+    with pytest.raises(ValueError):  # a window is at most half the period
+        sigma_max(0.6, 0, 10000)
+    with pytest.raises(ValueError):
+        sigma_max(0.1, 0, 0)
+
+
+def _cfg(c0, s_th):
+    return ProtocolConfig(10000, 0.1, 0.01, s_th, c0=c0)
 
 
 def test_adaptive_c_substitution():
-    assert adaptive_c(50, 4, 80) == 160
-    assert adaptive_c(50, 20, 80) == 800
-    assert adaptive_c(50, 1, 100) == 50
+    assert adaptive_c(_cfg(50, 80), 4) == 160
+    assert adaptive_c(_cfg(50, 80), 20) == 800
+    assert adaptive_c(_cfg(50, 100), 1) == 50
 
 
 @given(st.integers(1, 500), st.integers(0, 100))
 def test_adaptive_c_full_threshold(c0, n):
-    assert adaptive_c(c0, n, 100) == c0 * n
+    assert adaptive_c(_cfg(c0, 100), n) == c0 * n
 
 
 def test_adaptive_c_validation():
+    # c0 and s_th are checked where they are declared, in ProtocolConfig
     with pytest.raises(ValueError):
-        adaptive_c(0, 4, 80)
+        adaptive_c(_cfg(0, 80), 4)
     with pytest.raises(ValueError):
-        adaptive_c(50, -1, 80)
+        adaptive_c(_cfg(50, 80), -1)
     with pytest.raises(ValueError):
-        adaptive_c(50, 4, 101)
-
-
-def test_delta_from_ticks():
-    assert delta_from_ticks(100, 10000) == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        delta_from_ticks(100, 0)
+        adaptive_c(_cfg(50, 101), 4)
 
 
 def test_check_stability():
@@ -84,32 +87,37 @@ def test_check_stability_zero_delay_matches_bound(eps, sigma):
 
 
 def test_build_report_stable_case():
-    r = build_report(epsilon=0.1, sigma=0.01, t=10000, c0=50, nu=0, s_th=80)
+    r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 0)
     assert r.stable
     assert r.sigma_max == pytest.approx(1 / 9)
+    assert r.delta == 0.0 and r.budgets is None
     assert any("stable" in line for line in r.lines())
 
 
 def test_build_report_unstable_and_warning():
-    r = build_report(epsilon=0.01, sigma=0.02, t=1000, c0=50, nu=0, s_th=80)
+    r = build_report(ProtocolConfig(1000, 0.01, 0.02, 80), make_complete(2), 0)
     assert not r.stable and r.margin < 0
 
 
 def test_build_report_no_valid_sigma_warning():
-    r = build_report(epsilon=0.1, sigma=0.01, t=10000, c0=50, nu=500, s_th=80)
+    r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 500)
+    assert r.delta == pytest.approx(0.05)
     assert any("no valid sigma" in w for w in r.warnings)
 
 
 def test_build_report_adaptive_table():
     topo = make_regular_grid(5, 5, wraparound=True)
-    r = build_report(epsilon=0.05, sigma=0.01, t=10000, c0=50, nu=0,
-                     s_th=80, topology=topo, adaptive=True)
-    assert r.adaptive_c_per_node == {nid: 160 for nid in topo.node_ids}
-    assert any("adaptive C range = 160..160" in line for line in r.lines())
+    cfg = ProtocolConfig(10000, 0.05, 0.01, 80, adaptive_c=True)
+    r = build_report(cfg, topo, 0)
+    assert r.budgets == (160, 160) and r.nodes == 25
+    assert any("adaptive C range = 160..160 ticks (25 nodes)" in line for line in r.lines())
 
 
 def test_build_report_epsilon_below_opt_warning():
+    # adaptive C widens the configured 0.001 to at least 0.004, still
+    # below epsilon_opt for an average degree of about 20
     topo = make_random_geometric(87, 0.320408, seed=7)
-    r = build_report(epsilon=0.001, sigma=0.0005, t=30000, c0=50, nu=0,
-                     s_th=80, topology=topo, adaptive=True)
+    cfg = ProtocolConfig(30000, 0.001, 0.0005, 80, adaptive_c=True)
+    r = build_report(cfg, topo, 0)
+    assert r.epsilon == pytest.approx(0.004)
     assert any("below epsilon_opt" in w for w in r.warnings)

@@ -232,10 +232,11 @@ def test_effective_epsilon_adaptive_widens():
 # --- refractory baseline ---------------------------------------------------
 
 def test_mrf_config_validation():
+    # the upper limit, the protocol period, is checked by the engine
     with pytest.raises(ValueError):
-        MrfConfig(T, 0)
+        MrfConfig(0)
     with pytest.raises(ValueError):
-        MrfConfig(T, T)
+        MrfConfig(-T)
 
 
 def test_mrf_refractory_blocks_coupling():
@@ -251,11 +252,11 @@ def test_mrf_couples_outside_refractory():
 
 
 def test_mrf_sleep_rule():
-    sleeping = MrfConfig(T, T // 2)
+    sleeping = MrfConfig(T // 2)
     node = make_node()
     assert not mrf_is_awake(node, 0.3, sleeping)
     assert mrf_is_awake(node, 0.7, sleeping)
-    always_on = MrfConfig(T, T // 2, sleep_during_refractory=False)
+    always_on = MrfConfig(T // 2, sleep_during_refractory=False)
     assert mrf_is_awake(node, 0.3, always_on)
 
 

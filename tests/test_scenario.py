@@ -50,6 +50,7 @@ def test_comments_and_blank_lines():
     ("run.payload_rate = 7", "probability"),
     ("run.payload_rate = -0.5", "probability"),
     ("delay.link_seed = 4", "delay.link_hi"),
+    ("mrf.enabled = true\nmrf.t_ref = 1000", "<string>:10: mrf.t_ref"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -182,6 +183,14 @@ def test_readme_key_table_matches_registry():
     assert documented == registry
 
 
+def test_readme_library_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        examples = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert examples
+    for example in examples:
+        exec(compile(example, README, "exec"), {})
+
+
 def test_run_config_materializes_link_table():
     cfg = parse_scenario_text(MINIMAL + "delay.link_hi = 20\nrun.horizon = 3\n")
     res = run_config(cfg)
@@ -270,6 +279,16 @@ def test_cli_bad_churn_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: churn join of node 20 at period 2")
     assert "unknown node 99" in err and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def test_cli_edgeless_network_fails_cleanly(tmp_path, capsys):
+    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n"
+                            + MINIMAL.split("topology.cols = 3\n")[1])
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no links" in err and "Traceback" not in err
     assert os.listdir(out) == []
 
 

@@ -8,7 +8,8 @@ from ebsim import sim
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                        EventKind, LinkFaultModel, SimulationError, run)
-from ebsim.topology import Topology, make_complete, make_regular_grid
+from ebsim.topology import (Topology, make_complete, make_random_geometric,
+                            make_regular_grid)
 
 
 def make_cfg(**kw):
@@ -41,7 +42,7 @@ def test_determinism_same_seed():
     a = run(topo, make_cfg(), **kw)
     b = run(topo, make_cfg(), **kw)
     assert a.fire_times == b.fire_times
-    assert [r.as_tuple() for r in a.series] == [r.as_tuple() for r in b.series]
+    assert a.series.rows == b.series.rows
     assert a.stats == b.stats
 
 
@@ -231,6 +232,27 @@ def test_fanout_follows_churn():
     assert arrivals[-1] == (9, 3)
 
 
+def test_rejoin_under_the_same_id_gets_fresh_links():
+    # node 4 leaves and comes back linked to 1 and 3: a join makes both
+    # links anew, so neither direction keeps its drawn offset
+    eng = Engine(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
+                 delay=DelayModel(link_lo=5, link_hi=50, link_seed=1))
+    assert eng.link_delay[(1, 4)] == 33 and eng.link_delay[(4, 1)] == 43
+    eng._handle_churn(100, ChurnEvent(1, "leave", 4))
+    eng._handle_churn(200, ChurnEvent(2, "join", 4, (1, 3)))
+    assert eng._fanout[4] == ((1, 0), (3, 0))
+    assert (4, 0) in eng._fanout[1] and (4, 0) in eng._fanout[3]
+
+
+@pytest.mark.parametrize("topology", [make_complete(1), make_random_geometric(5, 0.0, 0)],
+                         ids=["complete_1", "geometric_radius_0"])
+def test_edgeless_network_is_rejected(topology):
+    # no node can hear another: there is nothing to synchronize and no
+    # reception ceiling for thr_pct
+    with pytest.raises(SimulationError, match="no links"):
+        Engine(topology, make_cfg())
+
+
 def test_churn_validation():
     with pytest.raises(ValueError):
         ChurnEvent(5, "explode", 4)
@@ -257,21 +279,23 @@ def test_trace_capture():
 def test_mrf_scheme_duty_cycle_near_half():
     topo = make_regular_grid(3, 3, wraparound=True)
     res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
-              mrf=MrfConfig(1000, 500), horizon=20, seed=0)
+              mrf=MrfConfig(500), horizon=20, seed=0)
     assert res.series.rows[-1].duty_pct == pytest.approx(50.0, abs=5.0)
 
 
-def test_mrf_period_must_match_protocol_period():
-    # a 500-tick refractory meant for T = 1000 must not run in T = 10000
-    with pytest.raises(SimulationError, match="period"):
-        run(make_regular_grid(3, 3, True), make_cfg(period_t=10000),
-            mrf=MrfConfig(1000, 500), horizon=5)
+def test_mrf_refractory_must_be_below_protocol_period():
+    # the baseline runs on the protocol's period; a refractory that fills
+    # it leaves no stretch in which the node could listen
+    for refractory in (1000, 1500):
+        with pytest.raises(SimulationError, match="refractory"):
+            run(make_regular_grid(3, 3, True), make_cfg(period_t=1000),
+                mrf=MrfConfig(refractory), horizon=5)
 
 
 def test_mrf_always_listening_duty_is_full():
     topo = make_regular_grid(3, 3, wraparound=True)
     res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
-              mrf=MrfConfig(1000, 500, sleep_during_refractory=False),
+              mrf=MrfConfig(500, sleep_during_refractory=False),
               horizon=20, seed=0)
     assert res.series.rows[-1].duty_pct == pytest.approx(100.0, abs=1.0)
 

@@ -2,7 +2,7 @@ import pytest
 
 from ebsim.topology import (Topology, TopologyError, load_topology,
                             make_complete, make_random_geometric,
-                            make_regular_grid, radius_for_average_degree)
+                            make_regular_grid)
 
 
 def test_torus_5x5():
@@ -34,7 +34,6 @@ def test_grid_too_small():
 def test_complete():
     topo = make_complete(3)
     assert all(topo.degree(i) == 2 for i in topo.node_ids)
-    assert topo.edge_count == 3
 
 
 def test_load_topology_path_graph(tmp_path):
@@ -77,12 +76,6 @@ def test_random_geometric_testbed_analog():
     topo = make_random_geometric(87, 0.320408, seed=7)
     assert topo.is_connected()
     assert abs(topo.average_degree - 20) < 0.5
-
-
-def test_radius_bisection():
-    r = radius_for_average_degree(87, 20.0, seed=7)
-    deg = make_random_geometric(87, r, seed=7).average_degree
-    assert abs(deg - 20.0) <= 0.25
 
 
 def test_validation_rejects_asymmetry_and_loops():
