@@ -4,8 +4,8 @@ Pulse-coupled oscillators agree on a shared broadcast slot by exchanging
 fire messages and nudging their phases; once synchronized, radios stay on
 only inside a short wake-up window around the common fire instant.
 
-The protocol's step functions and phase helpers are importable from
-ebsim.protocol and ebsim.core.
+The protocol's per-period steps and phase helpers are importable from
+ebsim.protocol and ebsim.core; the reception step runs inside Engine.run.
 """
 
 from .metrics import MetricsRow, MetricsSeries, export_csv

@@ -18,7 +18,7 @@ from .params import build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
                        build_topology, parse_scenario, resolved_text,
                        run_config)
-from .sim import SimulationError
+from .sim import SimulationError, require_links
 from .topology import TopologyError
 
 
@@ -121,6 +121,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     topology = build_topology(cfg.topology)
+    require_links(topology)  # as run fails on it
     report = build_report(cfg.protocol, topology, cfg.delay.worst_case(topology))
     for line in report.lines():
         print(line)
@@ -135,17 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Duty-cycled firefly synchronization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("scenario", help="scenario file")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
-        if out:
-            p.add_argument("--out", default="results",
-                           help="output directory (default: results)")
-            p.add_argument("--trace", action="store_true",
-                           help="write per-event trace files")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel worker processes")
+        p.add_argument("--out", default="results",
+                       help="output directory (default: results)")
+        p.add_argument("--trace", action="store_true",
+                       help="write per-event trace files")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes")
 
     p_run = sub.add_parser("run", help="execute a scenario once")
     common(p_run)
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_check = sub.add_parser("check", help="print parameter analysis")
-    common(p_check, out=False)
+    p_check.add_argument("scenario", help="scenario file")
     p_check.add_argument("--strict", action="store_true",
                          help="exit with status 2 if the configuration is unstable")
     p_check.set_defaults(func=cmd_check)

@@ -26,12 +26,6 @@ def advance_remaining_ticks(remaining: int, sigma: float) -> int:
     return min(remaining, max(1, jumped))
 
 
-def in_setw(phi: float, epsilon: float) -> bool:
-    """True when the phase sits inside the wake window straddling the fire
-    instant: within epsilon of 0 or of 1."""
-    return phi <= epsilon or phi >= 1.0 - epsilon
-
-
 def avg_phase_difference(phases: Mapping[int, float], topology) -> tuple[float, float]:
     """Network-average per-neighbourhood phase difference, (literal, circular).
 

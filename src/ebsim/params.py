@@ -115,5 +115,10 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
     if cfg.adaptive_c:
         per_node = [adaptive_c(cfg, d) for d in degrees]
         budgets = (min(per_node), max(per_node))
+        capped = sum(1 for budget in per_node if budget > t)
+        if capped:
+            warnings.append(f"adaptive window capped at 0.5 on {capped} of {topology.n} "
+                            "nodes whose budget exceeds the period: they listen all "
+                            "period and never couple")
     return ParamReport(epsilon, cfg.sigma, delta, eps_opt, smax, stable,
                        smax - cfg.sigma, warnings, budgets, topology.n, max(windows))

@@ -7,7 +7,8 @@ below the threshold goes fully awake for one recovery period, refreshes its
 neighbour estimate and drops back to Synchronization.
 
 All handlers are synchronous transitions on a NodeState owned by the
-simulator; time is integer ticks.
+simulator; time is integer ticks.  The reception step (the wake check and
+the coupling jump) runs inline in the engine loop, sim.Engine.run.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .core import advance_remaining_ticks, in_setw
 
 
 class Mode(Enum):
@@ -137,18 +136,12 @@ def effective_epsilon(cfg: ProtocolConfig, estimate: int) -> float:
 
     With adaptive C the per-node receive budget C_i = c0 * |N_i| * s_th/100
     widens the window to C_i / (2T) for high-degree nodes; the configured
-    epsilon is the floor.
+    epsilon is the floor and 0.5, a window over the whole period, the cap.
     """
     if cfg.adaptive_c and estimate > 0:
         budget = adaptive_c(cfg, estimate)
-        return max(cfg.epsilon, budget / (2 * cfg.period_t))
+        return min(0.5, max(cfg.epsilon, budget / (2 * cfg.period_t)))
     return cfg.epsilon
-
-
-def is_awake(node: NodeState, phi: float) -> bool:
-    if node.mode is not Mode.STEADY or node.recovering:
-        return True
-    return in_setw(phi, node.epsilon_eff)
 
 
 def on_period_start(node: NodeState, cfg: ProtocolConfig, now: int) -> NodeState:
@@ -179,38 +172,6 @@ def on_fire(node: NodeState, cfg: ProtocolConfig, now: int) -> bool:
     emit = cfg.variant is Variant.NO_REACHBACK or node.pending_payload
     node.pending_payload = False
     return emit
-
-
-def _couple(node: NodeState, remaining: int, phi: float, epsilon: float,
-            sigma: float, now: int) -> float:
-    """The pulse-coupling step (Mirollo & Strogatz 1990) on integer ticks.
-
-    Strictly between the window edges the remaining time shrinks to
-    sigma * remaining (advance_remaining_ticks); returns the phase jump.
-    """
-    if not epsilon < phi < 1.0 - epsilon:
-        return 0.0
-    new_remaining = advance_remaining_ticks(remaining, sigma)
-    node.next_fire = now + new_remaining
-    return (remaining - new_remaining) / node.period_ticks
-
-
-def on_message(node: NodeState, sender: int, cfg: ProtocolConfig, now: int) -> float:
-    """Process a broadcast heard while awake; returns the phase jump size.
-
-    Records the sender, and applies the coupling when the phase sits
-    strictly between the window edges.  The advanced node does not fire
-    immediately: its (shortened) remaining time doubles as the staggering
-    delay that keeps neighbours from replying in the same instant.
-    """
-    remaining = node.next_fire - now
-    phi = 1.0 - remaining / node.period_ticks
-    node.heard_any.add(sender)
-    if in_setw(phi, node.epsilon_eff):
-        node.heard_this_period.add(sender)
-    if node.mode is Mode.INITIALIZATION:
-        return 0.0
-    return _couple(node, remaining, phi, node.epsilon_eff, cfg.sigma, now)
 
 
 def end_of_period_evaluation(node: NodeState, cfg: ProtocolConfig) -> NodeState:
@@ -258,26 +219,6 @@ def end_of_period_evaluation(node: NodeState, cfg: ProtocolConfig) -> NodeState:
 
 
 # --- refractory-period baseline -------------------------------------------
-
-def mrf_is_awake(node: NodeState, phi: float, mrf: MrfConfig) -> bool:
-    """Asleep (and deaf) while inside the post-fire refractory stretch,
-    unless the always-listening variant is selected."""
-    if not mrf.sleep_during_refractory:
-        return True
-    return phi * node.period_ticks >= mrf.refractory
-
-
-def mrf_on_message(node: NodeState, sender: int, cfg: ProtocolConfig,
-                   now: int, refractory: int = 0) -> float:
-    """Outside the refractory stretch the same coupling rule applies, with
-    the configured (never adapted) window."""
-    remaining = node.next_fire - now
-    phi = 1.0 - remaining / node.period_ticks
-    node.heard_any.add(sender)
-    if phi * node.period_ticks < refractory:
-        return 0.0
-    return _couple(node, remaining, phi, cfg.epsilon, cfg.sigma, now)
-
 
 def mrf_on_fire(node: NodeState, now: int) -> bool:
     """The baseline broadcasts on every fire."""

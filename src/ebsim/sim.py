@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import protocol
-from .core import avg_phase_difference
+from .core import advance_remaining_ticks, avg_phase_difference
 from .metrics import MetricsRow, MetricsSeries
 from .protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
                        ProtocolConfig)
@@ -193,10 +193,9 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace: list[str] | None = [] if trace else None
 
+        require_links(self.topology)
         # lossless all-awake ceiling of receptions per node and period
         self.avg_degree = self.topology.average_degree
-        if self.avg_degree == 0:
-            raise SimulationError("the network has no links: no node can hear another")
 
         self._heap: list = []
         self._counter = itertools.count(1)
@@ -259,19 +258,86 @@ class Engine:
     # -- event handlers --------------------------------------------------
 
     def run(self) -> RunResult:
+        """Process the events up to the horizon.
+
+        Arrivals and reception commits are handled here.  An arrival that
+        passes the wake check either claims the radio for beta ticks
+        (collisions on; its RX_COMMIT ends the airtime) or is received at
+        once.  Both ways end in the one reception step: it records the
+        sender and, strictly between the window edges, applies the coupling
+        jump (Mirollo & Strogatz 1990) on integer ticks.
+        """
         end = self.horizon * self.T
-        heap, pop = self._heap, heapq.heappop
-        arrival, fire, commit = self._handle_arrival, self._handle_fire, self._handle_commit
+        heap, nodes, stats, trace = self._heap, self.nodes, self.stats, self.trace
+        pop, push, counter = heapq.heappop, heapq.heappush, self._counter
+        fire = self._handle_fire
+        sigma = self.cfg.sigma
+        collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
+        ebs = self.mrf is None
+        # the baseline is uncoupled, and deaf when it sleeps, for the
+        # refractory stretch after each own fire; its window stays epsilon
+        refractory = 0 if ebs else self.mrf.refractory
+        deaf = not ebs and self.mrf.sleep_during_refractory
+        steady, init = Mode.STEADY, Mode.INITIALIZATION
         while heap:
             time, kind, nid, sender, _, payload = pop(heap)
             if time > end:
                 break
-            if kind == _ARRIVAL:
-                arrival(time, nid, sender)
+            if kind == _ARRIVAL or kind == _RX_COMMIT:
+                node = nodes.get(nid)
+                if node is None:
+                    continue
+                if kind == _RX_COMMIT:
+                    if payload != node.rx_pending:
+                        continue  # a collision destroyed it
+                    node.rx_pending = None
+                remaining = node.next_fire - time
+                period = node.period_ticks
+                phi = 1.0 - remaining / period
+                eps = node.epsilon_eff
+                in_window = phi <= eps or phi >= 1.0 - eps
+                refr = refractory and phi * period < refractory
+                if kind == _ARRIVAL:
+                    if (deaf and refr) or (not in_window and node.mode is steady
+                                           and not node.recovering):
+                        stats["dropped_asleep"] += 1
+                        continue
+                    if collide:
+                        busy = node.rx_busy_until
+                        if time < busy:
+                            # overlapping airtime destroys both the in-flight and the new one
+                            node.rx_pending = None
+                            node.rx_busy_until = max(busy, time + beta)
+                            stats["collisions"] += 1
+                            if trace is not None:
+                                trace.append(f"{time}\tcollision\tnode={nid}\tsender={sender}")
+                        else:
+                            node.rx_busy_until = time + beta
+                            node.rx_pending = pending = (sender, time)
+                            push(heap, (time + beta, _RX_COMMIT, nid, sender,
+                                        next(counter), pending))
+                        continue
+                stats["received"] += 1
+                self._bucket_received += 1
+                node.heard_any.add(sender)
+                jump = 0.0
+                if in_window:
+                    if ebs:
+                        node.heard_this_period.add(sender)
+                elif not refr and node.mode is not init:
+                    # the advanced node does not fire at once: its shortened
+                    # remaining time staggers the neighbours' replies
+                    jumped = advance_remaining_ticks(remaining, sigma)
+                    node.next_fire = time + jumped
+                    jump = (remaining - jumped) / period
+                if trace is not None:
+                    trace.append(f"{time}\trx\tnode={nid}\tsender={sender}\tjump={jump}")
+                if jump > 0.0:
+                    node.advance_accum += jump
+                    node.fire_seq += 1
+                    push(heap, (node.next_fire, _FIRE, nid, -1, next(counter), node.fire_seq))
             elif kind == _FIRE:
                 fire(time, nid, payload)
-            elif kind == _RX_COMMIT:
-                commit(time, nid, sender, payload)
             elif kind == _CHURN:
                 self._handle_churn(time, payload)
             else:
@@ -346,56 +412,6 @@ class Engine:
             at = now + offset + (self.delay.sample(rng) if jitter is None else jitter)
             push(heap, (at, _ARRIVAL, recv, sender, next(counter), None))
 
-    def _handle_arrival(self, now: int, recv: int, sender: int) -> None:
-        node = self.nodes.get(recv)
-        if node is None:
-            return
-        phi = node.phase_at(now)
-        if self.mrf is not None:
-            awake = protocol.mrf_is_awake(node, phi, self.mrf)
-        else:
-            awake = protocol.is_awake(node, phi)
-        if not awake:
-            self.stats["dropped_asleep"] += 1
-            return
-        if self.fault.collisions_enabled:
-            if now < node.rx_busy_until:
-                # overlapping airtime destroys both the in-flight and the new one
-                node.rx_pending = None
-                node.rx_busy_until = max(node.rx_busy_until, now + self.fault.airtime_beta)
-                self.stats["collisions"] += 1
-                if self.trace is not None:
-                    self.trace.append(f"{now}\tcollision\tnode={recv}\tsender={sender}")
-                return
-            node.rx_busy_until = now + self.fault.airtime_beta
-            node.rx_pending = (sender, now)
-            self._push(now + self.fault.airtime_beta, _RX_COMMIT, recv, sender,
-                       node.rx_pending)
-        else:
-            self._receive(now, node, sender)
-
-    def _handle_commit(self, now: int, recv: int, sender: int, token) -> None:
-        node = self.nodes.get(recv)
-        if node is None or token != node.rx_pending:
-            return
-        node.rx_pending = None
-        self._receive(now, node, sender)
-
-    def _receive(self, now: int, node: NodeState, sender: int) -> None:
-        self.stats["received"] += 1
-        self._bucket_received += 1
-        if self.mrf is not None:
-            delta = protocol.mrf_on_message(node, sender, self.cfg, now,
-                                            self.mrf.refractory)
-        else:
-            delta = protocol.on_message(node, sender, self.cfg, now)
-        if self.trace is not None:
-            self.trace.append(f"{now}\trx\tnode={node.id}\tsender={sender}\tjump={delta}")
-        if delta > 0.0:
-            node.advance_accum += delta
-            node.fire_seq += 1
-            self._push(node.next_fire, _FIRE, node.id, -1, node.fire_seq)
-
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
         if ev.action == "leave":
             changed = tuple(self.topology.neighbors(ev.node_id))
@@ -441,6 +457,12 @@ class Engine:
             node.advance_accum = 0.0
         self._bucket_awake = 0
         self._bucket_received = 0
+
+
+def require_links(topology: Topology) -> None:
+    """SimulationError for a network in which no node can hear another."""
+    if topology.average_degree == 0:
+        raise SimulationError("the network has no links: no node can hear another")
 
 
 def _check_churn(topology: Topology, churn: tuple[ChurnEvent, ...],

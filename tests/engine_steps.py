@@ -1,0 +1,25 @@
+"""Single arrivals through Engine.run, for tests of the reception step.
+
+The engine runs the wake check, collisions and the coupling jump inline in
+its event loop, so a test reaches them by queueing ARRIVAL events and
+running the loop.
+"""
+
+from ebsim.sim import EventKind
+
+
+def deliver(eng, end, *arrivals):
+    """Run eng on the given (tick, receiver, sender) arrivals alone, up to
+    tick end, a whole number of periods; returns the RunResult.
+
+    The rest of the queue is dropped first.  What the arrivals queue past
+    end is not processed, so a coupled node keeps the next_fire its jump
+    gave it and a reception past end stays in flight.
+    """
+    periods, rest = divmod(end, eng.T)
+    assert rest == 0, "the run must end on a period boundary"
+    eng._heap.clear()
+    for at, recv, sender in arrivals:
+        eng._push(at, EventKind.ARRIVAL, recv, sender, None)
+    eng.horizon = periods
+    return eng.run()

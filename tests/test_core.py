@@ -1,27 +1,34 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ebsim.core import advance_remaining_ticks, avg_phase_difference, in_setw
+from ebsim.core import advance_remaining_ticks, avg_phase_difference
 from ebsim.params import check_stability
-from ebsim.protocol import (Mode, NodeState, ProtocolConfig, mrf_on_message,
-                            on_message)
-from ebsim.sim import run
+from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
+from ebsim.sim import Engine, run
 from ebsim.topology import make_regular_grid, make_complete
+
+from engine_steps import deliver
 
 T = 1000
 
 
+def _engine(eps, sigma, mrf=False, period=T):
+    # a synchronizing pair; the baseline listens always, and its 1-tick
+    # refractory gates only phase 0, which every window holds
+    cfg = ProtocolConfig(period_t=period, epsilon=eps, sigma=sigma, s_th=80.0,
+                         init_listen_periods=0)
+    return Engine(make_complete(2), cfg,
+                  mrf=MrfConfig(1, sleep_during_refractory=False) if mrf else None)
+
+
 def _hear(remaining, eps, sigma, mrf=False, period=T):
     """next_fire after a node `remaining` ticks before its fire hears a
-    neighbour, through the EBS handler or the baseline's."""
+    neighbour, through the engine's EBS step or the baseline's."""
     now = 5 * period
-    node = NodeState(id=0, period_ticks=period, next_fire=now + remaining,
-                     epsilon_eff=eps, mode=Mode.SYNCHRONIZATION)
-    cfg = ProtocolConfig(period_t=period, epsilon=eps, sigma=sigma, s_th=80.0)
-    if mrf:
-        mrf_on_message(node, 1, cfg, now)
-    else:
-        on_message(node, 1, cfg, now)
+    eng = _engine(eps, sigma, mrf, period)
+    node = eng.nodes[0]
+    node.next_fire = now + remaining
+    deliver(eng, now, (now, 0, 1))
     return node.next_fire - now
 
 
@@ -65,11 +72,24 @@ def test_jump_remaining():
 
 
 def test_in_setw():
-    assert in_setw(0.0, 0.01)
-    assert not in_setw(0.5, 0.01)
-    assert in_setw(0.991, 0.01)
-    assert in_setw(0.01, 0.01)       # inclusive edges
-    assert in_setw(0.99, 0.01)
+    # the wake window as a steady node's wake check applies it: within
+    # epsilon of 0 or of 1; epsilon = 1/8 puts both edges on whole ticks
+    def in_setw(phi, eps):
+        eng = _engine(eps, 0.01)
+        node = eng.nodes[0]
+        node.mode = Mode.STEADY
+        node.next_fire = 5 * T + round((1.0 - phi) * T)
+        deliver(eng, 5 * T, (5 * T, 0, 1))
+        # a reception inside the window counts toward synchronicity
+        assert (eng.stats["dropped_asleep"] == 0) == (node.heard_this_period == {1})
+        return node.heard_this_period == {1}
+    assert in_setw(0.0, 0.125)
+    assert not in_setw(0.5, 0.125)
+    assert in_setw(0.991, 0.125)
+    assert in_setw(0.125, 0.125)     # inclusive edges
+    assert in_setw(0.875, 0.125)
+    assert not in_setw(0.126, 0.125)
+    assert not in_setw(0.874, 0.125)
 
 
 def test_advance_remaining_ticks_basic():
@@ -102,7 +122,8 @@ def test_phase_advance_monotone(remaining, eps, sigma, mrf):
 
 @given(*_coupling)
 def test_phase_advance_window_idempotent(remaining, eps, sigma, mrf):
-    if in_setw(1.0 - remaining / T, eps):
+    phi = 1.0 - remaining / T
+    if phi <= eps or phi >= 1.0 - eps:
         assert _hear(remaining, eps, sigma, mrf) == remaining
 
 

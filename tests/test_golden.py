@@ -20,6 +20,7 @@ import pytest
 
 from ebsim import cli
 from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
+from ebsim.scenario import apply_override, parse_scenario_text, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
                        RunResult, run)
 from ebsim.topology import make_random_geometric, make_regular_grid
@@ -164,3 +165,72 @@ RNG_GOLDEN = {
 def test_rng_path_outputs_are_pinned(config, seed):
     build = {"torus": _rng_torus, "mrf": _rng_mrf}[config]
     assert _run_digest(build(seed)) == RNG_GOLDEN[config, seed]
+
+
+# --- the benchmark's configurations, at short horizons ----------------------
+#
+# The keys of the torus-delay and testbed-collide workloads in
+# bench/workloads.py (the C4 torus at delta = 0.05; the 87-node testbed with
+# per-link delays and collisions, as EBS and as the always-listening
+# baseline), at two seeds and a short horizon, digested like the runs above.
+
+_TORUS_DELAY = """\
+topology.kind = grid
+topology.rows = 5
+topology.cols = 5
+topology.wraparound = true
+protocol.period_t = 10000
+protocol.epsilon = 0.1
+protocol.sigma = 0.01
+protocol.s_th = 80
+protocol.init_listen_periods = 0
+delay.kind = deterministic
+delay.nu = 500
+run.horizon = 20
+"""
+
+_TESTBED_COLLIDE = """\
+topology.kind = random_geometric
+topology.n = 87
+topology.radius = 0.320408
+topology.seed = 7
+protocol.period_t = 30000
+protocol.epsilon = 0.0133
+protocol.sigma = 0.002
+protocol.s_th = 80
+protocol.adaptive_c = true
+protocol.c0 = 50
+protocol.init_listen_periods = 0
+mrf.enabled = true
+mrf.t_ref = 15000
+mrf.sleep = false
+delay.link_lo = 0
+delay.link_hi = 150
+delay.link_seed = 1000
+fault.collisions = true
+fault.beta = 1
+run.horizon = 5
+"""
+
+BENCH_GOLDEN = {
+    ("testbed-collide", "ebs", 0):
+        "264ea6e598d1c4a5ae52f65cbfd46b0eafbff19d883e4a9690b242a13476fc54",
+    ("testbed-collide", "ebs", 1):
+        "e59ad509ed40ff79727e27bc4ea9df0ade41637eb8b7d798e2c345b035542992",
+    ("testbed-collide", "mrf", 0):
+        "5281a0ae691676db79ca02573145a0ff709b4f2d2ae19956daef3b1b1816965b",
+    ("testbed-collide", "mrf", 1):
+        "b068d9076f0efa5e7351ccdb0d359185aa8b5d1544d2e69ab32c0c0d0c11f3ca",
+    ("torus-delay", "ebs", 0):
+        "1ebcd279c763ec2bb9d2f37c17d42fab16d0c411251bc6dd55b56e7684ad2ae3",
+    ("torus-delay", "ebs", 1):
+        "d1cf46a8ed27c01b0bd6b3e8565b304109c325ba67fbfb590ae86125eca85976",
+}
+
+
+@pytest.mark.parametrize("workload,scheme,seed", sorted(BENCH_GOLDEN))
+def test_bench_configurations_are_pinned(workload, scheme, seed):
+    text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
+    cfg = apply_override(parse_scenario_text(text), "run.seed", seed)
+    result = run_config(cfg, scheme=scheme, trace=True)
+    assert _run_digest(result) == BENCH_GOLDEN[workload, scheme, seed]

@@ -2,9 +2,12 @@ import pytest
 
 from ebsim.protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
                             ProtocolConfig, Variant, effective_epsilon,
-                            end_of_period_evaluation, is_awake, mrf_is_awake,
-                            mrf_on_fire, mrf_on_message, on_fire, on_message,
+                            end_of_period_evaluation, mrf_on_fire, on_fire,
                             on_period_start)
+from ebsim.sim import Engine
+from ebsim.topology import make_complete
+
+from engine_steps import deliver
 
 T = 1000
 
@@ -21,6 +24,29 @@ def make_node(mode=Mode.SYNCHRONIZATION, estimate=4, next_fire=2 * T, **kw):
                      epsilon_eff=0.01, mode=mode,
                      neighbor_count_estimate=estimate, **kw)
     return node
+
+
+def _engine(node, cfg, mrf):
+    # a pair whose node 0 is the given node
+    eng = Engine(make_complete(2), cfg or make_cfg(), mrf=mrf)
+    eng.nodes[0] = node
+    return eng
+
+
+def hear(node, sender, now, cfg=None, mrf=None):
+    """Deliver sender's fire to node at tick now through the engine loop
+    (EBS, or the baseline with mrf); returns the phase jump applied."""
+    before = node.advance_accum
+    deliver(_engine(node, cfg, mrf), now, (now, 0, sender))
+    return node.advance_accum - before
+
+
+def is_awake(node, phi, mrf=None):
+    """Whether node, at phase phi of a fire heard at tick T, takes it in."""
+    node.next_fire = T + round((1.0 - phi) * T)
+    eng = _engine(node, None, mrf)
+    deliver(eng, T, (T, 0, 1))
+    return eng.stats["dropped_asleep"] == 0
 
 
 def test_config_validation():
@@ -119,7 +145,7 @@ def test_on_fire_partial_reachback_silent_without_payload():
 def test_on_message_couples_mid_period():
     cfg = make_cfg()
     node = make_node(next_fire=1500)
-    jump = on_message(node, 7, cfg, 1000)  # phi = 0.5, remaining 500
+    jump = hear(node, 7, 1000, cfg)  # phi = 0.5, remaining 500
     assert node.next_fire == 1005  # remaining 500 -> 5 ticks
     assert jump == pytest.approx(0.495)
     assert node.heard_any == {7}
@@ -129,7 +155,7 @@ def test_on_message_couples_mid_period():
 def test_on_message_inside_window_records_only():
     cfg = make_cfg()
     node = make_node(next_fire=1002)  # phi = 0.998 at t=1000
-    jump = on_message(node, 3, cfg, 1000)
+    jump = hear(node, 3, 1000, cfg)
     assert jump == 0.0
     assert node.next_fire == 1002
     assert node.heard_this_period == {3}
@@ -138,7 +164,7 @@ def test_on_message_inside_window_records_only():
 def test_on_message_ignored_during_initialization():
     cfg = make_cfg()
     node = make_node(mode=Mode.INITIALIZATION, next_fire=1500)
-    assert on_message(node, 3, cfg, 1000) == 0.0
+    assert hear(node, 3, 1000, cfg) == 0.0
     assert node.next_fire == 1500
     assert node.heard_any == {3}
 
@@ -147,7 +173,7 @@ def test_on_message_reachback_stores_advance():
     cfg = make_cfg(variant=Variant.PARTIAL_REACHBACK)
     node = make_node(next_fire=1500)
     # the advance is kept in next_fire; the reply waits for a payload
-    assert on_message(node, 7, cfg, 1000) == pytest.approx(0.495)
+    assert hear(node, 7, 1000, cfg) == pytest.approx(0.495)
     assert node.next_fire == 1005
 
 
@@ -229,6 +255,15 @@ def test_effective_epsilon_adaptive_widens():
     assert effective_epsilon(cfg, 20) == 0.01
 
 
+def test_effective_epsilon_caps_the_adaptive_window():
+    # a budget of 600 * 2 * 100 / 100 = 1200 ticks exceeds T: the window
+    # stops at 0.5 of a period on each side, which covers the whole period
+    cfg = make_cfg(adaptive_c=True, c0=600, s_th=100.0)
+    assert effective_epsilon(cfg, 2) == 0.5
+    assert effective_epsilon(cfg, 100) == 0.5
+    assert effective_epsilon(cfg, 1) == pytest.approx(0.3)
+
+
 # --- refractory baseline ---------------------------------------------------
 
 def test_mrf_config_validation():
@@ -240,24 +275,26 @@ def test_mrf_config_validation():
 
 
 def test_mrf_refractory_blocks_coupling():
+    # always listening, so the fire is heard but the refractory gates it
     node = make_node(next_fire=1700)  # phi = 0.3 at t=1000
-    jump = mrf_on_message(node, 2, make_cfg(), 1000, refractory=T // 2)
+    jump = hear(node, 2, 1000, mrf=MrfConfig(T // 2, sleep_during_refractory=False))
     assert jump == 0.0 and node.next_fire == 1700
+    assert node.heard_any == {2}
 
 
 def test_mrf_couples_outside_refractory():
     node = make_node(next_fire=1300)  # phi = 0.7 at t=1000
-    jump = mrf_on_message(node, 2, make_cfg(), 1000, refractory=T // 2)
+    jump = hear(node, 2, 1000, mrf=MrfConfig(T // 2))
     assert jump > 0.0 and node.next_fire == 1003
 
 
 def test_mrf_sleep_rule():
     sleeping = MrfConfig(T // 2)
     node = make_node()
-    assert not mrf_is_awake(node, 0.3, sleeping)
-    assert mrf_is_awake(node, 0.7, sleeping)
+    assert not is_awake(node, 0.3, sleeping)
+    assert is_awake(node, 0.7, sleeping)
     always_on = MrfConfig(T // 2, sleep_during_refractory=False)
-    assert mrf_is_awake(node, 0.3, always_on)
+    assert is_awake(node, 0.3, always_on)
 
 
 def test_mrf_fire_resets_and_broadcasts():

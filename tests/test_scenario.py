@@ -292,6 +292,42 @@ def test_cli_edgeless_network_fails_cleanly(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_cli_check_edgeless_network_fails_like_run(tmp_path, capsys):
+    # the report must describe a configuration that can run
+    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n"
+                            + MINIMAL.split("topology.cols = 3\n")[1])
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the network has no links: ")
+    assert captured.out == ""
+
+
+def test_cli_check_caps_the_adaptive_window(tmp_path, capsys):
+    # a budget of 600 * 2 * 100 / 100 = 1200 ticks exceeds T = 1000: the
+    # window would be 0.6 of a period on each side
+    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 3\n"
+                            + MINIMAL.split("topology.cols = 3\n")[1]
+                            .replace("protocol.s_th = 80", "protocol.s_th = 100")
+                            + "protocol.c0 = 600\nprotocol.adaptive_c = true\n")
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "epsilon          = 0.5\n" in out
+    assert "adaptive epsilon = 0.5..0.5 " in out
+    assert ("warning: adaptive window capped at 0.5 on 3 of 3 nodes whose budget "
+            "exceeds the period") in out
+
+
+def test_cli_check_has_no_seed_option(tmp_path, capsys):
+    # check reads no seed, so it takes none; run and sweep keep theirs
+    path = _write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", path, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert main(["run", path, "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+    assert "ebs_seed7.csv" in os.listdir(tmp_path / "o")
+
+
 def test_cli_failed_sweep_leaves_no_outputs(tmp_path, capsys):
     # the first point runs and writes its CSV; the second fails in set-up
     path = _write(tmp_path, MINIMAL + "churn.1 = leave 4 at 3\n"

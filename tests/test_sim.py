@@ -11,6 +11,8 @@ from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
 from ebsim.topology import (Topology, make_complete, make_random_geometric,
                             make_regular_grid)
 
+from engine_steps import deliver
+
 
 def make_cfg(**kw):
     base = dict(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0,
@@ -134,15 +136,18 @@ def test_delay_model_validation():
 
 def test_collision_overlapping_airtimes_destroy_both():
     # two arrivals 3 ticks apart with beta = 5 overlap: neither is received
-    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
-                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
+    def engine():
+        return Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                      fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
+    eng = engine()
+    deliver(eng, 1000, (1000, 1, 0))
+    assert eng.nodes[1].rx_pending == (0, 1000)
+    eng = engine()
     node = eng.nodes[1]
-    eng._handle_arrival(100, 1, 0)
-    assert node.rx_pending == (0, 100)
-    eng._handle_arrival(103, 1, 2)
+    # the first arrival's commit at 1005 finds its reception destroyed
+    deliver(eng, 2000, (1000, 1, 0), (1003, 1, 2))
     assert eng.stats["collisions"] == 1
     assert node.rx_pending is None
-    eng._handle_commit(105, 1, 0, (0, 100))  # stale commit must be a no-op
     assert eng.stats["received"] == 0
     assert node.heard_any == set()
 
@@ -152,10 +157,7 @@ def test_back_to_back_receptions_do_not_collide():
     eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
                  fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
     node = eng.nodes[1]
-    eng._handle_arrival(100, 1, 0)
-    eng._handle_commit(105, 1, 0, (0, 100))
-    eng._handle_arrival(105, 1, 2)
-    eng._handle_commit(110, 1, 2, (2, 105))
+    deliver(eng, 2000, (1000, 1, 0), (1005, 1, 2))
     assert eng.stats["collisions"] == 0
     assert eng.stats["received"] == 2
     assert node.heard_any == {0, 2}
@@ -172,8 +174,8 @@ def test_steady_node_sleeps_outside_window():
     eng = Engine(path3(), make_cfg(), horizon=5, seed=0)
     node = eng.nodes[1]
     node.mode = Mode.STEADY
-    mid = node.next_fire - node.period_ticks // 2  # phi = 0.5
-    eng._handle_arrival(mid, 1, 0)
+    node.next_fire = 1000 + node.period_ticks // 2  # phi = 0.5 at 1000
+    deliver(eng, 1000, (1000, 1, 0))
     assert eng.stats["dropped_asleep"] == 1
     assert node.heard_any == set()
 
