@@ -4,11 +4,11 @@ Pulse-coupled oscillators agree on a shared broadcast slot by exchanging
 fire messages and nudging their phases; once synchronized, radios stay on
 only inside a short wake-up window around the common fire instant.
 
-The protocol's per-period steps and phase helpers are importable from
-ebsim.protocol and ebsim.core; the reception step runs inside Engine.run.
+ebsim.protocol holds each node's configuration and state, and ebsim.core
+the phase helpers; Engine runs every node transition.
 """
 
-from .metrics import MetricsRow, MetricsSeries, export_csv
+from .metrics import MetricsRow, export_csv, steady_state
 from .params import ParamReport, build_report, check_stability, epsilon_opt, sigma_max
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
 from .scenario import (ScenarioConfig, ScenarioError, SweepSpec, TopologySpec,
@@ -23,12 +23,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ChurnEvent", "ClockDriftModel", "DelayModel", "Engine", "LinkFaultModel",
-    "MetricsRow", "MetricsSeries", "Mode", "MrfConfig", "NodeState",
+    "MetricsRow", "Mode", "MrfConfig", "NodeState",
     "ParamReport", "ProtocolConfig", "RunResult", "ScenarioConfig",
     "ScenarioError", "SimulationError", "SweepSpec", "Topology",
     "TopologyError", "TopologySpec", "Variant", "apply_override",
     "build_report", "build_topology", "check_stability", "epsilon_opt",
     "export_csv", "load_topology", "make_complete", "make_random_geometric",
     "make_regular_grid", "parse_scenario", "parse_scenario_text",
-    "resolved_text", "run", "run_config", "sigma_max",
+    "resolved_text", "run", "run_config", "sigma_max", "steady_state",
 ]

@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .metrics import COLUMNS, export_csv
+from .metrics import COLUMNS, export_csv, steady_state
 from .params import build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
                        build_topology, parse_scenario, resolved_text,
@@ -31,7 +31,7 @@ def _run_one(cfg: ScenarioConfig, override: tuple[str, object], scheme: str,
     path = os.path.join(out_dir, name)
     export_csv(result.series, path)
     row = {"file": name, "scheme": scheme, "seed": point.seed, **columns,
-           **result.series.steady_state(), "warnings": "; ".join(result.warnings)}
+           **steady_state(result.series), "warnings": "; ".join(result.warnings)}
     if trace and result.trace:
         trace_path = path[:-4] + ".trace.txt"
         with open(trace_path, "w", encoding="utf-8") as fh:

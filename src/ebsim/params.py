@@ -108,6 +108,11 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
         warnings.append("epsilon_opt reaches the 0.5 ceiling; clamped")
     if smax <= 0:
         warnings.append("no valid sigma: delay consumes the whole window")
+    if epsilon == 0.5:
+        # every window covers the whole period, so the window test always
+        # holds and no heard fire is ever coupled: nothing synchronizes
+        stable = False
+        warnings.append("every window is 0.5, the whole period: no node can couple")
     if epsilon < eps_opt:
         warnings.append(f"epsilon {epsilon} below epsilon_opt {eps_opt:.4f}; "
                         "expect flapping unless adaptive C widens the window")

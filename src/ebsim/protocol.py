@@ -1,14 +1,16 @@
-"""Per-node duty-cycled broadcast-slot state machine.
+"""Per-node configuration and state of the duty-cycled broadcast-slot
+protocol, and the window formulas the engine applies.
 
-Nodes move through three modes: Initialization (awake, counting
-neighbours), Synchronization (awake, coupling active) and SteadyDutyCycled
-(asleep outside the wake window).  A steady node whose synchronicity drops
-below the threshold goes fully awake for one recovery period, refreshes its
-neighbour estimate and drops back to Synchronization.
+Nodes move through four modes: Initialization (awake, counting
+neighbours), Synchronization (awake, coupling active), SteadyDutyCycled
+(asleep outside the wake window) and Recovery, one fully awake period a
+steady node spends after its synchronicity dropped below the threshold;
+it then refreshes its neighbour estimate and drops back to
+Synchronization.
 
-All handlers are synchronous transitions on a NodeState owned by the
-simulator; time is integer ticks.  The reception step (the wake check and
-the coupling jump) runs inline in the engine loop, sim.Engine.run.
+This module holds data only: sim.Engine runs every transition, the
+reception step in its event loop and the period end in its fire handler.
+Time is integer ticks.
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ class Mode(Enum):
     INITIALIZATION = "init"
     SYNCHRONIZATION = "sync"
     STEADY = "steady"
+    RECOVERY = "recovery"
 
 
 class Variant(Enum):
     NO_REACHBACK = "no_reachback"
     PARTIAL_REACHBACK = "partial_reachback"
-
-
-class IsolatedNodeError(RuntimeError):
-    """A node with no known neighbours cannot evaluate synchronicity."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ class NodeState:
     init_periods_left: int = 0
     synchronicity: float = 0.0
     pending_payload: bool = False
-    recovering: bool = False
     flap_count: int = 0
     # simulator bookkeeping
     fire_seq: int = 0
@@ -142,85 +140,3 @@ def effective_epsilon(cfg: ProtocolConfig, estimate: int) -> float:
         budget = adaptive_c(cfg, estimate)
         return min(0.5, max(cfg.epsilon, budget / (2 * cfg.period_t)))
     return cfg.epsilon
-
-
-def on_period_start(node: NodeState, cfg: ProtocolConfig, now: int) -> NodeState:
-    """Reset per-period bookkeeping right after the phase wrapped to 0."""
-    if node.next_fire - now != node.period_ticks:
-        raise ValueError(f"node {node.id}: period start with nonzero phase")
-    node.period_start = now
-    if node.mode is Mode.INITIALIZATION:
-        node.init_heard |= node.heard_any
-        node.init_periods_left -= 1
-        if node.init_periods_left <= 0:
-            node.mode = Mode.SYNCHRONIZATION
-            node.neighbor_count_estimate = len(node.init_heard)
-    node.heard_this_period = set()
-    node.heard_any = set()
-    node.epsilon_eff = effective_epsilon(cfg, node.neighbor_count_estimate)
-    return node
-
-
-def on_fire(node: NodeState, cfg: ProtocolConfig, now: int) -> bool:
-    """Phase reached 1: reset it and decide whether to transmit.
-
-    Without reach-back every fire broadcasts (a fresh sync message when no
-    payload is pending, piggybacking otherwise).  With partial reach-back
-    only fires carrying an upper-layer payload go on air.
-    """
-    node.next_fire = now + node.period_ticks
-    emit = cfg.variant is Variant.NO_REACHBACK or node.pending_payload
-    node.pending_payload = False
-    return emit
-
-
-def end_of_period_evaluation(node: NodeState, cfg: ProtocolConfig) -> NodeState:
-    """Recompute synchronicity at the wrap and steer the mode machine.
-
-    Sync mode promotes to Steady at S >= s_th.  A steady node dropping
-    below s_th flags a recovery: one fully awake period, after which the
-    neighbour estimate is refreshed from everything heard and the node
-    re-enters Synchronization.  S above 100 only refreshes the estimate.
-    """
-    if node.mode is Mode.INITIALIZATION:
-        return node
-    if node.mode is Mode.STEADY and node.recovering:
-        node.neighbor_count_estimate = len(node.heard_any)
-        node.recovering = False
-        node.mode = Mode.SYNCHRONIZATION
-        if node.neighbor_count_estimate > 0:
-            node.synchronicity = 100.0 * len(node.heard_this_period) / node.neighbor_count_estimate
-        return node
-    if node.mode is Mode.SYNCHRONIZATION and node.heard_any:
-        # a synchronizing node is awake all period; what it processed is
-        # its working neighbour count (estimates update only in this mode,
-        # so a steady node's reference set stays fixed)
-        node.neighbor_count_estimate = len(node.heard_any)
-    if node.neighbor_count_estimate <= 0:
-        # an unlucky (short) initialization can end before any neighbour
-        # fired; fall back on everything heard since
-        node.neighbor_count_estimate = len(node.heard_any)
-        if node.neighbor_count_estimate <= 0:
-            raise IsolatedNodeError(f"node {node.id} has no known neighbours")
-    s = 100.0 * len(node.heard_this_period) / node.neighbor_count_estimate
-    node.synchronicity = s
-    if s > 100.0:
-        node.neighbor_count_estimate = len(node.heard_this_period)
-        node.synchronicity = s = 100.0
-    if node.mode is Mode.SYNCHRONIZATION:
-        if s >= cfg.s_th:
-            node.mode = Mode.STEADY
-            node.recovering = False
-    else:  # steady
-        if s < cfg.s_th:
-            node.recovering = True
-            node.flap_count += 1
-    return node
-
-
-# --- refractory-period baseline -------------------------------------------
-
-def mrf_on_fire(node: NodeState, now: int) -> bool:
-    """The baseline broadcasts on every fire."""
-    node.next_fire = now + node.period_ticks
-    return True

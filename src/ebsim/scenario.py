@@ -33,7 +33,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class TopologySpec:
-    kind: str                       # grid | random_geometric | complete | file
+    kind: str                       # a key of _TOPOLOGIES
     rows: int = 0
     cols: int = 0
     wraparound: bool = False
@@ -73,16 +73,21 @@ class ScenarioConfig:
     sweep: SweepSpec | None
 
 
+# each topology kind: its builder and the TopologySpec fields it passes, in
+# order; the topology.<field> keys apply to exactly the kinds that read them
+_TOPOLOGIES: dict[str, tuple[Callable[..., Topology], tuple[str, ...]]] = {
+    "grid": (make_regular_grid, ("rows", "cols", "wraparound")),
+    "random_geometric": (make_random_geometric, ("n", "radius", "seed")),
+    "complete": (make_complete, ("n",)),
+    "file": (load_topology, ("path",)),
+}
+
+
 def build_topology(spec: TopologySpec) -> Topology:
-    if spec.kind == "grid":
-        return make_regular_grid(spec.rows, spec.cols, spec.wraparound)
-    if spec.kind == "random_geometric":
-        return make_random_geometric(spec.n, spec.radius, spec.seed)
-    if spec.kind == "complete":
-        return make_complete(spec.n)
-    if spec.kind == "file":
-        return load_topology(spec.path)
-    raise ScenarioError(f"unknown topology kind {spec.kind!r}")
+    if spec.kind not in _TOPOLOGIES:
+        raise ScenarioError(f"unknown topology kind {spec.kind!r}")
+    builder, fields = _TOPOLOGIES[spec.kind]
+    return builder(*(getattr(spec, name) for name in fields))
 
 
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
@@ -166,7 +171,6 @@ _INT = _Type("int", int)
 _FLOAT = _Type("float", float)
 _STR = _Type("str", str)
 _BOOL = _Type("bool", _bool, lambda v: str(v).lower())
-_TOPOLOGY_KINDS = ("grid", "random_geometric", "complete", "file")
 
 
 class Key(NamedTuple):
@@ -193,6 +197,12 @@ def _when(key: str, *values) -> Callable[[dict], bool]:
     return lambda given: given.get(key) in values
 
 
+def _topology_key(type_: _Type, default: object, name: str) -> Key:
+    """The topology.<name> key, applying to the kinds whose builder reads it."""
+    kinds = [kind for kind, (_, fields) in _TOPOLOGIES.items() if name in fields]
+    return Key(type_, default, f"topology.{name}", _when("topology.kind", *kinds))
+
+
 def _any_given(*keys: str) -> Callable[[dict], bool]:
     return lambda given: any(key in given for key in keys)
 
@@ -201,18 +211,16 @@ _LINK = _any_given("delay.link_lo", "delay.link_hi", "delay.link_seed")
 _SWEEP = _any_given("sweep.parameter", "sweep.values")
 
 KEYS: dict[str, Key] = {
-    "topology.kind": Key(_Type(" or ".join(_TOPOLOGY_KINDS),
-                               _checked(str, _TOPOLOGY_KINDS.__contains__)),
+    "topology.kind": Key(_Type(" or ".join(_TOPOLOGIES),
+                               _checked(str, _TOPOLOGIES.__contains__)),
                          _REQUIRED, "topology.kind"),
-    "topology.rows": Key(_INT, _REQUIRED, "topology.rows", _when("topology.kind", "grid")),
-    "topology.cols": Key(_INT, _REQUIRED, "topology.cols", _when("topology.kind", "grid")),
-    "topology.wraparound": Key(_BOOL, False, "topology.wraparound", _when("topology.kind", "grid")),
-    "topology.n": Key(_INT, _REQUIRED, "topology.n",
-                      _when("topology.kind", "random_geometric", "complete")),
-    "topology.radius": Key(_FLOAT, _REQUIRED, "topology.radius",
-                           _when("topology.kind", "random_geometric")),
-    "topology.seed": Key(_INT, 0, "topology.seed", _when("topology.kind", "random_geometric")),
-    "topology.path": Key(_STR, _REQUIRED, "topology.path", _when("topology.kind", "file")),
+    "topology.rows": _topology_key(_INT, _REQUIRED, "rows"),
+    "topology.cols": _topology_key(_INT, _REQUIRED, "cols"),
+    "topology.wraparound": _topology_key(_BOOL, False, "wraparound"),
+    "topology.n": _topology_key(_INT, _REQUIRED, "n"),
+    "topology.radius": _topology_key(_FLOAT, _REQUIRED, "radius"),
+    "topology.seed": _topology_key(_INT, 0, "seed"),
+    "topology.path": _topology_key(_STR, _REQUIRED, "path"),
     "protocol.period_t": Key(_INT, _REQUIRED, "protocol.period_t"),
     "protocol.epsilon": Key(_FLOAT, _REQUIRED, "protocol.epsilon"),
     "protocol.sigma": Key(_FLOAT, _REQUIRED, "protocol.sigma"),

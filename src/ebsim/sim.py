@@ -18,9 +18,8 @@ from enum import IntEnum
 
 from . import protocol
 from .core import advance_remaining_ticks, avg_phase_difference
-from .metrics import MetricsRow, MetricsSeries
-from .protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
-                       ProtocolConfig)
+from .metrics import MetricsRow
+from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
 from .topology import Topology, TopologyError
 
 
@@ -148,7 +147,7 @@ class ChurnEvent:
 
 @dataclass
 class RunResult:
-    series: MetricsSeries
+    series: list[MetricsRow]                     # one row per period
     flap_events: list[tuple[int, int]]           # (tick, node id)
     fire_times: dict[int, list[int]]
     final_nodes: dict[int, NodeState]
@@ -160,9 +159,10 @@ class RunResult:
 class Engine:
     """Single-threaded event loop over one network.
 
-    Without mrf the nodes run the three-state protocol; with it, the
+    Without mrf the nodes run the four-mode protocol; with it, the
     refractory-period baseline (always broadcasting, deaf and asleep for
-    the refractory stretch after each own fire).
+    the refractory stretch after each own fire).  The engine runs every
+    node transition: reception in run, the period end in _handle_fire.
     """
 
     def __init__(self, topology: Topology, cfg: ProtocolConfig, *,
@@ -205,12 +205,11 @@ class Engine:
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
-        self.series = MetricsSeries()
+        self.series: list[MetricsRow] = []
         self.stats = {"broadcasts": 0, "arrival_attempts": 0, "lost": 0,
                       "collisions": 0, "dropped_asleep": 0, "received": 0}
         self._bucket_awake = 0
         self._bucket_received = 0
-        self._isolated_warned: set[int] = set()
 
         _check_churn(self.topology, churn, horizon)
         for nid in self.topology.node_ids:
@@ -243,7 +242,7 @@ class Engine:
             epsilon_eff=self.cfg.epsilon, period_start=now,
             init_periods_left=self.cfg.init_listen_periods)
         if self.mrf is not None:
-            node.mode = Mode.SYNCHRONIZATION  # unused by the baseline
+            node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
             # pre-initialized start: coupling active from the first tick,
             # neighbour count taken from the topology
@@ -298,8 +297,7 @@ class Engine:
                 in_window = phi <= eps or phi >= 1.0 - eps
                 refr = refractory and phi * period < refractory
                 if kind == _ARRIVAL:
-                    if (deaf and refr) or (not in_window and node.mode is steady
-                                           and not node.recovering):
+                    if (deaf and refr) or (not in_window and node.mode is steady):
                         stats["dropped_asleep"] += 1
                         continue
                     if collide:
@@ -353,42 +351,38 @@ class Engine:
         )
 
     def _attribute_duty(self, node: NodeState, now: int) -> None:
-        period_len = now - node.period_start
-        if self.mrf is not None:
-            if self.mrf.sleep_during_refractory:
-                awake = max(0, period_len - self.mrf.refractory)
-            else:
-                awake = period_len
-        elif node.mode is Mode.STEADY and not node.recovering:
-            awake = min(period_len, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
-        else:
-            awake = period_len
+        # awake all period, except asleep in the baseline's refractory or
+        # outside a steady node's window (baseline nodes are never steady)
+        awake = now - node.period_start
+        if self.mrf is not None and self.mrf.sleep_during_refractory:
+            awake = max(0, awake - self.mrf.refractory)
+        elif node.mode is Mode.STEADY:
+            awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
         self._bucket_awake += awake
 
     def _handle_fire(self, now: int, nid: int, seq) -> None:
+        """The phase reached 1: the node's period ends and its phase resets.
+
+        Every baseline fire goes on air; an EBS fire does without
+        reach-back (a fresh sync message, or piggybacking a payload) and
+        with partial reach-back only when it carries a pending payload.
+        An EBS node then takes its mode step and starts the new period.
+        """
         node = self.nodes.get(nid)
         if node is None or seq != node.fire_seq:
             return
         self._attribute_duty(node, now)
         node.fires.append(now)
-        if self.mrf is not None:
-            emit = protocol.mrf_on_fire(node, now)
-            node.period_start = now
-        else:
-            emit = protocol.on_fire(node, self.cfg, now)
-            flaps_before = node.flap_count
-            try:
-                protocol.end_of_period_evaluation(node, self.cfg)
-            except IsolatedNodeError:
-                if nid not in self._isolated_warned:
-                    self._isolated_warned.add(nid)
-                    self.warnings.append(
-                        f"node {nid} has no known neighbours and cannot synchronize")
-            if node.flap_count > flaps_before:
-                self.flap_events.append((now, nid))
-                if self.trace is not None:
-                    self.trace.append(f"{now}\tflap\tnode={nid}")
-            protocol.on_period_start(node, self.cfg, now)
+        node.next_fire = now + node.period_ticks
+        node.period_start = now
+        emit = True
+        if self.mrf is None:
+            emit = self.cfg.variant is Variant.NO_REACHBACK or node.pending_payload
+            self._step_mode(node, now)
+            node.heard_this_period = set()
+            node.heard_any = set()
+            node.epsilon_eff = protocol.effective_epsilon(
+                self.cfg, node.neighbor_count_estimate)
             node.pending_payload = self._draw_payload()
         node.fire_seq += 1
         self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
@@ -396,6 +390,55 @@ class Engine:
             self.trace.append(f"{now}\tfire\tnode={nid}\temit={emit}")
         if emit:
             self._deliver(now, nid)
+
+    def _step_mode(self, node: NodeState, now: int) -> None:
+        """An EBS node's mode transition at the end of its period.
+
+        Initialization counts the neighbours heard over its listening
+        periods.  Synchronization promotes to Steady at S >= s_th; a steady
+        node below s_th flaps into Recovery, which refreshes the neighbour
+        estimate from one fully awake period and returns to Synchronization.
+        S above 100 only refreshes the estimate.
+        """
+        mode = node.mode
+        if mode is Mode.INITIALIZATION:
+            node.init_heard |= node.heard_any
+            node.init_periods_left -= 1
+            if node.init_periods_left <= 0:
+                node.mode = Mode.SYNCHRONIZATION
+                node.neighbor_count_estimate = len(node.init_heard)
+            return
+        if mode is Mode.RECOVERY:
+            node.mode = Mode.SYNCHRONIZATION
+            node.neighbor_count_estimate = estimate = len(node.heard_any)
+            if estimate > 0:
+                node.synchronicity = 100.0 * len(node.heard_this_period) / estimate
+            return
+        # a synchronizing node is awake all period, so what it processed is
+        # its working neighbour count (a steady node's reference set stays
+        # fixed); an unlucky (short) initialization can end before any
+        # neighbour fired, and then everything heard since stands in
+        if (mode is Mode.SYNCHRONIZATION and node.heard_any
+                or node.neighbor_count_estimate <= 0):
+            node.neighbor_count_estimate = len(node.heard_any)
+        if node.neighbor_count_estimate <= 0:
+            warning = f"node {node.id} has no known neighbours and cannot synchronize"
+            if warning not in self.warnings:  # once per node id
+                self.warnings.append(warning)
+            return
+        s = 100.0 * len(node.heard_this_period) / node.neighbor_count_estimate
+        if s > 100.0:
+            node.neighbor_count_estimate = len(node.heard_this_period)
+            s = 100.0
+        node.synchronicity = s
+        if mode is Mode.SYNCHRONIZATION and s >= self.cfg.s_th:
+            node.mode = Mode.STEADY
+        elif mode is Mode.STEADY and s < self.cfg.s_th:
+            node.mode = Mode.RECOVERY
+            node.flap_count += 1
+            self.flap_events.append((now, node.id))
+            if self.trace is not None:
+                self.trace.append(f"{now}\tflap\tnode={node.id}")
 
     def _deliver(self, now: int, sender: int) -> None:
         stats, rng, jitter = self.stats, self.rng, self._jitter
@@ -446,8 +489,7 @@ class Engine:
             duty = 100.0 * self._bucket_awake / (n * self.T)
             thr = 100.0 * self._bucket_received / (self.avg_degree * n)
             steady = 100.0 * sum(
-                1 for nd in self.nodes.values()
-                if nd.mode is Mode.STEADY and not nd.recovering) / n
+                1 for nd in self.nodes.values() if nd.mode is Mode.STEADY) / n
         else:
             dplus = duty = thr = steady = 0.0
         flaps = sum(node.flap_count for node in self.nodes.values())

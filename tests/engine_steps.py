@@ -1,8 +1,9 @@
-"""Single arrivals through Engine.run, for tests of the reception step.
+"""Single engine steps, for tests of the node transitions.
 
 The engine runs the wake check, collisions and the coupling jump inline in
 its event loop, so a test reaches them by queueing ARRIVAL events and
-running the loop.
+running the loop.  The period end runs in the fire handler, which a test
+calls directly.
 """
 
 from ebsim.sim import EventKind
@@ -23,3 +24,11 @@ def deliver(eng, end, *arrivals):
         eng._push(at, EventKind.ARRIVAL, recv, sender, None)
     eng.horizon = periods
     return eng.run()
+
+
+def fire(eng, nid, now):
+    """Run node nid's period end at tick now through Engine._handle_fire;
+    returns whether the fire went on air."""
+    before = eng.stats["broadcasts"]
+    eng._handle_fire(now, nid, eng.nodes[nid].fire_seq)
+    return eng.stats["broadcasts"] > before

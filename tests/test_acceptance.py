@@ -61,7 +61,7 @@ def test_c1_convergence_speed():
         ok = 0
         for seed in range(100):
             res = run(topo, _torus_cfg(sigma), horizon=6, seed=seed)
-            if any(r.dphi_circular < 0.01 for r in res.series.rows[:5]):
+            if any(r.dphi_circular < 0.01 for r in res.series[:5]):
                 ok += 1
         counts[sigma] = ok
     elapsed = time.perf_counter() - start
@@ -138,8 +138,8 @@ def test_c4_delay_dichotomy():
 def test_c5_duty_throughput_envelope():
     topo = _testbed_analog()
     res = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0)
-    duty = _tail_mean(res.series.rows, "duty_pct")
-    thr = _tail_mean(res.series.rows, "thr_pct")
+    duty = _tail_mean(res.series, "duty_pct")
+    thr = _tail_mean(res.series, "thr_pct")
     assert _report(
         "C5 duty/throughput envelope",
         duty <= 5.0 and thr >= 80.0,
@@ -153,8 +153,8 @@ def test_c6_s_th_monotonicity():
     thr = {}
     for s_th in (20, 40, 60, 80, 95):
         res = _testbed_run(topo, s_th=float(s_th), epsilon=0.001, seed=1)
-        duty[s_th] = _tail_mean(res.series.rows, "duty_pct")
-        thr[s_th] = _tail_mean(res.series.rows, "thr_pct")
+        duty[s_th] = _tail_mean(res.series, "duty_pct")
+        thr[s_th] = _tail_mean(res.series, "thr_pct")
     order = (20, 40, 60, 80, 95)
     nondecreasing = all(duty[a] <= duty[b] for a, b in zip(order, order[1:]))
     band_shift = 15.0 <= thr[20] <= 35.0 and thr[80] >= 80.0 and \
@@ -179,8 +179,8 @@ def test_c7_churn_recovery():
     details = []
     for seed in range(3):
         res = run(topo, cfg, churn=churn, horizon=80, seed=seed)
-        settled_leave = res.series.rows[39].steady_pct == 100.0
-        settled_join = res.series.rows[69].steady_pct == 100.0
+        settled_leave = res.series[39].steady_pct == 100.0
+        settled_join = res.series[69].steady_pct == 100.0
         leave_flappers = {nid for t, nid in res.flap_events
                           if 30000 <= t < 40000}
         stray = [(t, nid) for t, nid in res.flap_events
@@ -201,10 +201,10 @@ def test_c8_mrf_comparison():
     ebs = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0)
     mrf = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0,
                        mrf=MrfConfig(15000, sleep_during_refractory=False))
-    ebs_duty = _tail_mean(ebs.series.rows, "duty_pct")
-    mrf_duty = _tail_mean(mrf.series.rows, "duty_pct")
-    ebs_thr = _tail_mean(ebs.series.rows, "thr_pct")
-    mrf_thr = _tail_mean(mrf.series.rows, "thr_pct")
+    ebs_duty = _tail_mean(ebs.series, "duty_pct")
+    mrf_duty = _tail_mean(mrf.series, "duty_pct")
+    ebs_thr = _tail_mean(ebs.series, "thr_pct")
+    mrf_thr = _tail_mean(mrf.series, "thr_pct")
     assert _report(
         "C8 refractory-baseline comparison",
         ebs_duty * 5 <= mrf_duty and abs(ebs_thr - mrf_thr) <= 10.0,

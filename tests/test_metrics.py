@@ -1,6 +1,6 @@
 import pytest
 
-from ebsim.metrics import COLUMNS, MetricsRow, MetricsSeries, export_csv
+from ebsim.metrics import COLUMNS, MetricsRow, export_csv, steady_state
 from ebsim.protocol import Mode, ProtocolConfig
 from ebsim.sim import ChurnEvent, Engine, run
 from ebsim.topology import Topology, make_complete, make_regular_grid
@@ -34,16 +34,18 @@ def test_duty_cycle_steady_window():
 
 
 def test_duty_cycle_mixed():
-    # one steady node awake 2 * 0.025 of the period, one listening all of it
+    # one steady node awake 2 * 0.025 of the period, one synchronizing and
+    # one recovering node listening all of it
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
-    eng = Engine(make_complete(2), cfg, horizon=1, seed=0)
-    steady, awake = eng.nodes[0], eng.nodes[1]
+    eng = Engine(make_complete(3), cfg, horizon=1, seed=0)
+    steady, awake, recovering = eng.nodes[0], eng.nodes[1], eng.nodes[2]
     steady.mode, awake.mode = Mode.STEADY, Mode.SYNCHRONIZATION
-    for node in (steady, awake):
+    recovering.mode = Mode.RECOVERY
+    for node in (steady, awake, recovering):
         node.period_start = 0
         eng._attribute_duty(node, 1000)
     eng._handle_sample(1000)
-    assert eng.series.rows[-1].duty_pct == pytest.approx(52.5)
+    assert eng.series[-1].duty_pct == pytest.approx(205.0 / 3)
 
 
 def test_duty_cycle_validation():
@@ -61,7 +63,7 @@ def _thr(received):
     eng = Engine(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0)
     eng._bucket_received = received
     eng._handle_sample(1000)
-    return eng.series.rows[-1].thr_pct
+    return eng.series[-1].thr_pct
 
 
 def test_throughput_lossless_ceiling():
@@ -72,46 +74,31 @@ def test_throughput_half_lost():
     assert _thr(50) == pytest.approx(50.0)
 
 
-def test_series_orders_periods():
-    s = MetricsSeries()
-    s.append(_row(0))
-    s.append(_row(1))
-    with pytest.raises(ValueError):
-        s.append(_row(1))
-    assert len(s) == 2
-
-
 def test_series_steady_state_tail():
-    s = MetricsSeries()
-    for k in range(8):
-        s.append(_row(k, duty_pct=float(k), flaps=k))
-    tail = s.steady_state(tail_fraction=0.25)
+    s = [_row(k, duty_pct=float(k), flaps=k) for k in range(8)]
+    tail = steady_state(s)
     assert list(tail) == list(COLUMNS[1:])  # every column but the period
     assert tail["duty_pct"] == pytest.approx(6.5)  # mean of last 2 rows
     assert tail["flaps"] == 7
     with pytest.raises(ValueError):
-        MetricsSeries().steady_state()
+        steady_state([])
 
 
 def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    export_csv(MetricsSeries(), str(path))
+    export_csv([], str(path))
     assert path.read_text() == ",".join(COLUMNS) + "\n"
 
 
 def test_export_three_periods_four_lines(tmp_path):
-    s = MetricsSeries()
-    for k in range(3):
-        s.append(_row(k))
+    s = [_row(k) for k in range(3)]
     path = tmp_path / "three.csv"
     export_csv(s, str(path))
     assert len(path.read_text().splitlines()) == 4
 
 
 def test_export_byte_stable(tmp_path):
-    s = MetricsSeries()
-    for k in range(5):
-        s.append(_row(k, dphi_circular=k / 7, thr_pct=100.0 * k / 3))
+    s = [_row(k, dphi_circular=k / 7, thr_pct=100.0 * k / 3) for k in range(5)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     export_csv(s, str(a))
     export_csv(s, str(b))
@@ -119,6 +106,6 @@ def test_export_byte_stable(tmp_path):
 
 
 def test_export_unwritable_path(tmp_path):
-    s = MetricsSeries()
+    s = []
     with pytest.raises(OSError):
         export_csv(s, str(tmp_path / "missing" / "x.csv"))

@@ -99,6 +99,21 @@ def test_build_report_unstable_and_warning():
     assert not r.stable and r.margin < 0
 
 
+@pytest.mark.parametrize("cfg", [
+    # adaptive C: a budget of 600 * 2 * 100 / 100 = 1200 ticks caps every
+    # window at 0.5; or the configured window is 0.5 already
+    ProtocolConfig(1000, 0.01, 0.01, 100, c0=600, adaptive_c=True),
+    ProtocolConfig(1000, 0.5, 0.01, 80),
+])
+def test_build_report_whole_period_window_cannot_couple(cfg):
+    # the closed-form bound alone calls this stable, but a window over the
+    # whole period gives the coupling jump no phase to act on
+    r = build_report(cfg, make_complete(3), 0)
+    assert r.epsilon == 0.5 and not r.stable
+    assert "stable           = NO" in r.lines()
+    assert any("no node can couple" in w for w in r.warnings)
+
+
 def test_build_report_no_valid_sigma_warning():
     r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 500)
     assert r.delta == pytest.approx(0.05)

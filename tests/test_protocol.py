@@ -1,13 +1,11 @@
 import pytest
 
-from ebsim.protocol import (IsolatedNodeError, Mode, MrfConfig, NodeState,
-                            ProtocolConfig, Variant, effective_epsilon,
-                            end_of_period_evaluation, mrf_on_fire, on_fire,
-                            on_period_start)
+from ebsim.protocol import (Mode, MrfConfig, NodeState, ProtocolConfig,
+                            Variant, effective_epsilon)
 from ebsim.sim import Engine
 from ebsim.topology import make_complete
 
-from engine_steps import deliver
+from engine_steps import deliver, fire
 
 T = 1000
 
@@ -26,11 +24,19 @@ def make_node(mode=Mode.SYNCHRONIZATION, estimate=4, next_fire=2 * T, **kw):
     return node
 
 
-def _engine(node, cfg, mrf):
+def _engine(node, cfg, mrf, payload_rate=1.0):
     # a pair whose node 0 is the given node
-    eng = Engine(make_complete(2), cfg or make_cfg(), mrf=mrf)
+    eng = Engine(make_complete(2), cfg or make_cfg(), mrf=mrf,
+                 payload_rate=payload_rate)
     eng.nodes[0] = node
     return eng
+
+
+def end_period(node, now, cfg=None, mrf=None, payload_rate=1.0):
+    """Run node's period end at tick now through the engine's fire handler;
+    returns (whether the fire went on air, the engine)."""
+    eng = _engine(node, cfg, mrf, payload_rate)
+    return fire(eng, 0, now), eng
 
 
 def hear(node, sender, now, cfg=None, mrf=None):
@@ -75,7 +81,7 @@ def test_initialization_promotes_with_neighbor_count():
     node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T,
                      init_periods_left=1)
     node.heard_any = {1, 2, 3}
-    on_period_start(node, cfg, T)
+    end_period(node, T, cfg)
     assert node.mode is Mode.SYNCHRONIZATION
     assert node.neighbor_count_estimate == 3
     assert node.heard_any == set() and node.heard_this_period == set()
@@ -86,20 +92,12 @@ def test_initialization_counts_across_periods():
     node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T,
                      init_periods_left=2)
     node.heard_any = {1, 2}
-    on_period_start(node, cfg, T)
+    end_period(node, T, cfg)
     assert node.mode is Mode.INITIALIZATION
     node.heard_any = {3}
-    node.next_fire = 3 * T
-    on_period_start(node, cfg, 2 * T)
+    end_period(node, 2 * T, cfg)
     assert node.mode is Mode.SYNCHRONIZATION
     assert node.neighbor_count_estimate == 3
-
-
-def test_period_start_requires_wrap():
-    cfg = make_cfg()
-    node = make_node(next_fire=1500)
-    with pytest.raises(ValueError):
-        on_period_start(node, cfg, 1000)
 
 
 def test_is_awake_by_mode():
@@ -111,15 +109,15 @@ def test_is_awake_by_mode():
     assert not is_awake(node, 0.5)
     assert is_awake(node, 0.995)
     assert is_awake(node, 0.005)
-    # a recovering steady node is fully awake again
-    node.recovering = True
+    # a node in its recovery period is fully awake again
+    node.mode = Mode.RECOVERY
     assert is_awake(node, 0.5)
 
 
 def test_on_fire_no_reachback_always_broadcasts():
     cfg = make_cfg()
     node = make_node(next_fire=T)
-    assert on_fire(node, cfg, T) is True
+    assert end_period(node, T, cfg)[0] is True
     assert node.next_fire == 2 * T
 
 
@@ -127,18 +125,18 @@ def test_on_fire_no_reachback_piggybacks_payload():
     cfg = make_cfg()
     node = make_node(next_fire=T)
     node.pending_payload = True
-    assert on_fire(node, cfg, T) is True
+    # no new payload arrives, so none is pending for the next period
+    assert end_period(node, T, cfg, payload_rate=0.0)[0] is True
     assert not node.pending_payload  # the payload went out with the fire
 
 
 def test_on_fire_partial_reachback_silent_without_payload():
     cfg = make_cfg(variant=Variant.PARTIAL_REACHBACK)
     node = make_node(next_fire=T)
-    assert on_fire(node, cfg, T) is False
+    assert end_period(node, T, cfg, payload_rate=0.0)[0] is False
     assert node.next_fire == 2 * T
     node.pending_payload = True
-    node.next_fire = 2 * T
-    assert on_fire(node, cfg, 2 * T) is True
+    assert end_period(node, 2 * T, cfg, payload_rate=0.0)[0] is True
     assert not node.pending_payload
 
 
@@ -182,7 +180,7 @@ def test_evaluation_promotes_at_threshold():
     node = make_node(mode=Mode.SYNCHRONIZATION, estimate=5)
     node.heard_any = {1, 2, 3, 4, 5}
     node.heard_this_period = {1, 2, 3, 4}  # S = 80 >= 80
-    end_of_period_evaluation(node, cfg)
+    end_period(node, T, cfg)
     assert node.mode is Mode.STEADY
     assert node.synchronicity == pytest.approx(80.0)
 
@@ -191,8 +189,9 @@ def test_evaluation_steady_flaps_below_threshold():
     cfg = make_cfg()
     node = make_node(mode=Mode.STEADY, estimate=5)
     node.heard_this_period = {1, 2, 3}  # S = 60 < 80
-    end_of_period_evaluation(node, cfg)
-    assert node.recovering and node.flap_count == 1
+    _, eng = end_period(node, T, cfg)
+    assert node.mode is Mode.RECOVERY and node.flap_count == 1
+    assert eng.flap_events == [(T, 0)]
     assert node.synchronicity == pytest.approx(60.0)
 
 
@@ -200,18 +199,18 @@ def test_evaluation_steady_at_threshold_keeps_duty_cycling():
     cfg = make_cfg()
     node = make_node(mode=Mode.STEADY, estimate=5)
     node.heard_this_period = {1, 2, 3, 4}  # S = 80, no flap
-    end_of_period_evaluation(node, cfg)
-    assert not node.recovering and node.flap_count == 0
+    end_period(node, T, cfg)
+    assert node.mode is Mode.STEADY and node.flap_count == 0
 
 
 def test_evaluation_over_100_updates_estimate():
     cfg = make_cfg()
     node = make_node(mode=Mode.STEADY, estimate=4)
     node.heard_this_period = {1, 2, 3, 4, 5}  # S = 125
-    end_of_period_evaluation(node, cfg)
+    end_period(node, T, cfg)
     assert node.neighbor_count_estimate == 5
     assert node.synchronicity == pytest.approx(100.0)
-    assert node.mode is Mode.STEADY and not node.recovering
+    assert node.mode is Mode.STEADY
 
 
 def test_evaluation_sync_refreshes_estimate():
@@ -221,28 +220,29 @@ def test_evaluation_sync_refreshes_estimate():
     node = make_node(mode=Mode.SYNCHRONIZATION, estimate=9)
     node.heard_any = {1, 2, 3, 4, 5, 6}
     node.heard_this_period = {1, 2, 3, 4, 5}
-    end_of_period_evaluation(node, cfg)
+    end_period(node, T, cfg)
     assert node.neighbor_count_estimate == 6
     assert node.mode is Mode.STEADY  # 5/6 = 83.3 >= 80
 
 
 def test_evaluation_recovery_period_resets_to_sync():
     cfg = make_cfg()
-    node = make_node(mode=Mode.STEADY, estimate=5)
-    node.recovering = True
+    node = make_node(mode=Mode.RECOVERY, estimate=5)
     node.heard_any = {1, 2, 3}
     node.heard_this_period = {1, 2}
-    end_of_period_evaluation(node, cfg)
+    _, eng = end_period(node, T, cfg)
     assert node.mode is Mode.SYNCHRONIZATION
-    assert not node.recovering
     assert node.neighbor_count_estimate == 3
+    assert node.synchronicity == pytest.approx(200.0 / 3)
+    assert eng.flap_events == []
 
 
 def test_evaluation_isolated_node():
     cfg = make_cfg()
     node = make_node(mode=Mode.SYNCHRONIZATION, estimate=0)
-    with pytest.raises(IsolatedNodeError):
-        end_of_period_evaluation(node, cfg)
+    _, eng = end_period(node, T, cfg)
+    assert eng.warnings == ["node 0 has no known neighbours and cannot synchronize"]
+    assert node.mode is Mode.SYNCHRONIZATION
 
 
 def test_effective_epsilon_adaptive_widens():
@@ -299,5 +299,5 @@ def test_mrf_sleep_rule():
 
 def test_mrf_fire_resets_and_broadcasts():
     node = make_node(next_fire=T)
-    assert mrf_on_fire(node, T) is True
+    assert end_period(node, T, mrf=MrfConfig(T // 2))[0] is True
     assert node.next_fire == 2 * T

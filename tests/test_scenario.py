@@ -205,7 +205,7 @@ def test_run_config_rejects_unknown_or_disabled_scheme():
     with pytest.raises(ScenarioError, match="mrf.enabled"):
         run_config(cfg, scheme="mrf")
     cfg = parse_scenario_text(MINIMAL + "run.horizon = 3\nmrf.enabled = true\n")
-    assert run_config(cfg, scheme="mrf").series.rows[-1].duty_pct < 100.0
+    assert run_config(cfg, scheme="mrf").series[-1].duty_pct < 100.0
 
 
 def test_parse_scenario_missing_file():
@@ -315,6 +315,11 @@ def test_cli_check_caps_the_adaptive_window(tmp_path, capsys):
     assert "adaptive epsilon = 0.5..0.5 " in out
     assert ("warning: adaptive window capped at 0.5 on 3 of 3 nodes whose budget "
             "exceeds the period") in out
+    # a window over the whole period leaves no phase to couple in, whatever
+    # the closed-form bound says
+    assert "stable           = NO\n" in out
+    assert "warning: every window is 0.5, the whole period: no node can couple\n" in out
+    assert main(["check", path, "--strict"]) == 2
 
 
 def test_cli_check_has_no_seed_option(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_determinism_same_seed():
     a = run(topo, make_cfg(), **kw)
     b = run(topo, make_cfg(), **kw)
     assert a.fire_times == b.fire_times
-    assert a.series.rows == b.series.rows
+    assert a.series == b.series
     assert a.stats == b.stats
 
 
@@ -182,7 +182,7 @@ def test_steady_node_sleeps_outside_window():
 
 def test_two_nodes_converge_and_duty_cycle():
     res = run(pair(), make_cfg(), horizon=30, seed=4)
-    last = res.series.rows[-1]
+    last = res.series[-1]
     assert last.steady_pct == 100.0
     assert last.dphi_circular < 0.05
     # steady wake window is 2 * eps of the period
@@ -198,7 +198,7 @@ def test_churn_leave_and_join():
     res = run(topo, make_cfg(), horizon=20, seed=0, churn=churn)
     assert 4 not in res.fire_times and 9 in res.fire_times
     assert len(res.final_nodes) == 9
-    assert res.final_nodes[9].mode is Mode.STEADY and not res.final_nodes[9].recovering
+    assert res.final_nodes[9].mode is Mode.STEADY
 
 
 def test_fanout_follows_churn():
@@ -282,7 +282,7 @@ def test_mrf_scheme_duty_cycle_near_half():
     topo = make_regular_grid(3, 3, wraparound=True)
     res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
               mrf=MrfConfig(500), horizon=20, seed=0)
-    assert res.series.rows[-1].duty_pct == pytest.approx(50.0, abs=5.0)
+    assert res.series[-1].duty_pct == pytest.approx(50.0, abs=5.0)
 
 
 def test_mrf_refractory_must_be_below_protocol_period():
@@ -299,7 +299,7 @@ def test_mrf_always_listening_duty_is_full():
     res = run(topo, make_cfg(epsilon=0.01, sigma=0.005),
               mrf=MrfConfig(500, sleep_during_refractory=False),
               horizon=20, seed=0)
-    assert res.series.rows[-1].duty_pct == pytest.approx(100.0, abs=1.0)
+    assert res.series[-1].duty_pct == pytest.approx(100.0, abs=1.0)
 
 
 def test_metrics_sample_resets_buckets():
@@ -307,7 +307,7 @@ def test_metrics_sample_resets_buckets():
     periods = [r.period for r in res.series]
     assert periods == list(range(10))
     # advancement settles to zero once the pair locks
-    assert res.series.rows[-1].dplus == 0.0
+    assert res.series[-1].dplus == 0.0
 
 
 class _CountingHeap:
