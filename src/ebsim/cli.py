@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import COLUMNS, export_csv, steady_state
 from .params import build_report
@@ -46,6 +45,8 @@ _SUMMARY_FIELDS = ("file", "scheme", "seed", "parameter", "value",
 def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(*t) for t in tasks]
+    # imported here: the pool machinery costs every single-process run
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_one, *t) for t in tasks]
         return [f.result() for f in futures]

@@ -9,7 +9,7 @@ and event queues live elsewhere.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 def advance_remaining_ticks(remaining: int, sigma: float) -> int:
@@ -26,24 +26,26 @@ def advance_remaining_ticks(remaining: int, sigma: float) -> int:
     return min(remaining, max(1, jumped))
 
 
-def avg_phase_difference(phases: Mapping[int, float], topology) -> tuple[float, float]:
+def avg_phase_difference(phases: Mapping[int, float],
+                         neighbours: Sequence[tuple[int, Sequence[int]]]) -> tuple[float, float]:
     """Network-average per-neighbourhood phase difference, (literal, circular).
 
-    For every node in phases, average |phi_i - phi_j| over its neighbours
-    (for the circular value, each distance wrapped onto the circle), then
-    average over those nodes.  Raises ValueError for nodes without
-    neighbours; callers must leave isolated nodes out of phases.
+    neighbours holds (node, its neighbour ids in ascending order) for each
+    node averaged over.  For each, average |phi_i - phi_j| over its
+    neighbours (for the circular value, each distance wrapped onto the
+    circle), then average over those nodes.  Raises ValueError for a node
+    without neighbours; callers must leave isolated nodes out.
     """
     literal = circular = 0.0
-    for i, phi in phases.items():
-        neigh = topology.neighbors(i)
+    for i, neigh in neighbours:
         if not neigh:
             raise ValueError(f"node {i} has no neighbours; exclude isolated nodes")
+        phi = phases[i]
         lit = circ = 0.0
-        for j in sorted(neigh):
+        for j in neigh:
             d = abs(phi - phases[j])
             lit += d
             circ += min(d, 1.0 - d)
         literal += lit / len(neigh)
         circular += circ / len(neigh)
-    return literal / len(phases), circular / len(phases)
+    return literal / len(neighbours), circular / len(neighbours)

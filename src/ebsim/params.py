@@ -60,9 +60,9 @@ class ParamReport:
     sigma: float
     delta: float
     epsilon_opt: float
-    sigma_max: float
+    sigma_max: float | None  # None where no node can couple
     stable: bool
-    margin: float
+    margin: float | None
     warnings: list[str]
     budgets: tuple[int, int] | None
     nodes: int
@@ -74,9 +74,9 @@ class ParamReport:
             f"sigma            = {self.sigma}",
             f"delta (nu/T)     = {self.delta}",
             f"epsilon_opt      = {self.epsilon_opt}",
-            f"sigma_max        = {self.sigma_max}",
+            f"sigma_max        = {'n/a' if self.sigma_max is None else self.sigma_max}",
             f"stable           = {'yes' if self.stable else 'NO'}",
-            f"stability margin = {self.margin}",
+            f"stability margin = {'n/a' if self.margin is None else self.margin}",
         ]
         if self.budgets is not None:
             out.append(f"adaptive C range = {self.budgets[0]}..{self.budgets[1]} ticks "
@@ -101,6 +101,7 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
     epsilon = min(windows)
     delta = nu / t
     stable, smax = _stability(epsilon, cfg.sigma, delta)
+    margin = smax - cfg.sigma
     warnings: list[str] = []
     # c0 ticks of receive budget per neighbour play the role of beta
     eps_opt = epsilon_opt(cfg.c0, topology.average_degree, nu, t)
@@ -110,8 +111,9 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
         warnings.append("no valid sigma: delay consumes the whole window")
     if epsilon == 0.5:
         # every window covers the whole period, so the window test always
-        # holds and no heard fire is ever coupled: nothing synchronizes
-        stable = False
+        # holds and no heard fire is ever coupled: nothing synchronizes, and
+        # no coupling strength has a bound or a margin
+        stable, smax, margin = False, None, None
         warnings.append("every window is 0.5, the whole period: no node can couple")
     if epsilon < eps_opt:
         warnings.append(f"epsilon {epsilon} below epsilon_opt {eps_opt:.4f}; "
@@ -126,4 +128,4 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
                             "nodes whose budget exceeds the period: they listen all "
                             "period and never couple")
     return ParamReport(epsilon, cfg.sigma, delta, eps_opt, smax, stable,
-                       smax - cfg.sigma, warnings, budgets, topology.n, max(windows))
+                       margin, warnings, budgets, topology.n, max(windows))

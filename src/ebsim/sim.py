@@ -44,6 +44,10 @@ class EventKind(IntEnum):
 
 # plain ints for the heap entries and the dispatch in Engine.run
 _CHURN, _FIRE, _RX_COMMIT, _ARRIVAL, _SAMPLE = map(int, EventKind)
+# enum members as globals: on Python 3.11 each read of Mode.STEADY costs ~0.1 us
+_INIT, _SYNC, _STEADY, _RECOVERY = (Mode.INITIALIZATION, Mode.SYNCHRONIZATION,
+                                    Mode.STEADY, Mode.RECOVERY)
+_NO_REACHBACK = Variant.NO_REACHBACK
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,8 @@ class Engine:
         # per sender: (receiver, link offset) in receiver order; churn
         # rebuilds the entries whose neighbour set changed
         self._fanout = {nid: self._fan(nid) for nid in self.topology.node_ids}
+        # what the sampler averages over; churn rebuilds it
+        self._linked = self.topology.neighbour_table()
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
@@ -216,8 +222,8 @@ class Engine:
             self._spawn_node(nid, 0)
         for ev in churn:
             self._push(ev.at_period * self.T, _CHURN, ev.node_id, -1, ev)
-        for k in range(1, horizon + 1):
-            self._push(k * self.T, _SAMPLE, -1, -1, None)
+        # each handled sample queues the next one
+        self._push(self.T, _SAMPLE, -1, -1, None)
 
     # -- plumbing ------------------------------------------------------
 
@@ -228,11 +234,6 @@ class Engine:
         return tuple((recv, self.link_delay.get((sender, recv), 0))
                      for recv in sorted(self.topology.neighbors(sender)))
 
-    def _draw_payload(self) -> bool:
-        # no draw at the certain rates, so they leave the RNG stream alone
-        rate = self.payload_rate
-        return rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
-
     def _spawn_node(self, nid: int, now: int) -> None:
         skew = self.drift.sample(self.rng)
         period = int(self.T * (1.0 + skew * 1e-6) + 0.5)
@@ -242,15 +243,17 @@ class Engine:
             epsilon_eff=self.cfg.epsilon, period_start=now,
             init_periods_left=self.cfg.init_listen_periods)
         if self.mrf is not None:
-            node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
+            node.mode = _SYNC  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
             # pre-initialized start: coupling active from the first tick,
             # neighbour count taken from the topology
-            node.mode = Mode.SYNCHRONIZATION
+            node.mode = _SYNC
             node.neighbor_count_estimate = self.topology.degree(nid)
             node.epsilon_eff = protocol.effective_epsilon(
                 self.cfg, node.neighbor_count_estimate)
-        node.pending_payload = self._draw_payload()
+        # no draw at the certain rates, so they leave the RNG stream alone
+        rate = self.payload_rate
+        node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
         self.nodes[nid] = node
         self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
 
@@ -264,7 +267,9 @@ class Engine:
         (collisions on; its RX_COMMIT ends the airtime) or is received at
         once.  Both ways end in the one reception step: it records the
         sender and, strictly between the window edges, applies the coupling
-        jump (Mirollo & Strogatz 1990) on integer ticks.
+        jump (Mirollo & Strogatz 1990) on integer ticks.  Stale FIREs are
+        dropped here, and receptions and asleep drops counted in locals
+        until the next sample or the end.
         """
         end = self.horizon * self.T
         heap, nodes, stats, trace = self._heap, self.nodes, self.stats, self.trace
@@ -277,7 +282,8 @@ class Engine:
         # refractory stretch after each own fire; its window stays epsilon
         refractory = 0 if ebs else self.mrf.refractory
         deaf = not ebs and self.mrf.sleep_during_refractory
-        steady, init = Mode.STEADY, Mode.INITIALIZATION
+        steady, init = _STEADY, _INIT
+        received = dropped = 0
         while heap:
             time, kind, nid, sender, _, payload = pop(heap)
             if time > end:
@@ -298,7 +304,7 @@ class Engine:
                 refr = refractory and phi * period < refractory
                 if kind == _ARRIVAL:
                     if (deaf and refr) or (not in_window and node.mode is steady):
-                        stats["dropped_asleep"] += 1
+                        dropped += 1
                         continue
                     if collide:
                         busy = node.rx_busy_until
@@ -315,8 +321,7 @@ class Engine:
                             push(heap, (time + beta, _RX_COMMIT, nid, sender,
                                         next(counter), pending))
                         continue
-                stats["received"] += 1
-                self._bucket_received += 1
+                received += 1
                 node.heard_any.add(sender)
                 jump = 0.0
                 if in_window:
@@ -335,11 +340,16 @@ class Engine:
                     node.fire_seq += 1
                     push(heap, (node.next_fire, _FIRE, nid, -1, next(counter), node.fire_seq))
             elif kind == _FIRE:
-                fire(time, nid, payload)
+                node = nodes.get(nid)
+                if node is not None and payload == node.fire_seq:
+                    fire(time, node)
             elif kind == _CHURN:
                 self._handle_churn(time, payload)
             else:
+                self._add_counts(received, dropped)
+                received = dropped = 0
                 self._handle_sample(time)
+        self._add_counts(received, dropped)
         return RunResult(
             series=self.series,
             flap_events=self.flap_events,
@@ -350,46 +360,60 @@ class Engine:
             trace=self.trace,
         )
 
-    def _attribute_duty(self, node: NodeState, now: int) -> None:
-        # awake all period, except asleep in the baseline's refractory or
-        # outside a steady node's window (baseline nodes are never steady)
-        awake = now - node.period_start
-        if self.mrf is not None and self.mrf.sleep_during_refractory:
-            awake = max(0, awake - self.mrf.refractory)
-        elif node.mode is Mode.STEADY:
-            awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
-        self._bucket_awake += awake
+    def _add_counts(self, received: int, dropped_asleep: int) -> None:
+        self.stats["received"] += received
+        self.stats["dropped_asleep"] += dropped_asleep
+        self._bucket_received += received
 
-    def _handle_fire(self, now: int, nid: int, seq) -> None:
+    def _handle_fire(self, now: int, node: NodeState) -> None:
         """The phase reached 1: the node's period ends and its phase resets.
 
-        Every baseline fire goes on air; an EBS fire does without
-        reach-back (a fresh sync message, or piggybacking a payload) and
-        with partial reach-back only when it carries a pending payload.
-        An EBS node then takes its mode step and starts the new period.
+        The node was awake all period, except asleep in a sleeping baseline's
+        refractory stretch or outside a steady node's window.  Every
+        baseline fire goes on air; an EBS fire does without reach-back (a
+        fresh sync message, or piggybacking a payload) and with partial
+        reach-back only when it carries a pending payload.  An EBS node then
+        takes its mode step and starts the new period.  A broadcast draws
+        loss, then jitter, per receiver.
         """
-        node = self.nodes.get(nid)
-        if node is None or seq != node.fire_seq:
-            return
-        self._attribute_duty(node, now)
+        mrf, cfg = self.mrf, self.cfg
+        awake = now - node.period_start
+        if mrf is not None and mrf.sleep_during_refractory:
+            awake = max(0, awake - mrf.refractory)
+        elif node.mode is _STEADY:  # baseline nodes are never steady
+            awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
+        self._bucket_awake += awake
         node.fires.append(now)
         node.next_fire = now + node.period_ticks
         node.period_start = now
         emit = True
-        if self.mrf is None:
-            emit = self.cfg.variant is Variant.NO_REACHBACK or node.pending_payload
+        if mrf is None:
+            emit = cfg.variant is _NO_REACHBACK or node.pending_payload
             self._step_mode(node, now)
-            node.heard_this_period = set()
-            node.heard_any = set()
-            node.epsilon_eff = protocol.effective_epsilon(
-                self.cfg, node.neighbor_count_estimate)
-            node.pending_payload = self._draw_payload()
+            node.heard_this_period.clear()
+            node.heard_any.clear()
+            node.epsilon_eff = (protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
+                                if cfg.adaptive_c else cfg.epsilon)
+            rate = self.payload_rate
+            node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
+        heap, push, counter = self._heap, heapq.heappush, self._counter
         node.fire_seq += 1
-        self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
+        push(heap, (node.next_fire, _FIRE, node.id, -1, next(counter), node.fire_seq))
         if self.trace is not None:
-            self.trace.append(f"{now}\tfire\tnode={nid}\temit={emit}")
-        if emit:
-            self._deliver(now, nid)
+            self.trace.append(f"{now}\tfire\tnode={node.id}\temit={emit}")
+        if not emit:
+            return
+        stats, rng, jitter = self.stats, self.rng, self._jitter
+        loss = self.fault.loss_probability
+        fanout = self._fanout[node.id]
+        stats["broadcasts"] += 1
+        stats["arrival_attempts"] += len(fanout)
+        for recv, offset in fanout:
+            if loss > 0 and rng.random() < loss:
+                stats["lost"] += 1
+                continue
+            at = now + offset + (self.delay.sample(rng) if jitter is None else jitter)
+            push(heap, (at, _ARRIVAL, recv, node.id, next(counter), None))
 
     def _step_mode(self, node: NodeState, now: int) -> None:
         """An EBS node's mode transition at the end of its period.
@@ -401,15 +425,15 @@ class Engine:
         S above 100 only refreshes the estimate.
         """
         mode = node.mode
-        if mode is Mode.INITIALIZATION:
+        if mode is _INIT:
             node.init_heard |= node.heard_any
             node.init_periods_left -= 1
             if node.init_periods_left <= 0:
-                node.mode = Mode.SYNCHRONIZATION
+                node.mode = _SYNC
                 node.neighbor_count_estimate = len(node.init_heard)
             return
-        if mode is Mode.RECOVERY:
-            node.mode = Mode.SYNCHRONIZATION
+        if mode is _RECOVERY:
+            node.mode = _SYNC
             node.neighbor_count_estimate = estimate = len(node.heard_any)
             if estimate > 0:
                 node.synchronicity = 100.0 * len(node.heard_this_period) / estimate
@@ -418,7 +442,7 @@ class Engine:
         # its working neighbour count (a steady node's reference set stays
         # fixed); an unlucky (short) initialization can end before any
         # neighbour fired, and then everything heard since stands in
-        if (mode is Mode.SYNCHRONIZATION and node.heard_any
+        if (mode is _SYNC and node.heard_any
                 or node.neighbor_count_estimate <= 0):
             node.neighbor_count_estimate = len(node.heard_any)
         if node.neighbor_count_estimate <= 0:
@@ -431,29 +455,14 @@ class Engine:
             node.neighbor_count_estimate = len(node.heard_this_period)
             s = 100.0
         node.synchronicity = s
-        if mode is Mode.SYNCHRONIZATION and s >= self.cfg.s_th:
-            node.mode = Mode.STEADY
-        elif mode is Mode.STEADY and s < self.cfg.s_th:
-            node.mode = Mode.RECOVERY
+        if mode is _SYNC and s >= self.cfg.s_th:
+            node.mode = _STEADY
+        elif mode is _STEADY and s < self.cfg.s_th:
+            node.mode = _RECOVERY
             node.flap_count += 1
             self.flap_events.append((now, node.id))
             if self.trace is not None:
                 self.trace.append(f"{now}\tflap\tnode={node.id}")
-
-    def _deliver(self, now: int, sender: int) -> None:
-        stats, rng, jitter = self.stats, self.rng, self._jitter
-        loss = self.fault.loss_probability
-        heap, push, counter = self._heap, heapq.heappush, self._counter
-        fanout = self._fanout[sender]
-        stats["broadcasts"] += 1
-        stats["arrival_attempts"] += len(fanout)
-        for recv, offset in fanout:
-            # per receiver the loss draw comes before the jitter draw
-            if loss > 0 and rng.random() < loss:
-                stats["lost"] += 1
-                continue
-            at = now + offset + (self.delay.sample(rng) if jitter is None else jitter)
-            push(heap, (at, _ARRIVAL, recv, sender, next(counter), None))
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
         if ev.action == "leave":
@@ -473,23 +482,24 @@ class Engine:
                 self.trace.append(f"{now}\tjoin\tnode={ev.node_id}\tedges={len(ev.edges)}")
         for nid in changed:
             self._fanout[nid] = self._fan(nid)
+        self._linked = self.topology.neighbour_table()
 
     def _handle_sample(self, now: int) -> None:
         period_index = now // self.T - 1
         n = len(self.nodes)
         dphi_lit = dphi_circ = 0.0
         if n > 0:
-            eligible = [nid for nid in self.topology.node_ids if self.topology.degree(nid) > 0]
-            if len(eligible) < n and "isolated nodes excluded from phase metrics" not in self.warnings:
+            linked = self._linked
+            if len(linked) < n and "isolated nodes excluded from phase metrics" not in self.warnings:
                 self.warnings.append("isolated nodes excluded from phase metrics")
-            if eligible:
-                phases = {nid: self.nodes[nid].phase_at(now) for nid in eligible}
-                dphi_lit, dphi_circ = avg_phase_difference(phases, self.topology)
+            if linked:
+                phases = {nid: self.nodes[nid].phase_at(now) for nid, _ in linked}
+                dphi_lit, dphi_circ = avg_phase_difference(phases, linked)
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * self._bucket_awake / (n * self.T)
             thr = 100.0 * self._bucket_received / (self.avg_degree * n)
             steady = 100.0 * sum(
-                1 for nd in self.nodes.values() if nd.mode is Mode.STEADY) / n
+                1 for nd in self.nodes.values() if nd.mode is _STEADY) / n
         else:
             dplus = duty = thr = steady = 0.0
         flaps = sum(node.flap_count for node in self.nodes.values())
@@ -499,6 +509,8 @@ class Engine:
             node.advance_accum = 0.0
         self._bucket_awake = 0
         self._bucket_received = 0
+        if now < self.horizon * self.T:
+            self._push(now + self.T, _SAMPLE, -1, -1, None)
 
 
 def require_links(topology: Topology) -> None:

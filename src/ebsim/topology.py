@@ -73,17 +73,11 @@ class Topology:
         for neigh in self.adjacency.values():
             neigh.discard(nid)
 
-    def is_connected(self) -> bool:
-        ids = self.node_ids
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            u = frontier.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n
+    def neighbour_table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(node, its neighbours in ascending order) for every node with a
+        link, in ascending node order."""
+        return tuple((u, tuple(sorted(self.adjacency[u])))
+                     for u in self.node_ids if self.adjacency[u])
 
 
 def make_regular_grid(rows: int, cols: int, wraparound: bool) -> Topology:

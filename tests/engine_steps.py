@@ -30,5 +30,5 @@ def fire(eng, nid, now):
     """Run node nid's period end at tick now through Engine._handle_fire;
     returns whether the fire went on air."""
     before = eng.stats["broadcasts"]
-    eng._handle_fire(now, nid, eng.nodes[nid].fire_seq)
+    eng._handle_fire(now, eng.nodes[nid])
     return eng.stats["broadcasts"] > before

@@ -5,6 +5,8 @@ from ebsim.protocol import Mode, ProtocolConfig
 from ebsim.sim import ChurnEvent, Engine, run
 from ebsim.topology import Topology, make_complete, make_regular_grid
 
+from engine_steps import fire
+
 
 def _row(period, **kw):
     base = dict(period=period, dphi_literal=0.0, dphi_circular=0.0, dplus=0.0,
@@ -43,7 +45,7 @@ def test_duty_cycle_mixed():
     recovering.mode = Mode.RECOVERY
     for node in (steady, awake, recovering):
         node.period_start = 0
-        eng._attribute_duty(node, 1000)
+        fire(eng, node.id, 1000)
     eng._handle_sample(1000)
     assert eng.series[-1].duty_pct == pytest.approx(205.0 / 3)
 

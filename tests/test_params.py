@@ -114,6 +114,16 @@ def test_build_report_whole_period_window_cannot_couple(cfg):
     assert any("no node can couple" in w for w in r.warnings)
 
 
+def test_build_report_whole_period_window_has_no_margin():
+    # no node can couple, so there is no coupling strength to bound: the
+    # closed form would print sigma_max = 1.0 and a margin of 0.99
+    cfg = ProtocolConfig(1000, 0.01, 0.01, 100, c0=600, adaptive_c=True)
+    r = build_report(cfg, make_complete(3), 0)
+    assert r.sigma_max is None and r.margin is None
+    assert "sigma_max        = n/a" in r.lines()
+    assert "stability margin = n/a" in r.lines()
+
+
 def test_build_report_no_valid_sigma_warning():
     r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 500)
     assert r.delta == pytest.approx(0.05)

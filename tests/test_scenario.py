@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +252,32 @@ def test_cli_sweep(tmp_path, capsys):
     assert "protocol.sigma" in summary[1]
 
 
+def test_cli_sweep_pool_writes_the_same_bytes(tmp_path, capsys):
+    # two worker processes write every CSV, summary.csv and stdout exactly
+    # as one process does
+    path = _write(tmp_path, MINIMAL + "run.horizon = 5\n"
+                  "sweep.parameter = run.seed\n"
+                  "sweep.values = [0, 1, 2]\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", path, "--out", str(out), "--jobs", jobs]) == 0
+        files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        outputs.append((files, capsys.readouterr().out))
+    assert len(outputs[0][0]) == 5  # three CSVs, summary.csv, resolved-config.txt
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # only --jobs > 1 loads the worker pool
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, ebsim.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout == "False\n"
+
+
 def test_cli_sweep_requires_axis(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     assert main(["sweep", path, "--out", str(tmp_path / "o")]) == 1
@@ -318,6 +346,8 @@ def test_cli_check_caps_the_adaptive_window(tmp_path, capsys):
     # a window over the whole period leaves no phase to couple in, whatever
     # the closed-form bound says
     assert "stable           = NO\n" in out
+    assert "sigma_max        = n/a\n" in out
+    assert "stability margin = n/a\n" in out
     assert "warning: every window is 0.5, the whole period: no node can couple\n" in out
     assert main(["check", path, "--strict"]) == 2
 

@@ -11,7 +11,7 @@ from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
 from ebsim.topology import (Topology, make_complete, make_random_geometric,
                             make_regular_grid)
 
-from engine_steps import deliver
+from engine_steps import deliver, fire
 
 
 def make_cfg(**kw):
@@ -71,6 +71,24 @@ def test_lossless_delivery_counts():
     assert res.stats["lost"] == 0
 
 
+@pytest.mark.parametrize("fault", [
+    LinkFaultModel(collisions_enabled=True, airtime_beta=4),
+    LinkFaultModel(loss_probability=0.2),
+], ids=["collisions", "loss"])
+def test_sampled_receptions_add_up_to_received(fault):
+    # the run counts receptions in locals and hands them over at each
+    # sample and at the end: without churn, the per-period counts that
+    # thr_pct reports add up to stats["received"]
+    topo = make_regular_grid(5, 5, wraparound=True)
+    res = run(topo, make_cfg(), horizon=10, seed=0, fault=fault,
+              delay=DelayModel(kind="uniform", lo=0, hi=30))
+    ceiling = topo.average_degree * topo.n
+    per_period = [round(r.thr_pct * ceiling / 100.0) for r in res.series]
+    assert sum(per_period) == res.stats["received"] > 0
+    assert res.stats["dropped_asleep"] > 0
+    assert res.stats["collisions" if fault.collisions_enabled else "lost"] > 0
+
+
 def test_total_loss_receives_nothing():
     topo = make_regular_grid(3, 3, wraparound=True)
     res = run(topo, make_cfg(init_listen_periods=2), horizon=5, seed=0,
@@ -83,7 +101,7 @@ def test_total_loss_receives_nothing():
 def test_deterministic_delay_shifts_arrivals():
     eng = Engine(path3(), make_cfg(), horizon=3, seed=0,
                  delay=DelayModel(kind="deterministic", nu=10))
-    eng._deliver(100, 1)
+    fire(eng, 1, 100)
     arrivals = sorted(ev for ev in eng._heap if ev[1] == 3)  # ARRIVAL kind
     assert [ev[0] for ev in arrivals[-2:]] == [110, 110]
 
@@ -101,7 +119,7 @@ def test_link_delay_table_is_deterministic_and_additive():
     assert DelayModel(kind="deterministic", nu=3).link_table(topo) == {}
     eng = Engine(topo, make_cfg(), horizon=3, seed=0, delay=model)
     assert eng.link_delay == table
-    eng._deliver(100, 1)
+    fire(eng, 1, 100)
     arrivals = {(ev[0], ev[2]) for ev in eng._heap if ev[1] == EventKind.ARRIVAL}
     assert arrivals == {(100 + table[(1, r)] + 3, r) for r in (0, 2)}
 
@@ -213,9 +231,9 @@ def test_fanout_follows_churn():
         # order, and how far arrival_attempts grew
         attempts = eng.stats["arrival_attempts"]
         eng._heap.clear()
-        eng._deliver(now, sender)
-        arrivals = sorted(eng._heap, key=lambda ev: ev[4])
-        assert all(ev[1] == EventKind.ARRIVAL for ev in arrivals)
+        assert fire(eng, sender, now)
+        arrivals = sorted((ev for ev in eng._heap if ev[1] == EventKind.ARRIVAL),
+                          key=lambda ev: ev[4])
         return ([(ev[2], ev[0] - now) for ev in arrivals],
                 eng.stats["arrival_attempts"] - attempts)
 

@@ -5,11 +5,28 @@ from ebsim.topology import (Topology, TopologyError, load_topology,
                             make_regular_grid)
 
 
+def is_connected(topo):
+    # breadth-first search from the lowest id reaches every node
+    start = topo.node_ids[0]
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [v for u in frontier for v in topo.neighbors(u) if v not in seen]
+        seen.update(frontier)
+    return len(seen) == topo.n
+
+
 def test_torus_5x5():
     topo = make_regular_grid(5, 5, wraparound=True)
     assert topo.n == 25
     assert all(topo.degree(i) == 4 for i in topo.node_ids)
-    assert topo.is_connected()
+    assert is_connected(topo)
+
+
+def test_neighbour_table_leaves_out_isolated_nodes():
+    # the sampler's table: linked nodes in id order, each with its sorted
+    # neighbours
+    topo = Topology({0: {2, 1}, 1: {0}, 2: {0}, 3: set()})
+    assert topo.neighbour_table() == ((0, (1, 2)), (1, (0,)), (2, (0,)))
 
 
 def test_open_grid_2x2():
@@ -74,7 +91,7 @@ def test_random_geometric_deterministic():
 def test_random_geometric_testbed_analog():
     # 87 nodes tuned to an average degree of about 20
     topo = make_random_geometric(87, 0.320408, seed=7)
-    assert topo.is_connected()
+    assert is_connected(topo)
     assert abs(topo.average_degree - 20) < 0.5
 
 
