@@ -5,15 +5,16 @@ fire messages and nudging their phases; once synchronized, radios stay on
 only inside a short wake-up window around the common fire instant.
 
 ebsim.protocol holds each node's configuration and state, and ebsim.core
-the phase helpers; Engine runs every node transition.
+the phase helpers; Engine runs every node transition, and build_report is
+the `check` analysis.
 """
 
 from .metrics import MetricsRow, export_csv, steady_state
-from .params import ParamReport, build_report, check_stability, epsilon_opt, sigma_max
+from .params import ParamReport, build_report
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
-from .scenario import (ScenarioConfig, ScenarioError, SweepSpec, TopologySpec,
-                       apply_override, build_topology, parse_scenario,
-                       parse_scenario_text, resolved_text, run_config)
+from .scenario import (ScenarioConfig, ScenarioError, apply_override,
+                       build_topology, parse_scenario, parse_scenario_text,
+                       resolved_text, run_config)
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                   LinkFaultModel, RunResult, SimulationError, run)
 from .topology import (Topology, TopologyError, load_topology, make_complete,
@@ -25,10 +26,9 @@ __all__ = [
     "ChurnEvent", "ClockDriftModel", "DelayModel", "Engine", "LinkFaultModel",
     "MetricsRow", "Mode", "MrfConfig", "NodeState",
     "ParamReport", "ProtocolConfig", "RunResult", "ScenarioConfig",
-    "ScenarioError", "SimulationError", "SweepSpec", "Topology",
-    "TopologyError", "TopologySpec", "Variant", "apply_override",
-    "build_report", "build_topology", "check_stability", "epsilon_opt",
+    "ScenarioError", "SimulationError", "Topology", "TopologyError",
+    "Variant", "apply_override", "build_report", "build_topology",
     "export_csv", "load_topology", "make_complete", "make_random_geometric",
     "make_regular_grid", "parse_scenario", "parse_scenario_text",
-    "resolved_text", "run", "run_config", "sigma_max", "steady_state",
+    "resolved_text", "run", "run_config", "steady_state",
 ]

@@ -1,6 +1,6 @@
-"""Closed-form parameter calculators and validity predicates.
+"""The `check` analysis of a configuration on its topology, as one report.
 
-All helpers are pure; durations are integer ticks (1 tick = 1 ms of model
+build_report is pure; durations are integer ticks (1 tick = 1 ms of model
 time by default) and phase quantities are fractions of the period.
 """
 
@@ -10,45 +10,6 @@ from dataclasses import dataclass
 
 from .protocol import ProtocolConfig, adaptive_c, effective_epsilon
 from .topology import Topology
-
-
-def epsilon_opt(beta: int, neighborhood: int, nu: int, t: int) -> float:
-    """Smallest wake-window half-width that fits a full neighbourhood of
-    broadcasts plus round-trip propagation: (beta*|N| + 4*nu) / (2*T),
-    clamped to the 0.5 ceiling."""
-    if t <= 0:
-        raise ValueError("period T must be positive")
-    raw = (beta * neighborhood + 4 * nu) / (2 * t)
-    return min(raw, 0.5)
-
-
-def _stability(epsilon: float, sigma: float, delta: float) -> tuple[bool, float]:
-    """(stable, bound): a heard fire lands the listener back inside the
-    firer's window while sigma < bound = (epsilon - 2*delta) / (1 - epsilon)
-    and, strictly, epsilon > 2*delta."""
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must be in (0, 0.5], got {epsilon}")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    bound = (epsilon - 2 * delta) / (1.0 - epsilon)
-    return sigma < bound and epsilon > 2 * delta, bound
-
-
-def sigma_max(epsilon: float, nu: int, t: int) -> float:
-    """Largest coupling strength that keeps a heard fire inside the firer's
-    window under symmetric propagation delay nu."""
-    if t <= 0:
-        raise ValueError("period T must be positive")
-    return _stability(epsilon, 0.0, nu / t)[1]
-
-
-def check_stability(epsilon: float, sigma: float, delta: float = 0.0) -> tuple[bool, float]:
-    """Whether (epsilon, sigma) tolerates a per-hop phase delay delta.
-
-    Returns (stable, margin) where margin is the bound minus sigma.
-    """
-    stable, bound = _stability(epsilon, sigma, delta)
-    return stable, bound - sigma
 
 
 @dataclass
@@ -95,16 +56,22 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
     stability is judged at the narrowest window any node runs (epsilon) and
     epsilon_max is the widest; epsilon_opt uses the average degree.
     """
+    if nu < 0:
+        raise ValueError("delay nu must be >= 0")
     t = cfg.period_t
     degrees = [topology.degree(nid) for nid in topology.node_ids]
     windows = [effective_epsilon(cfg, d) for d in degrees if d > 0] or [cfg.epsilon]
     epsilon = min(windows)
     delta = nu / t
-    stable, smax = _stability(epsilon, cfg.sigma, delta)
+    # a heard fire lands the listener back inside the firer's window while
+    # sigma < smax and, strictly, epsilon > 2*delta
+    smax = (epsilon - 2 * delta) / (1.0 - epsilon)
+    stable = cfg.sigma < smax and epsilon > 2 * delta
     margin = smax - cfg.sigma
     warnings: list[str] = []
-    # c0 ticks of receive budget per neighbour play the role of beta
-    eps_opt = epsilon_opt(cfg.c0, topology.average_degree, nu, t)
+    # the smallest window that fits a neighbourhood's broadcasts, c0 ticks
+    # each, plus round-trip delay: (c0*|N| + 4*nu) / (2*T), at most 0.5
+    eps_opt = min((cfg.c0 * topology.average_degree + 4 * nu) / (2 * t), 0.5)
     if eps_opt == 0.5:
         warnings.append("epsilon_opt reaches the 0.5 ceiling; clamped")
     if smax <= 0:

@@ -178,7 +178,7 @@ class Key(NamedTuple):
     the ScenarioConfig field it sets ("section.attribute", or a top-level
     attribute).  A key without a field only switches other keys on.
     applies(given) says whether the key takes part at all; a key that does
-    not is neither required, built nor echoed.  An indexed key is written
+    not is neither required, built nor echoed, and an error when given.  An indexed key is written
     as key.1, key.2, ... and collects a tuple."""
 
     type: _Type
@@ -291,6 +291,8 @@ def _build(given: dict[str, object], where: Callable[[str | None], str]) -> Scen
     values: dict[str, object] = {}
     for key, spec in KEYS.items():
         if spec.applies is not None and not spec.applies(given):
+            if key in given:
+                raise ScenarioError(f"{where(key)}: {key} does not apply to this scenario")
             continue
         if key in given:
             values[key] = given[key]

@@ -88,11 +88,6 @@ class DelayModel:
         """Every message's jitter when it takes no draw; None for uniform."""
         return {"none": 0, "deterministic": self.nu}.get(self.kind)
 
-    def sample(self, rng: random.Random) -> int:
-        """One message's jitter, without the link offset."""
-        jitter = self.constant()
-        return rng.randint(self.lo, self.hi) if jitter is None else jitter
-
     def worst_case(self, topology: Topology) -> int:
         jitter = self.constant()
         base = self.hi if jitter is None else jitter
@@ -412,7 +407,8 @@ class Engine:
             if loss > 0 and rng.random() < loss:
                 stats["lost"] += 1
                 continue
-            at = now + offset + (self.delay.sample(rng) if jitter is None else jitter)
+            at = now + offset + (rng.randint(self.delay.lo, self.delay.hi)
+                                 if jitter is None else jitter)
             push(heap, (at, _ARRIVAL, recv, node.id, next(counter), None))
 
     def _step_mode(self, node: NodeState, now: int) -> None:

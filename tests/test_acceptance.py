@@ -262,26 +262,33 @@ ORACLE_GRAPHS = {
 
 def test_c10_oracle_equivalence():
     mismatches = []
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0,
+                         init_listen_periods=0)
     for name, adj in ORACLE_GRAPHS.items():
         for seed in range(10):
-            topo = Topology({k: set(v) for k, v in adj.items()})
-            cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01,
-                                 s_th=80.0, init_listen_periods=0)
-            res = run(topo, cfg, horizon=20, seed=seed)
-            fires, rows = run_oracle(topo, period=1000, epsilon=0.05, sigma=0.01,
-                                     s_th=80.0, horizon=20, seed=seed)
-            if res.fire_times != fires:
-                mismatches.append(f"{name} seed {seed}: fire times differ")
-                continue
-            for row, (lit, circ) in zip(res.series, rows):
-                if abs(row.dphi_literal - lit) > 1e-12 or \
-                   abs(row.dphi_circular - circ) > 1e-12:
-                    mismatches.append(f"{name} seed {seed}: phase metrics differ")
-                    break
+            # delayed: each directed link takes a fixed 5 ticks plus its own 0..20
+            for delay in (None, DelayModel(kind="deterministic", nu=5, link_hi=20,
+                                           link_seed=seed)):
+                topo = Topology({k: set(v) for k, v in adj.items()})
+                table = delay and {link: 5 + offset
+                                   for link, offset in delay.link_table(topo).items()}
+                label = f"{name} seed {seed}{' delayed' if delay else ''}"
+                res = run(topo, cfg, delay=delay, horizon=20, seed=seed)
+                fires, rows = run_oracle(topo, period=1000, epsilon=0.05, sigma=0.01,
+                                         s_th=80.0, horizon=20, seed=seed, delays=table)
+                if res.fire_times != fires:
+                    mismatches.append(f"{label}: fire times differ")
+                    continue
+                for row, (lit, circ) in zip(res.series, rows):
+                    if abs(row.dphi_literal - lit) > 1e-12 or \
+                       abs(row.dphi_circular - circ) > 1e-12:
+                        mismatches.append(f"{label}: phase metrics differ")
+                        break
     assert _report(
         "C10 oracle equivalence",
         not mismatches,
         "tick-by-tick reference simulator matches the event engine on fire "
-        "times and per-period phase differences for 20 periods x 10 seeds on "
+        "times and per-period phase differences for 20 periods x 10 seeds, "
+        "without delay and with a fixed 5..25-tick delay per link, on "
         + ", ".join(ORACLE_GRAPHS)
         + ("" if not mismatches else "; " + "; ".join(mismatches)))

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebsim.core import advance_remaining_ticks, avg_phase_difference
-from ebsim.params import check_stability
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import Engine, run
 from ebsim.topology import make_regular_grid, make_complete
@@ -43,7 +42,6 @@ def test_coupling_params_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(period_t=T, epsilon=0.01, sigma=1.0, s_th=80.0)
     ProtocolConfig(period_t=T, epsilon=0.5, sigma=0.5, s_th=80.0)
-    assert check_stability(0.5, 0.5)[0]  # 0.5 < 0.5/0.5
 
 
 def test_phase_advance_mid_period():

@@ -1,48 +1,60 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ebsim.params import build_report, check_stability, epsilon_opt, sigma_max
+from ebsim.params import build_report
 from ebsim.protocol import ProtocolConfig, adaptive_c
 from ebsim.topology import make_complete, make_random_geometric, make_regular_grid
 
 
+def _opt(beta, degree, nu, t):
+    """epsilon_opt as check reports it: c0 is beta, and a complete network
+    of degree + 1 nodes has that average degree."""
+    return build_report(ProtocolConfig(t, 0.1, 0.01, 80, c0=beta),
+                        make_complete(degree + 1), nu).epsilon_opt
+
+
+def _judge(eps, sigma, nu=0, t=10000):
+    return build_report(ProtocolConfig(t, eps, sigma, 80), make_complete(2), nu)
+
+
 def test_epsilon_opt_zero_airtime():
-    assert epsilon_opt(0, 17, 0, 10000) == 0.0
+    # a lone node has no neighbourhood of broadcasts to fit
+    assert _opt(40, 0, 0, 10000) == 0.0
+    assert _opt(40, 0, 250, 10000) == pytest.approx(0.05)  # 4 nu / 2T
 
 
 def test_epsilon_opt_substitution():
     # 40 ms slots, 20 neighbours, 10 s period -> 800 / 20000
-    assert epsilon_opt(40, 20, 0, 10000) == pytest.approx(0.04)
-    assert epsilon_opt(50, 4, 0, 10000) == pytest.approx(0.01)
+    assert _opt(40, 20, 0, 10000) == pytest.approx(0.04)
+    assert _opt(50, 4, 0, 10000) == pytest.approx(0.01)
 
 
 def test_epsilon_opt_clamped():
-    assert epsilon_opt(1000, 100, 0, 1000) == 0.5
-    with pytest.raises(ValueError):
-        epsilon_opt(10, 4, 0, 0)
+    r = build_report(ProtocolConfig(1000, 0.1, 0.01, 80, c0=1000), make_complete(101), 0)
+    assert r.epsilon_opt == 0.5 and any("0.5 ceiling" in w for w in r.warnings)
+    with pytest.raises(ValueError):  # the period is checked where it is configured
+        ProtocolConfig(0, 0.1, 0.01, 80, c0=10)
 
 
-@given(st.integers(0, 100), st.integers(0, 50), st.integers(0, 1000),
+@given(st.integers(1, 100), st.integers(0, 50), st.integers(0, 1000),
        st.integers(1, 10**6))
 def test_epsilon_opt_monotone(beta, n, nu, t):
-    base = epsilon_opt(beta, n, nu, t)
-    assert epsilon_opt(beta + 1, n, nu, t) >= base
-    assert epsilon_opt(beta, n + 1, nu, t) >= base
-    assert epsilon_opt(beta, n, nu + 1, t) >= base
-    assert epsilon_opt(beta, n, nu, t + 1) <= base
+    base = _opt(beta, n, nu, t)
+    assert _opt(beta + 1, n, nu, t) >= base
+    assert _opt(beta, n + 1, nu, t) >= base
+    assert _opt(beta, n, nu + 1, t) >= base
+    assert _opt(beta, n, nu, t + 1) <= base
 
 
 def test_sigma_max():
-    assert sigma_max(0.1, 0, 10000) == pytest.approx(1 / 9)
-    assert sigma_max(0.01, 0, 10000) == pytest.approx(0.01 / 0.99)
+    assert _judge(0.1, 0.01).sigma_max == pytest.approx(1 / 9)
+    assert _judge(0.01, 0.001).sigma_max == pytest.approx(0.01 / 0.99)
     # delay eating the whole window: 2 nu / T = epsilon
-    assert sigma_max(0.1, 500, 10000) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        sigma_max(1.0, 0, 10000)
-    with pytest.raises(ValueError):  # a window is at most half the period
-        sigma_max(0.6, 0, 10000)
-    with pytest.raises(ValueError):
-        sigma_max(0.1, 0, 0)
+    assert _judge(0.1, 0.01, nu=500).sigma_max == pytest.approx(0.0)
+    # a window is at most half the period, and the period is positive
+    for eps, t in ((1.0, 10000), (0.6, 10000), (0.1, 0)):
+        with pytest.raises(ValueError):
+            ProtocolConfig(t, eps, 0.01, 80)
 
 
 def _cfg(c0, s_th):
@@ -71,19 +83,23 @@ def test_adaptive_c_validation():
 
 
 def test_check_stability():
-    stable, margin = check_stability(0.1, 0.01, 0.01)
-    assert stable and margin > 0
+    r = _judge(0.1, 0.01, nu=100)  # delta = 0.01
+    assert r.stable and r.margin > 0
     # epsilon = 2*delta fails the strict requirement
-    stable, _ = check_stability(0.1, 0.01, 0.05)
-    assert not stable
-    stable, margin = check_stability(0.5, 0.99, 0.0)
-    assert stable and margin == pytest.approx(0.01)
+    assert not _judge(0.1, 0.01, nu=500).stable
+    r = _judge(0.25, 0.3)  # bound 0.25 / 0.75
+    assert r.stable and r.margin == pytest.approx(1 / 30)
 
 
-@given(st.floats(0.001, 0.5), st.floats(0.0001, 0.999))
+@given(st.floats(0.001, 0.5, exclude_max=True), st.floats(0.0001, 0.999))
 def test_check_stability_zero_delay_matches_bound(eps, sigma):
-    stable, _ = check_stability(eps, sigma, 0.0)
-    assert stable == (sigma < eps / (1.0 - eps))
+    # at epsilon = 0.5 no node can couple, so the bound says nothing there
+    assert _judge(eps, sigma).stable == (sigma < eps / (1.0 - eps))
+
+
+def test_build_report_rejects_negative_delay():
+    with pytest.raises(ValueError, match="nu"):
+        build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), -1)
 
 
 def test_build_report_stable_case():

@@ -53,6 +53,9 @@ def test_comments_and_blank_lines():
     ("run.payload_rate = -0.5", "probability"),
     ("delay.link_seed = 4", "delay.link_hi"),
     ("mrf.enabled = true\nmrf.t_ref = 1000", "<string>:10: mrf.t_ref"),
+    # a key that does not apply is refused, not silently dropped
+    ("mrf.t_ref = 300", "<string>:9: mrf.t_ref does not apply"),
+    ("topology.radius = 0.5", "<string>:9: topology.radius does not apply"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):

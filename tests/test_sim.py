@@ -125,14 +125,25 @@ def test_link_delay_table_is_deterministic_and_additive():
 
 
 def test_delay_constant_and_draw_split():
-    # only uniform jitter draws; the other kinds add a constant
+    # only uniform jitter draws, once per receiver in receiver order; the
+    # other kinds add a constant
     assert DelayModel().constant() == 0
     assert DelayModel(kind="deterministic", nu=7).constant() == 7
     assert DelayModel(kind="uniform", lo=2, hi=9).constant() is None
-    rng, ref = random.Random(4), random.Random(4)
-    assert DelayModel(kind="uniform", lo=2, hi=9).sample(rng) == ref.randint(2, 9)
-    assert DelayModel(kind="deterministic", nu=7).sample(rng) == 7
-    assert rng.random() == ref.random()  # the constant took no draw
+
+    def arrivals(delay):
+        eng = Engine(make_complete(4), make_cfg(), delay=delay)
+        eng.rng = random.Random(4)
+        fire(eng, 1, 100)
+        return eng.rng, sorted((e[2], e[0]) for e in eng._heap if e[1] == EventKind.ARRIVAL)
+
+    rng, got = arrivals(DelayModel(kind="uniform", lo=2, hi=9))
+    ref = random.Random(4)
+    assert got == [(recv, 100 + ref.randint(2, 9)) for recv in (0, 2, 3)]
+    assert rng.random() == ref.random()
+    rng, got = arrivals(DelayModel(kind="deterministic", nu=7))
+    assert got == [(0, 107), (2, 107), (3, 107)]
+    assert rng.random() == random.Random(4).random()  # the constant took no draw
 
 
 def test_delay_model_validation():

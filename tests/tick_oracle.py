@@ -3,7 +3,8 @@
 Advances every node one tick at a time and applies the coupling rule
 directly on arrivals, with none of the event-queue machinery: no heap, no
 lazy invalidation, no airtime bookkeeping.  Only supports the lossless
-zero-delay configuration, which is what the equivalence check needs.
+configuration without collisions, with a fixed delay per directed link
+given as data, which is what the equivalence check needs.
 
 Kept deliberately flat and independent so it can serve as an oracle for
 the event-driven engine: same seeded initial phases in, fire times and
@@ -29,13 +30,16 @@ class _ONode:
 
 
 def run_oracle(topology, period: int, epsilon: float, sigma: float,
-               s_th: float, horizon: int, seed: int):
+               s_th: float, horizon: int, seed: int,
+               delays: dict[tuple[int, int], int] | None = None):
     """Run the tick loop; returns (fire_times, dphi_rows).
 
-    fire_times maps node id -> list of absolute fire ticks; dphi_rows is a
-    list of (literal, circular) network-average phase differences sampled
-    at every period boundary k*T for k = 1..horizon.
+    delays maps (sender, receiver) to the ticks a fire takes to arrive
+    (absent: 0).  fire_times maps node id -> list of absolute fire ticks;
+    dphi_rows is a list of (literal, circular) network-average phase
+    differences sampled at every period boundary k*T for k = 1..horizon.
     """
+    delays = delays or {}
     rng = random.Random(seed)
     ids = sorted(topology.node_ids)
     nodes: dict[int, _ONode] = {}
@@ -44,9 +48,9 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
         nodes[nid] = _ONode(nid, first, topology.degree(nid), epsilon)
     fire_times: dict[int, list[int]] = {nid: [] for nid in ids}
     rows: list[tuple[float, float]] = []
+    inbox: dict[int, list[tuple[int, int]]] = {}  # tick -> (receiver, sender)
 
     for t in range(0, horizon * period + 1):
-        arrivals: list[tuple[int, int]] = []
         for nid in ids:
             node = nodes[nid]
             if node.next_fire != t:
@@ -72,8 +76,9 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             node.heard_setw = set()
             node.heard_any = set()
             for recv in topology.neighbors(nid):
-                arrivals.append((recv, nid))
-        for recv, sender in sorted(arrivals):
+                at = t + delays.get((nid, recv), 0)
+                inbox.setdefault(at, []).append((recv, nid))
+        for recv, sender in sorted(inbox.pop(t, ())):
             node = nodes[recv]
             remaining = node.next_fire - t
             phi = 1.0 - remaining / period
