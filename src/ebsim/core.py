@@ -43,9 +43,12 @@ def avg_phase_difference(phases: Mapping[int, float],
         phi = phases[i]
         lit = circ = 0.0
         for j in neigh:
-            d = abs(phi - phases[j])
+            d = phi - phases[j]  # abs and min written out: the same floats
+            if d < 0.0:
+                d = -d
             lit += d
-            circ += min(d, 1.0 - d)
+            e = 1.0 - d
+            circ += e if e < d else d
         literal += lit / len(neigh)
         circular += circ / len(neigh)
     return literal / len(neighbours), circular / len(neighbours)

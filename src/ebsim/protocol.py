@@ -113,8 +113,8 @@ class NodeState:
     fire_seq: int = 0
     advance_accum: float = 0.0
     rx_busy_until: int = -1
-    # the reception in flight as (sender, arrival tick): a commit sorts
-    # before a same-tick arrival and a collision clears it, so at most one
+    # the reception in flight as (sender, arrival tick): its commit waits in
+    # the engine's FIFO, and a collision clears it, so at most one
     rx_pending: tuple[int, int] | None = None
     fires: list[int] = field(default_factory=list)
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                  RunResult, run)
+                  RunResult, churn_error, run)
 from .topology import (Topology, load_topology, make_complete,
                        make_random_geometric, make_regular_grid)
 
@@ -327,6 +327,7 @@ def _build(given: dict[str, object], where: Callable[[str | None], str]) -> Scen
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
     given: dict[str, object] = {}
     lines: dict[str, int] = {}
+    churn_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -338,6 +339,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
         head = key.rsplit(".", 1)[0]
         if head in KEYS and KEYS[head].indexed:
             given[head] = given.get(head, ()) + (_read(head, val, f"{source}:{lineno}"),)
+            churn_lines.append(lineno)  # churn is the one indexed key
             continue
         if key not in KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
@@ -345,7 +347,17 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
         given[key] = _read(key, val, f"{source}:{lineno}")
         lines[key] = lineno
-    return _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
+    cfg = _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
+    return _replay_churn(cfg, lambda i: f"{source}:{churn_lines[i]}")
+
+
+def _replay_churn(cfg: ScenarioConfig, where: Callable[[int], str]) -> ScenarioConfig:
+    """Replay cfg's churn on the network it will change, as the engine
+    would; where(i) names the place churn entry i came from."""
+    bad = churn_error(build_topology(cfg.topology), cfg.churn, cfg.horizon) if cfg.churn else None
+    if bad is not None:
+        raise ScenarioError(f"{where(bad[0])}: {bad[1]}")
+    return cfg
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
@@ -364,7 +376,10 @@ def apply_override(cfg: ScenarioConfig, parameter: str, value) -> ScenarioConfig
     point = f"sweep point {parameter} = {value}"
     given = {key: v for key, v in zip(KEYS, cfg.values) if v is not None}
     given[parameter] = _read(parameter, str(value), point)
-    return _build(given, lambda key: point)
+    cfg = _build(given, lambda key: point)
+    # the topology and churn are not sweepable: of a point's keys, the
+    # churn replay reads only the horizon
+    return _replay_churn(cfg, lambda i: point) if parameter == "run.horizon" else cfg
 
 
 def resolved_text(cfg: ScenarioConfig) -> str:

@@ -5,7 +5,8 @@ ordered lexicographically by (time, event-type priority, node id, sender
 id, insertion counter), so a run is bitwise reproducible for a given
 (scenario, seed).  Event-type priority at one tick: churn, then fires (and
 the period-boundary processing they imply), then reception commits, then
-message arrivals, then the metrics sample.
+message arrivals, then the metrics sample.  Commits wait in a FIFO, the
+rest in a binary heap; the event loop merges the two by that key.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -32,7 +34,9 @@ class EventKind(IntEnum):
 
     A reception whose airtime interval [arrival, arrival + beta) closes at
     tick t commits before a fresh arrival at t may claim the radio, so
-    back-to-back receptions do not collide.
+    back-to-back receptions do not collide.  Each commit is made beta after
+    the ARRIVAL being handled, at most one per (tick, node), so they come
+    in key order and Engine.run queues them in a FIFO, not the heap.
     """
 
     CHURN = 0
@@ -212,7 +216,9 @@ class Engine:
         self._bucket_awake = 0
         self._bucket_received = 0
 
-        _check_churn(self.topology, churn, horizon)
+        bad = churn_error(self.topology, churn, horizon)
+        if bad is not None:  # fail before the first event
+            raise SimulationError(bad[1])
         for nid in self.topology.node_ids:
             self._spawn_node(nid, 0)
         for ev in churn:
@@ -279,8 +285,12 @@ class Engine:
         deaf = not ebs and self.mrf.sleep_during_refractory
         steady, init = _STEADY, _INIT
         received = dropped = 0
-        while heap:
-            time, kind, nid, sender, _, payload = pop(heap)
+        commits = deque()  # RX_COMMITs, made in key order (see EventKind)
+        while heap or commits:
+            if commits and (not heap or commits[0] < heap[0]):
+                time, kind, nid, sender, _, payload = commits.popleft()
+            else:
+                time, kind, nid, sender, _, payload = pop(heap)
             if time > end:
                 break
             if kind == _ARRIVAL or kind == _RX_COMMIT:
@@ -313,8 +323,8 @@ class Engine:
                         else:
                             node.rx_busy_until = time + beta
                             node.rx_pending = pending = (sender, time)
-                            push(heap, (time + beta, _RX_COMMIT, nid, sender,
-                                        next(counter), pending))
+                            commits.append((time + beta, _RX_COMMIT, nid, sender,
+                                            next(counter), pending))
                         continue
                 received += 1
                 node.heard_any.add(sender)
@@ -515,22 +525,25 @@ def require_links(topology: Topology) -> None:
         raise SimulationError("the network has no links: no node can hear another")
 
 
-def _check_churn(topology: Topology, churn: tuple[ChurnEvent, ...],
-                 horizon: int) -> None:
+def churn_error(topology: Topology, churn: tuple[ChurnEvent, ...],
+                horizon: int) -> tuple[int, str] | None:
     """Replay the churn schedule on a copy of the topology, in the order
-    the engine runs it, so that a bad entry fails before the first event."""
+    the engine runs it; returns the index in churn and the message of the
+    first bad entry, or None."""
     replay = topology.copy()
-    for ev in sorted(churn, key=lambda ev: (ev.at_period, ev.node_id)):
+    for i in sorted(range(len(churn)), key=lambda i: (churn[i].at_period, churn[i].node_id)):
+        ev = churn[i]
         what = f"churn {ev.action} of node {ev.node_id} at period {ev.at_period}"
         if ev.at_period >= horizon:
-            raise SimulationError(f"{what}: beyond the horizon of {horizon} periods")
+            return i, f"{what}: beyond the horizon of {horizon} periods"
         try:
             if ev.action == "leave":
                 replay.remove_node(ev.node_id)
             else:
                 replay.add_node(ev.node_id, ev.edges)
         except TopologyError as exc:
-            raise SimulationError(f"{what}: {exc}") from None
+            return i, f"{what}: {exc}"
+    return None
 
 
 def run(topology: Topology, cfg: ProtocolConfig, **kwargs) -> RunResult:

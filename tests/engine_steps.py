@@ -9,19 +9,23 @@ calls directly.
 from ebsim.sim import EventKind
 
 
-def deliver(eng, end, *arrivals):
+def deliver(eng, end, *arrivals, events=()):
     """Run eng on the given (tick, receiver, sender) arrivals alone, up to
     tick end, a whole number of periods; returns the RunResult.
 
-    The rest of the queue is dropped first.  What the arrivals queue past
-    end is not processed, so a coupled node keeps the next_fire its jump
-    gave it and a reception past end stays in flight.
+    The rest of the queue is dropped first; events holds further
+    (tick, kind, node, payload) entries to queue, such as a FIRE carrying
+    the node's fire_seq or a SAMPLE.  What the arrivals queue past end is
+    not processed, so a coupled node keeps the next_fire its jump gave it
+    and a reception past end stays in flight.
     """
     periods, rest = divmod(end, eng.T)
     assert rest == 0, "the run must end on a period boundary"
     eng._heap.clear()
     for at, recv, sender in arrivals:
         eng._push(at, EventKind.ARRIVAL, recv, sender, None)
+    for at, kind, node, payload in events:
+        eng._push(at, kind, node, -1, payload)
     eng.horizon = periods
     return eng.run()
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ebsim.core import advance_remaining_ticks, avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
@@ -191,6 +191,36 @@ def test_avg_phase_difference_circular_bounded(vals):
     phases = dict(enumerate(vals))
     literal, circular = avg_phase_difference(phases, topo.neighbour_table())
     assert 0.0 <= circular <= 0.5 and circular <= literal
+
+
+def _builtin_phase_difference(phases, neighbours):
+    # the sampler's loop written with abs and min, in the same order
+    literal = circular = 0.0
+    for i, neigh in neighbours:
+        lit = circ = 0.0
+        for j in neigh:
+            d = abs(phases[i] - phases[j])
+            lit += d
+            circ += min(d, 1.0 - d)
+        literal += lit / len(neigh)
+        circular += circ / len(neigh)
+    return literal / len(neighbours), circular / len(neighbours)
+
+
+# the boundaries, equal phases, d = 0.5 and 0 against 1, drawn often
+_PHASE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(st.lists(_PHASE, min_size=2, max_size=9))
+@example([0.4, 0.4])
+@example([0.25, 0.75])
+@example([0.0, 0.5, 1.0])
+@example([0.0, 1.0])
+def test_avg_phase_difference_matches_the_builtins_exactly(vals):
+    # every ordered pair, so d takes both signs
+    table = make_complete(len(vals)).neighbour_table()
+    phases = dict(enumerate(vals))
+    assert avg_phase_difference(phases, table) == _builtin_phase_difference(phases, table)
 
 
 def test_avg_phase_advancement():

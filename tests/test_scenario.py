@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from ebsim import cli
 from ebsim.cli import main
 from ebsim.protocol import Variant
+from ebsim.sim import SimulationError
 from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
                             parse_scenario, parse_scenario_text,
                             resolved_text, run_config)
@@ -56,6 +58,13 @@ def test_comments_and_blank_lines():
     # a key that does not apply is refused, not silently dropped
     ("mrf.t_ref = 300", "<string>:9: mrf.t_ref does not apply"),
     ("topology.radius = 0.5", "<string>:9: topology.radius does not apply"),
+    # the churn schedule is replayed on the built network at parse time
+    ("churn.1 = leave 42 at 2",
+     "<string>:9: churn leave of node 42 at period 2: node 42 does not exist"),
+    ("churn.1 = leave 4 at 50",
+     "<string>:9: churn leave of node 4 at period 50: beyond the horizon of 50"),
+    ("churn.1 = leave 4 at 7\nchurn.2 = leave 4 at 5",
+     "<string>:9: churn leave of node 4 at period 7: node 4 does not exist"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -161,12 +170,17 @@ def test_sweep_points_are_validated(parameter, value, fragment):
 
 
 def test_sweep_file_with_bad_point_fails_before_running(tmp_path, capsys):
-    path = _write(tmp_path, MINIMAL + "sweep.parameter = run.horizon\n"
-                                      "sweep.values = [3, 0]\n")
-    out = tmp_path / "out"
-    assert main(["sweep", path, "--out", str(out)]) == 1
-    assert "sweep point run.horizon = 0" in capsys.readouterr().err
-    assert not out.exists()
+    # a bad value, and a horizon that puts a churn entry past its end
+    for churn, values, fragment in (
+            ("", "[3, 0]", "sweep point run.horizon = 0"),
+            ("churn.1 = leave 4 at 3\n", "[5, 2]", "error: sweep point run.horizon = 2: "
+             "churn leave of node 4 at period 3: beyond the horizon of 2 periods")):
+        path = _write(tmp_path, MINIMAL + churn + "sweep.parameter = run.horizon\n"
+                                                  f"sweep.values = {values}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--out", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_period_override_below_refractory_is_an_error():
@@ -308,9 +322,13 @@ def test_cli_bad_churn_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: churn join of node 20 at period 2")
+    # the entry's file:line, from the replay at parse time
+    assert err.startswith(f"error: {path}:10: churn join of node 20 at period 2")
     assert "unknown node 99" in err and "Traceback" not in err
-    assert os.listdir(out) == []
+    assert not out.exists()  # it failed before the output directory was made
+    # check reads the same scenario, so it fails the same way
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_cli_edgeless_network_fails_cleanly(tmp_path, capsys):
@@ -366,14 +384,19 @@ def test_cli_check_has_no_seed_option(tmp_path, capsys):
     assert "ebs_seed7.csv" in os.listdir(tmp_path / "o")
 
 
-def test_cli_failed_sweep_leaves_no_outputs(tmp_path, capsys):
-    # the first point runs and writes its CSV; the second fails in set-up
-    path = _write(tmp_path, MINIMAL + "churn.1 = leave 4 at 3\n"
-                                      "sweep.parameter = run.horizon\n"
+def test_cli_failed_sweep_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+    # the first point runs and writes its CSV; the second fails in its run
+    def second_fails(point, **kwargs):
+        if point.horizon == 2:
+            raise SimulationError("the run at horizon 2 failed")
+        return run_config(point, **kwargs)
+
+    monkeypatch.setattr(cli, "run_config", second_fails)
+    path = _write(tmp_path, MINIMAL + "sweep.parameter = run.horizon\n"
                                       "sweep.values = [5, 2]\n")
     out = tmp_path / "out"
     assert main(["sweep", path, "--out", str(out)]) == 1
-    assert "beyond the horizon" in capsys.readouterr().err
+    assert "the run at horizon 2 failed" in capsys.readouterr().err
     assert os.listdir(out) == []
 
 

@@ -192,11 +192,41 @@ def test_back_to_back_receptions_do_not_collide():
     assert node.heard_any == {0, 2}
 
 
+def _fire_and_rx_lines(trace):
+    return [line for line in trace if "\trx\t" in line or "\tfire\t" in line]
+
+
 def test_commit_ordered_before_same_tick_arrival():
-    # event-queue ordering backs the previous test at the heap level
-    assert EventKind.RX_COMMIT < EventKind.ARRIVAL
+    # the heap and the commit FIFO merge by (time, kind, ...), so at one
+    # tick the kinds' values give the order
     assert EventKind.CHURN < EventKind.FIRE < EventKind.RX_COMMIT
-    assert EventKind.SAMPLE > EventKind.ARRIVAL
+    assert EventKind.RX_COMMIT < EventKind.ARRIVAL < EventKind.SAMPLE
+    # node 1's reception of 0 commits at 1000, the tick at which node 2
+    # fires and its broadcast lands on node 1: the commit runs after the
+    # FIRE, before that ARRIVAL (which would otherwise destroy it) and
+    # before the SAMPLE at 1000, whose bucket it counts in
+    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5),
+                 trace=True)
+    res = deliver(eng, 1000, (995, 1, 0), events=[
+        (1000, EventKind.SAMPLE, -1, None),
+        (1000, EventKind.FIRE, 2, eng.nodes[2].fire_seq)])
+    assert _fire_and_rx_lines(res.trace) == [
+        "1000\tfire\tnode=2\temit=True", "1000\trx\tnode=1\tsender=0\tjump=0.0"]
+    assert eng.stats["received"] == 1 and eng.stats["collisions"] == 0
+    assert eng.nodes[1].rx_pending == (2, 1000)  # node 2's reception, in flight
+    ceiling = eng.topology.average_degree * eng.topology.n
+    assert [row.thr_pct for row in res.series] == [100.0 / ceiling]
+
+
+def test_same_tick_commits_run_in_node_order():
+    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5),
+                 trace=True)
+    res = deliver(eng, 1000, (995, 2, 1), (997, 1, 2), (995, 0, 1))
+    assert _fire_and_rx_lines(res.trace) == [
+        "1000\trx\tnode=0\tsender=1\tjump=0.0", "1000\trx\tnode=2\tsender=1\tjump=0.0"]
+    assert eng.nodes[1].rx_pending == (2, 997)
 
 
 def test_steady_node_sleeps_outside_window():
@@ -365,17 +395,22 @@ class _CountingHeap:
 
 def test_heap_is_looked_up_through_the_module(monkeypatch):
     # every push and pop goes through ebsim.sim.heapq at call time, so a
-    # stand-in bound there sees the whole run and reconciles with the outputs
-    counting = _CountingHeap()
-    monkeypatch.setattr(sim, "heapq", counting)
-    eng = Engine(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
-                 delay=DelayModel(kind="uniform", lo=0, hi=30),
-                 fault=LinkFaultModel(loss_probability=0.1))
-    counting.engine = eng
-    res = eng.run()
-    assert sum(counting.pushes.values()) - sum(counting.pops.values()) == len(eng._heap)
-    assert counting.pops[EventKind.SAMPLE] == 10
-    assert counting.pushes[EventKind.ARRIVAL] == (res.stats["arrival_attempts"]
-                                                 - res.stats["lost"]) > 0
-    fires = sum(len(ts) for ts in res.fire_times.values())
-    assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires > 0
+    # stand-in bound there sees the whole run and reconciles with the
+    # outputs; reception commits wait in the run's FIFO, never on the heap
+    for fault in (LinkFaultModel(loss_probability=0.1),
+                  LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
+                                 airtime_beta=3)):
+        counting = _CountingHeap()
+        monkeypatch.setattr(sim, "heapq", counting)
+        eng = Engine(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
+                     delay=DelayModel(kind="uniform", lo=0, hi=30), fault=fault)
+        counting.engine = eng
+        res = eng.run()
+        assert (res.stats["collisions"] > 0) == fault.collisions_enabled
+        assert counting.pushes[EventKind.RX_COMMIT] == counting.pops[EventKind.RX_COMMIT] == 0
+        assert sum(counting.pushes.values()) - sum(counting.pops.values()) == len(eng._heap)
+        assert counting.pops[EventKind.SAMPLE] == 10
+        assert counting.pushes[EventKind.ARRIVAL] == (res.stats["arrival_attempts"]
+                                                     - res.stats["lost"]) > 0
+        fires = sum(len(ts) for ts in res.fire_times.values())
+        assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires > 0
