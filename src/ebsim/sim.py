@@ -22,7 +22,7 @@ from . import protocol
 from .core import advance_remaining_ticks, avg_phase_difference
 from .metrics import MetricsRow
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
-from .topology import Topology, TopologyError
+from .topology import Topology
 
 
 class SimulationError(RuntimeError):
@@ -181,12 +181,9 @@ class Engine:
         if mrf is not None and mrf.refractory >= cfg.period_t:
             raise SimulationError(f"mrf refractory {mrf.refractory} must be below "
                                   f"the protocol period {cfg.period_t}")
-        self.topology = topology.copy()
         self.cfg = cfg
         self.mrf = mrf
         self.delay = delay or DelayModel()
-        # drawn against the initial links; links made by a join get none
-        self.link_delay = self.delay.link_table(self.topology)
         self._jitter = self.delay.constant()  # None: draw per message
         self.fault = fault or LinkFaultModel()
         self.drift = drift or ClockDriftModel()
@@ -196,17 +193,19 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace: list[str] | None = [] if trace else None
 
-        require_links(self.topology)
+        require_links(topology)
         # lossless all-awake ceiling of receptions per node and period
-        self.avg_degree = self.topology.average_degree
+        self.avg_degree = topology.average_degree
 
         self._heap: list = []
         self._counter = itertools.count(1)
-        # per sender: (receiver, link offset) in receiver order; churn
-        # rebuilds the entries whose neighbour set changed
-        self._fanout = {nid: self._fan(nid) for nid in self.topology.node_ids}
-        # what the sampler averages over; churn rebuilds it
-        self._linked = self.topology.neighbour_table()
+        # the live network, read once from the caller's topology: per
+        # sender, (receiver, link offset) in receiver order.  Churn edits
+        # it; offsets are drawn against the initial links only
+        offsets = self.delay.link_table(topology)
+        self._fanout = {u: tuple((v, offsets.get((u, v), 0)) for v in sorted(topology.neighbors(u)))
+                        for u in topology.node_ids}
+        self._relink()
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
@@ -216,10 +215,10 @@ class Engine:
         self._bucket_awake = 0
         self._bucket_received = 0
 
-        bad = churn_error(self.topology, churn, horizon)
+        bad = churn_error(topology, churn, horizon)
         if bad is not None:  # fail before the first event
             raise SimulationError(bad[1])
-        for nid in self.topology.node_ids:
+        for nid in topology.node_ids:
             self._spawn_node(nid, 0)
         for ev in churn:
             self._push(ev.at_period * self.T, _CHURN, ev.node_id, -1, ev)
@@ -231,9 +230,11 @@ class Engine:
     def _push(self, time: int, kind: int, node: int, sender: int, payload) -> None:
         heapq.heappush(self._heap, (time, kind, node, sender, next(self._counter), payload))
 
-    def _fan(self, sender: int) -> tuple[tuple[int, int], ...]:
-        return tuple((recv, self.link_delay.get((sender, recv), 0))
-                     for recv in sorted(self.topology.neighbors(sender)))
+    def _relink(self) -> None:
+        # what the sampler averages over: each linked node, in id order,
+        # with its neighbours in ascending order
+        self._linked = tuple((u, tuple(v for v, _ in fan))
+                             for u, fan in sorted(self._fanout.items()) if fan)
 
     def _spawn_node(self, nid: int, now: int) -> None:
         skew = self.drift.sample(self.rng)
@@ -247,9 +248,9 @@ class Engine:
             node.mode = _SYNC  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
             # pre-initialized start: coupling active from the first tick,
-            # neighbour count taken from the topology
+            # neighbour count taken from the network
             node.mode = _SYNC
-            node.neighbor_count_estimate = self.topology.degree(nid)
+            node.neighbor_count_estimate = len(self._fanout[nid])
             node.epsilon_eff = protocol.effective_epsilon(
                 self.cfg, node.neighbor_count_estimate)
         # no draw at the certain rates, so they leave the RNG stream alone
@@ -471,24 +472,23 @@ class Engine:
                 self.trace.append(f"{now}\tflap\tnode={node.id}")
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
+        """A leave drops the node's links from _fanout; a join adds links
+        with no offset, so a rejoin starts afresh."""
+        fanout, nid = self._fanout, ev.node_id
         if ev.action == "leave":
-            changed = tuple(self.topology.neighbors(ev.node_id))
-            for nid in changed:  # a later join under this id makes new links
-                self.link_delay.pop((ev.node_id, nid), None)
-                self.link_delay.pop((nid, ev.node_id), None)
-            self.topology.remove_node(ev.node_id)
-            del self.nodes[ev.node_id], self._fanout[ev.node_id]
+            for recv, _ in fanout.pop(nid):
+                fanout[recv] = tuple(link for link in fanout[recv] if link[0] != nid)
+            del self.nodes[nid]
             if self.trace is not None:
-                self.trace.append(f"{now}\tleave\tnode={ev.node_id}")
+                self.trace.append(f"{now}\tleave\tnode={nid}")
         else:
-            self.topology.add_node(ev.node_id, ev.edges)
-            changed = (ev.node_id, *ev.edges)
-            self._spawn_node(ev.node_id, now)
+            fanout[nid] = tuple((v, 0) for v in sorted(set(ev.edges)))
+            for v, _ in fanout[nid]:
+                fanout[v] = tuple(sorted((*fanout[v], (nid, 0))))
+            self._spawn_node(nid, now)
             if self.trace is not None:
-                self.trace.append(f"{now}\tjoin\tnode={ev.node_id}\tedges={len(ev.edges)}")
-        for nid in changed:
-            self._fanout[nid] = self._fan(nid)
-        self._linked = self.topology.neighbour_table()
+                self.trace.append(f"{now}\tjoin\tnode={nid}\tedges={len(ev.edges)}")
+        self._relink()
 
     def _handle_sample(self, now: int) -> None:
         period_index = now // self.T - 1
@@ -527,22 +527,26 @@ def require_links(topology: Topology) -> None:
 
 def churn_error(topology: Topology, churn: tuple[ChurnEvent, ...],
                 horizon: int) -> tuple[int, str] | None:
-    """Replay the churn schedule on a copy of the topology, in the order
+    """Replay the churn schedule on the topology's node ids, in the order
     the engine runs it; returns the index in churn and the message of the
     first bad entry, or None."""
-    replay = topology.copy()
+    live = set(topology.adjacency)
     for i in sorted(range(len(churn)), key=lambda i: (churn[i].at_period, churn[i].node_id)):
-        ev = churn[i]
-        what = f"churn {ev.action} of node {ev.node_id} at period {ev.at_period}"
+        ev, nid = churn[i], churn[i].node_id
         if ev.at_period >= horizon:
-            return i, f"{what}: beyond the horizon of {horizon} periods"
-        try:
-            if ev.action == "leave":
-                replay.remove_node(ev.node_id)
-            else:
-                replay.add_node(ev.node_id, ev.edges)
-        except TopologyError as exc:
-            return i, f"{what}: {exc}"
+            problem = f"beyond the horizon of {horizon} periods"
+        elif ev.action == "leave":
+            problem = None if nid in live else f"node {nid} does not exist"
+            live.discard(nid)
+        elif nid in live:
+            problem = f"node {nid} already exists"
+        else:
+            v = next((v for v in ev.edges if v == nid or v not in live), None)
+            problem = (None if v is None else f"self-loop at node {nid}" if v == nid
+                       else f"edge {nid}-{v} references unknown node {v}")
+            live.add(nid)
+        if problem is not None:
+            return i, f"churn {ev.action} of node {nid} at period {ev.at_period}: {problem}"
     return None
 
 

@@ -12,11 +12,11 @@ class TopologyError(ValueError):
 
 @dataclass
 class Topology:
-    """Graph with per-node neighbour sets.
+    """Graph with per-node neighbour sets, an immutable value.
 
     Undirected: adjacency must be symmetric.  Node ids are non-negative
-    integers.  Instances are cheap to copy and are treated as
-    immutable by everything except the churn machinery in the simulator.
+    integers.  The simulator reads it once; churn edits the engine's own
+    link table, never the topology.
     """
 
     adjacency: dict[int, set[int]]
@@ -50,34 +50,6 @@ class Topology:
     @property
     def average_degree(self) -> float:
         return sum(len(v) for v in self.adjacency.values()) / self.n
-
-    def copy(self) -> "Topology":
-        return Topology({u: set(v) for u, v in self.adjacency.items()})
-
-    def add_node(self, nid: int, edges: tuple[int, ...] | list[int]) -> None:
-        if nid in self.adjacency:
-            raise TopologyError(f"node {nid} already exists")
-        for v in edges:
-            if v == nid:
-                raise TopologyError(f"self-loop at node {nid}")
-            if v not in self.adjacency:
-                raise TopologyError(f"edge {nid}-{v} references unknown node {v}")
-        self.adjacency[nid] = set(edges)
-        for v in edges:
-            self.adjacency[v].add(nid)
-
-    def remove_node(self, nid: int) -> None:
-        if nid not in self.adjacency:
-            raise TopologyError(f"node {nid} does not exist")
-        del self.adjacency[nid]
-        for neigh in self.adjacency.values():
-            neigh.discard(nid)
-
-    def neighbour_table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(node, its neighbours in ascending order) for every node with a
-        link, in ascending node order."""
-        return tuple((u, tuple(sorted(self.adjacency[u])))
-                     for u in self.node_ids if self.adjacency[u])
 
 
 def make_regular_grid(rows: int, cols: int, wraparound: bool) -> Topology:

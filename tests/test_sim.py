@@ -118,7 +118,9 @@ def test_link_delay_table_is_deterministic_and_additive():
     assert model.worst_case(topo) == 3 + max(table.values())
     assert DelayModel(kind="deterministic", nu=3).link_table(topo) == {}
     eng = Engine(topo, make_cfg(), horizon=3, seed=0, delay=model)
-    assert eng.link_delay == table
+    assert eng._fanout == {0: ((1, table[(0, 1)]),),
+                           1: ((0, table[(1, 0)]), (2, table[(1, 2)])),
+                           2: ((1, table[(2, 1)]),)}
     fire(eng, 1, 100)
     arrivals = {(ev[0], ev[2]) for ev in eng._heap if ev[1] == EventKind.ARRIVAL}
     assert arrivals == {(100 + table[(1, r)] + 3, r) for r in (0, 2)}
@@ -215,7 +217,7 @@ def test_commit_ordered_before_same_tick_arrival():
         "1000\tfire\tnode=2\temit=True", "1000\trx\tnode=1\tsender=0\tjump=0.0"]
     assert eng.stats["received"] == 1 and eng.stats["collisions"] == 0
     assert eng.nodes[1].rx_pending == (2, 1000)  # node 2's reception, in flight
-    ceiling = eng.topology.average_degree * eng.topology.n
+    ceiling = eng.avg_degree * len(eng.nodes)
     assert [row.thr_pct for row in res.series] == [100.0 / ceiling]
 
 
@@ -263,9 +265,9 @@ def test_churn_leave_and_join():
 def test_fanout_follows_churn():
     # 3x3 torus: node 1 links to 0, 2, 4 and 7; node 4 leaves, node 9 joins
     delay = DelayModel(kind="deterministic", nu=3, link_lo=1, link_hi=9, link_seed=2)
-    eng = Engine(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
-                 delay=delay)
-    table = dict(eng.link_delay)
+    topo = make_regular_grid(3, 3, True)
+    eng = Engine(topo, make_cfg(), horizon=20, seed=0, delay=delay)
+    table = delay.link_table(topo)
 
     def broadcast(now, sender):
         # (receiver, delay) of the arrivals one broadcast pushes, in push
@@ -281,7 +283,7 @@ def test_fanout_follows_churn():
     eng._handle_churn(100, ChurnEvent(0, "leave", 4))
     arrivals, attempts = broadcast(200, 1)
     assert [r for r, _ in arrivals] == [0, 2, 7]
-    assert attempts == eng.topology.degree(1) == 3
+    assert attempts == len(eng._fanout[1]) == 3
     assert arrivals == [(r, table[(1, r)] + 3) for r in (0, 2, 7)]
 
     eng._handle_churn(300, ChurnEvent(0, "join", 9, (6, 0, 2)))
@@ -289,7 +291,7 @@ def test_fanout_follows_churn():
     assert arrivals == [(0, 3), (2, 3), (6, 3)]  # links made by a join: offset 0
     assert attempts == 3
     arrivals, _ = broadcast(500, 0)
-    assert [r for r, _ in arrivals] == sorted(eng.topology.neighbors(0))
+    assert [r for r, _ in arrivals] == [1, 2, 3, 6, 9]
     assert arrivals[-1] == (9, 3)
 
 
@@ -298,11 +300,46 @@ def test_rejoin_under_the_same_id_gets_fresh_links():
     # links anew, so neither direction keeps its drawn offset
     eng = Engine(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
                  delay=DelayModel(link_lo=5, link_hi=50, link_seed=1))
-    assert eng.link_delay[(1, 4)] == 33 and eng.link_delay[(4, 1)] == 43
+    assert dict(eng._fanout[1])[4] == 33 and dict(eng._fanout[4])[1] == 43
     eng._handle_churn(100, ChurnEvent(1, "leave", 4))
     eng._handle_churn(200, ChurnEvent(2, "join", 4, (1, 3)))
     assert eng._fanout[4] == ((1, 0), (3, 0))
     assert (4, 0) in eng._fanout[1] and (4, 0) in eng._fanout[3]
+
+
+@pytest.mark.parametrize("schedule", [
+    [("leave", 6, ())],
+    [("join", 0, (5, 2))],             # an id below every existing one
+    [("join", 11, (2, 2, 9))],         # duplicate edges make one link
+    [("leave", 6, ()), ("join", 6, (3, 5))],
+    [("leave", 6, ()), ("join", 0, (5, 2)), ("join", 11, (2, 2, 9)),
+     ("join", 6, (3, 5, 0))],
+], ids=["leave", "join_below", "duplicate_edges", "rejoin", "all"])
+def test_tables_follow_churn_exactly(schedule):
+    # a 3x3 torus with ids 2..10; after each event _fanout lists every
+    # neighbour once, in receiver order, with its drawn offset or 0 for a
+    # link made by a join, and _linked equals the table built from scratch
+    torus = make_regular_grid(3, 3, True)
+    topo = Topology({u + 2: {v + 2 for v in nb} for u, nb in torus.adjacency.items()})
+    delay = DelayModel(link_lo=1, link_hi=9, link_seed=3)
+    offsets = delay.link_table(topo)
+    eng = Engine(topo, make_cfg(), horizon=20, seed=0, delay=delay)
+    adjacency = {u: set(nb) for u, nb in topo.adjacency.items()}
+    joined = set()
+    for t, (action, nid, edges) in enumerate(schedule, start=1):
+        eng._handle_churn(100 * t, ChurnEvent(t, action, nid, edges))
+        for v in adjacency.pop(nid, ()):
+            adjacency[v].discard(nid)
+        if action == "join":
+            adjacency[nid] = set(edges)
+            for v in edges:
+                adjacency[v].add(nid)
+                joined |= {(nid, v), (v, nid)}
+        assert eng._fanout == {u: tuple((v, 0 if (u, v) in joined else offsets[u, v])
+                                        for v in sorted(nb))
+                               for u, nb in adjacency.items()}
+        assert eng._linked == tuple((u, tuple(sorted(adjacency[u])))
+                                    for u in sorted(adjacency) if adjacency[u])
 
 
 @pytest.mark.parametrize("topology", [make_complete(1), make_random_geometric(5, 0.0, 0)],

@@ -1,5 +1,7 @@
 import pytest
 
+from ebsim.protocol import ProtocolConfig
+from ebsim.sim import Engine
 from ebsim.topology import (Topology, TopologyError, load_topology,
                             make_complete, make_random_geometric,
                             make_regular_grid)
@@ -23,10 +25,11 @@ def test_torus_5x5():
 
 
 def test_neighbour_table_leaves_out_isolated_nodes():
-    # the sampler's table: linked nodes in id order, each with its sorted
-    # neighbours
+    # the engine's sampler table: linked nodes in id order, each with its
+    # sorted neighbours
     topo = Topology({0: {2, 1}, 1: {0}, 2: {0}, 3: set()})
-    assert topo.neighbour_table() == ((0, (1, 2)), (1, (0,)), (2, (0,)))
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
+    assert Engine(topo, cfg)._linked == ((0, (1, 2)), (1, (0,)), (2, (0,)))
 
 
 def test_open_grid_2x2():
@@ -104,23 +107,3 @@ def test_validation_rejects_asymmetry_and_loops():
         Topology({0: {7}})
     with pytest.raises(TopologyError):
         Topology({})
-
-
-def test_add_remove_node():
-    topo = make_complete(3)
-    topo.add_node(3, (0, 1))
-    assert topo.degree(3) == 2
-    assert 3 in topo.neighbors(0)
-    with pytest.raises(TopologyError):
-        topo.add_node(3, ())
-    topo.remove_node(3)
-    assert 3 not in topo.neighbors(0)
-    with pytest.raises(TopologyError):
-        topo.remove_node(3)
-
-
-def test_copy_is_independent():
-    topo = make_complete(3)
-    dup = topo.copy()
-    dup.remove_node(2)
-    assert topo.n == 3 and dup.n == 2
