@@ -108,7 +108,6 @@ class NodeState:
     init_periods_left: int = 0
     synchronicity: float = 0.0
     pending_payload: bool = False
-    flap_count: int = 0
     # simulator bookkeeping
     fire_seq: int = 0
     advance_accum: float = 0.0

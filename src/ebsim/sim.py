@@ -466,7 +466,6 @@ class Engine:
             node.mode = _STEADY
         elif mode is _STEADY and s < self.cfg.s_th:
             node.mode = _RECOVERY
-            node.flap_count += 1
             self.flap_events.append((now, node.id))
             if self.trace is not None:
                 self.trace.append(f"{now}\tflap\tnode={node.id}")
@@ -508,9 +507,8 @@ class Engine:
                 1 for nd in self.nodes.values() if nd.mode is _STEADY) / n
         else:
             dplus = duty = thr = steady = 0.0
-        flaps = sum(node.flap_count for node in self.nodes.values())
         self.series.append(MetricsRow(period_index, dphi_lit, dphi_circ, dplus,
-                                      duty, thr, steady, flaps))
+                                      duty, thr, steady, len(self.flap_events)))
         for node in self.nodes.values():
             node.advance_accum = 0.0
         self._bucket_awake = 0

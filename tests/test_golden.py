@@ -150,8 +150,9 @@ def _run_digest(result: RunResult) -> str:
 
 
 RNG_GOLDEN = {
+    # re-pinned when flaps began counting node 12's flaps after it leaves
     ("torus", 0):
-        "8609dbb68886dcb6314b307cd3c248f2819f2114758a815ac6e0cc772a152da5",
+        "5b57ab760e6cb4aa7bf50371a6a75b51b62e8a1b58ae18315efe1d380dbcfa80",
     ("torus", 1):
         "24f950ad6af91805e06b77b5c55071125fd1970850ad1d2780761da91d2019f8",
     ("mrf", 0):
@@ -165,6 +166,15 @@ RNG_GOLDEN = {
 def test_rng_path_outputs_are_pinned(config, seed):
     build = {"torus": _rng_torus, "mrf": _rng_mrf}[config]
     assert _run_digest(build(seed)) == RNG_GOLDEN[config, seed]
+
+
+def test_flaps_column_keeps_the_flaps_of_nodes_that_left():
+    # node 12 flaps before it leaves at period 10; each row counts every
+    # flap up to its sample tick
+    res = _rng_torus(0)
+    assert any(nid == 12 for _, nid in res.flap_events)
+    assert [row.flaps for row in res.series] == [
+        sum(t <= (row.period + 1) * 1000 for t, _ in res.flap_events) for row in res.series]
 
 
 # --- the benchmark's configurations, at short horizons ----------------------
