@@ -73,13 +73,15 @@ class ScenarioConfig:
     sweep: SweepSpec | None
 
 
-# each topology kind: its builder and the TopologySpec fields it passes, in
-# order; the topology.<field> keys apply to exactly the kinds that read them
-_TOPOLOGIES: dict[str, tuple[Callable[..., Topology], tuple[str, ...]]] = {
-    "grid": (make_regular_grid, ("rows", "cols", "wraparound")),
-    "random_geometric": (make_random_geometric, ("n", "radius", "seed")),
-    "complete": (make_complete, ("n",)),
-    "file": (load_topology, ("path",)),
+# each topology kind: its builder's name and the TopologySpec fields it
+# passes, in order; the topology.<field> keys apply to exactly the kinds that
+# read them.  build_topology looks the builder up when it is called, so a
+# wrapped module global (a profiler's, a test's) is the one that runs
+_TOPOLOGIES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "grid": ("make_regular_grid", ("rows", "cols", "wraparound")),
+    "random_geometric": ("make_random_geometric", ("n", "radius", "seed")),
+    "complete": ("make_complete", ("n",)),
+    "file": ("load_topology", ("path",)),
 }
 
 
@@ -87,7 +89,7 @@ def build_topology(spec: TopologySpec) -> Topology:
     if spec.kind not in _TOPOLOGIES:
         raise ScenarioError(f"unknown topology kind {spec.kind!r}")
     builder, fields = _TOPOLOGIES[spec.kind]
-    return builder(*(getattr(spec, name) for name in fields))
+    return globals()[builder](*(getattr(spec, name) for name in fields))
 
 
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",

@@ -9,6 +9,7 @@ from ebsim import cli
 from ebsim.cli import main
 from ebsim.protocol import Variant
 from ebsim.sim import SimulationError
+from ebsim.topology import make_regular_grid
 from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
                             parse_scenario, parse_scenario_text,
                             resolved_text, run_config)
@@ -65,6 +66,12 @@ def test_comments_and_blank_lines():
      "<string>:9: churn leave of node 4 at period 50: beyond the horizon of 50"),
     ("churn.1 = leave 4 at 7\nchurn.2 = leave 4 at 5",
      "<string>:9: churn leave of node 4 at period 7: node 4 does not exist"),
+    ("churn.1 = join 4 at 2 edges 1",
+     "<string>:9: churn join of node 4 at period 2: node 4 already exists"),
+    ("churn.1 = join 30 at 2 edges 30",
+     "<string>:9: churn join of node 30 at period 2: self-loop at node 30"),
+    ("churn.1 = join 30 at 2 edges 1,99",
+     "<string>:9: churn join of node 30 at period 2: edge 30-99 references unknown node 99"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -111,6 +118,27 @@ def test_churn_entries():
                                         "churn.2 = join 9 at 10 edges 0,2,6\n")
     assert cfg.churn[0].action == "leave" and cfg.churn[0].at_period == 5
     assert cfg.churn[1].edges == (0, 2, 6)
+
+
+def test_churn_join_accepts_duplicate_edges():
+    # a repeated edge makes one link
+    cfg = parse_scenario_text(MINIMAL + "churn.1 = join 30 at 2 edges 1,1,3\n"
+                                        "run.horizon = 4\n")
+    assert cfg.churn[0].edges == (1, 1, 3)
+    assert 30 in run_config(cfg).final_nodes
+
+
+def test_build_topology_calls_the_builder_through_the_module(monkeypatch):
+    # a wrapper bound over the module global is the builder that runs
+    from ebsim import scenario
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return make_regular_grid(*args)
+    monkeypatch.setattr(scenario, "make_regular_grid", counting)
+    topo = build_topology(parse_scenario_text(MINIMAL).topology)
+    assert calls == [(3, 3, False)] and topo.n == 9
 
 
 def test_link_delay_parsing_and_override():
@@ -293,6 +321,19 @@ def test_cli_import_leaves_the_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout == "False\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package stays stdlib-only at runtime: importing it and its CLI in
+    # an isolated interpreter loads no other top-level module
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import ebsim, ebsim.cli; "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout == "['ebsim']\n"
 
 
 def test_cli_sweep_requires_axis(tmp_path, capsys):
