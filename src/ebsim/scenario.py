@@ -73,10 +73,9 @@ class ScenarioConfig:
     sweep: SweepSpec | None
 
 
-# each topology kind: its builder's name and the TopologySpec fields it
-# passes, in order; the topology.<field> keys apply to exactly the kinds that
-# read them.  build_topology looks the builder up when it is called, so a
-# wrapped module global (a profiler's, a test's) is the one that runs
+# each topology kind: the name of its builder here (looked up per call, so a
+# wrapper bound over the module global runs) and the TopologySpec fields it
+# passes, in order; the topology.<field> keys apply to the kinds that read them
 _TOPOLOGIES: dict[str, tuple[str, tuple[str, ...]]] = {
     "grid": ("make_regular_grid", ("rows", "cols", "wraparound")),
     "random_geometric": ("make_random_geometric", ("n", "radius", "seed")),
