@@ -13,8 +13,8 @@ from .metrics import MetricsRow, export_csv, steady_state
 from .params import ParamReport, build_report
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
-                       build_topology, parse_scenario, parse_scenario_text,
-                       resolved_text, run_config)
+                       parse_scenario, parse_scenario_text, resolved_text,
+                       run_config)
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                   LinkFaultModel, RunResult, SimulationError, run)
 from .topology import (Topology, TopologyError, load_topology, make_complete,
@@ -27,7 +27,7 @@ __all__ = [
     "MetricsRow", "Mode", "MrfConfig", "NodeState",
     "ParamReport", "ProtocolConfig", "RunResult", "ScenarioConfig",
     "ScenarioError", "SimulationError", "Topology", "TopologyError",
-    "Variant", "apply_override", "build_report", "build_topology",
+    "Variant", "apply_override", "build_report",
     "export_csv", "load_topology", "make_complete", "make_random_geometric",
     "make_regular_grid", "parse_scenario", "parse_scenario_text",
     "resolved_text", "run", "run_config", "steady_state",

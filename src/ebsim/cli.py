@@ -15,10 +15,8 @@ import sys
 from .metrics import COLUMNS, export_csv, steady_state
 from .params import build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
-                       build_topology, parse_scenario, resolved_text,
-                       run_config)
-from .sim import SimulationError, require_links
-from .topology import TopologyError
+                       parse_scenario, resolved_text, run_config)
+from .sim import SimulationError
 
 
 def _run_one(cfg: ScenarioConfig, override: tuple[str, object], scheme: str,
@@ -121,9 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
-    topology = build_topology(cfg.topology)
-    require_links(topology)  # as run fails on it
-    report = build_report(cfg.protocol, topology, cfg.delay.worst_case(topology))
+    report = build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
     for line in report.lines():
         print(line)
     if args.strict and not report.stable:
@@ -169,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TopologyError, SimulationError, OSError) as exc:
+    except (ScenarioError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

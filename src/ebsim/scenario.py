@@ -22,25 +22,13 @@ from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                  RunResult, churn_error, run)
+                  RunResult, SimulationError, churn_error, require_links, run)
 from .topology import (Topology, load_topology, make_complete,
                        make_random_geometric, make_regular_grid)
 
 
 class ScenarioError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    kind: str                       # a key of _TOPOLOGIES
-    rows: int = 0
-    cols: int = 0
-    wraparound: bool = False
-    n: int = 0
-    radius: float = 0.0
-    seed: int = 0
-    path: str = ""
 
 
 @dataclass(frozen=True)
@@ -56,11 +44,12 @@ class ScenarioConfig:
     values holds one entry per KEYS entry, in registry order: the key's
     value with defaults filled in, or None where the key does not apply.
     It is what resolved_text echoes and what sweep points are rebuilt
-    from; the other fields are built from it.
+    from; the other fields are built from it, topology being the network,
+    built and checked to have links and to take the churn schedule.
     """
 
     values: tuple
-    topology: TopologySpec
+    topology: Topology
     protocol: ProtocolConfig
     mrf: MrfConfig | None
     delay: DelayModel
@@ -74,8 +63,8 @@ class ScenarioConfig:
 
 
 # each topology kind: the name of its builder here (looked up per call, so a
-# wrapper bound over the module global runs) and the TopologySpec fields it
-# passes, in order; the topology.<field> keys apply to the kinds that read them
+# wrapper bound over the module global runs) and the parameters it takes;
+# the topology.<parameter> keys apply to the kinds whose builder takes them
 _TOPOLOGIES: dict[str, tuple[str, tuple[str, ...]]] = {
     "grid": ("make_regular_grid", ("rows", "cols", "wraparound")),
     "random_geometric": ("make_random_geometric", ("n", "radius", "seed")),
@@ -84,11 +73,12 @@ _TOPOLOGIES: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def build_topology(spec: TopologySpec) -> Topology:
-    if spec.kind not in _TOPOLOGIES:
-        raise ScenarioError(f"unknown topology kind {spec.kind!r}")
-    builder, fields = _TOPOLOGIES[spec.kind]
-    return globals()[builder](*(getattr(spec, name) for name in fields))
+def build_topology(kind: str, **fields) -> Topology:
+    """The network of a topology kind, built from its parameters; a
+    SimulationError if no node can hear another."""
+    topology = globals()[_TOPOLOGIES[kind][0]](**fields)
+    require_links(topology)
+    return topology
 
 
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
@@ -99,7 +89,7 @@ def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
         raise ScenarioError(f"unknown scheme {scheme!r}; expected 'ebs' or 'mrf'")
     if scheme == "mrf" and cfg.mrf is None:
         raise ScenarioError("scheme 'mrf' needs mrf.enabled = true")
-    return run(build_topology(cfg.topology), cfg.protocol,
+    return run(cfg.topology, cfg.protocol,
                mrf=cfg.mrf if scheme == "mrf" else None, delay=cfg.delay,
                fault=cfg.fault, drift=cfg.drift, churn=cfg.churn,
                horizon=cfg.horizon, seed=cfg.seed,
@@ -268,7 +258,7 @@ SWEEPABLE = tuple(key for key, spec in KEYS.items()
                   if not spec.indexed and key.split(".")[0] not in ("topology", "sweep"))
 
 # ScenarioConfig fields built from the keys' "section.attribute" fields
-_SECTIONS = {"topology": TopologySpec, "protocol": ProtocolConfig,
+_SECTIONS = {"topology": build_topology, "protocol": ProtocolConfig,
              "mrf": MrfConfig, "delay": DelayModel, "fault": LinkFaultModel,
              "drift": ClockDriftModel, "sweep": SweepSpec}
 
@@ -281,11 +271,13 @@ def _read(key: str, text: str, where: str):
         raise ScenarioError(f"{where}: {key}: expected {kind.name}, got {text!r}") from None
 
 
-def _build(given: dict[str, object], where: Callable[[str | None], str]) -> ScenarioConfig:
-    """Resolve the given keys against the registry and build the config.
+def _build(given: dict[str, object], where: Callable[[str | None], str],
+           topology: Topology | None = None) -> ScenarioConfig:
+    """Resolve the given keys against the registry and build the config
+    that runs, on the given topology if any, else on one built from the keys.
 
     where(key) names the place a key's value came from (where(None): the
-    scenario as a whole) for error messages.
+    scenario as a whole; where("churn.i"): churn entry i) for error messages.
     """
     if _SWEEP(given) and not all(key in given for key in ("sweep.parameter", "sweep.values")):
         raise ScenarioError(f"{where(None)}: sweep needs both sweep.parameter and sweep.values")
@@ -316,19 +308,24 @@ def _build(given: dict[str, object], where: Callable[[str | None], str]) -> Scen
         section, _, attr = (KEYS[key].field or "").rpartition(".")
         if attr:
             (kwargs[section] if section else top)[attr] = value
-    built = {}
-    for name, cls in _SECTIONS.items():
+    built = {} if topology is None else {"topology": topology}
+    for name, make in _SECTIONS.items():
         try:
-            built[name] = cls(**kwargs[name]) if kwargs[name] else None
-        except ValueError as exc:
-            raise ScenarioError(f"{where(None)}: {name}: {exc}") from None
-    return ScenarioConfig(values=tuple(values.get(key) for key in KEYS), **built, **top)
+            if name not in built:
+                built[name] = make(**kwargs[name]) if kwargs[name] else None
+        except (ValueError, OSError, SimulationError) as exc:
+            at = where("topology.kind" if name == "topology" else None)
+            raise ScenarioError(f"{at}: {name}: {exc}") from None
+    cfg = ScenarioConfig(values=tuple(values.get(key) for key in KEYS), **built, **top)
+    bad = churn_error(cfg.topology, cfg.churn, cfg.horizon)
+    if bad is not None:
+        raise ScenarioError(f"{where(f'churn.{bad[0]}')}: {bad[1]}")
+    return cfg
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
     given: dict[str, object] = {}
     lines: dict[str, int] = {}
-    churn_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -340,7 +337,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
         head = key.rsplit(".", 1)[0]
         if head in KEYS and KEYS[head].indexed:
             given[head] = given.get(head, ()) + (_read(head, val, f"{source}:{lineno}"),)
-            churn_lines.append(lineno)  # churn is the one indexed key
+            lines[f"{head}.{len(given[head]) - 1}"] = lineno  # for where(f"{head}.{i}")
             continue
         if key not in KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
@@ -348,17 +345,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
         given[key] = _read(key, val, f"{source}:{lineno}")
         lines[key] = lineno
-    cfg = _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
-    return _replay_churn(cfg, lambda i: f"{source}:{churn_lines[i]}")
-
-
-def _replay_churn(cfg: ScenarioConfig, where: Callable[[int], str]) -> ScenarioConfig:
-    """Replay cfg's churn on the network it will change, as the engine
-    would; where(i) names the place churn entry i came from."""
-    bad = churn_error(build_topology(cfg.topology), cfg.churn, cfg.horizon) if cfg.churn else None
-    if bad is not None:
-        raise ScenarioError(f"{where(bad[0])}: {bad[1]}")
-    return cfg
+    return _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
@@ -371,16 +358,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
 def apply_override(cfg: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
     """Return the scenario with one sweepable key set to value (read from
     str(value), as from a scenario file), rebuilt through the same type
-    check and validation as a parsed file."""
+    check and validation as a parsed file; it shares cfg's network, since
+    no topology key is sweepable."""
     if parameter not in SWEEPABLE:
         raise ScenarioError(f"cannot sweep {parameter!r}")
     point = f"sweep point {parameter} = {value}"
     given = {key: v for key, v in zip(KEYS, cfg.values) if v is not None}
     given[parameter] = _read(parameter, str(value), point)
-    cfg = _build(given, lambda key: point)
-    # the topology and churn are not sweepable: of a point's keys, the
-    # churn replay reads only the horizon
-    return _replay_churn(cfg, lambda i: point) if parameter == "run.horizon" else cfg
+    return _build(given, lambda key: point, cfg.topology)
 
 
 def resolved_text(cfg: ScenarioConfig) -> str:

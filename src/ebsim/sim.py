@@ -73,6 +73,9 @@ class DelayModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "deterministic", "uniform"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        for name, kind in (("nu", "deterministic"), ("lo", "uniform"), ("hi", "uniform")):
+            if (value := getattr(self, name)) and self.kind != kind:
+                raise ValueError(f"{name} = {value} needs kind {kind!r}, not {self.kind!r}")
         if self.nu < 0 or self.lo < 0 or self.hi < self.lo:
             raise ValueError("delays must be non-negative with lo <= hi")
         if self.link_hi is not None and not 0 <= self.link_lo <= self.link_hi:

@@ -23,6 +23,7 @@ protocol.epsilon = 0.05
 protocol.sigma = 0.01
 protocol.s_th = 80
 """
+WITHOUT_TOPOLOGY = MINIMAL.split("topology.cols = 3\n")[1]
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -36,7 +37,7 @@ def test_minimal_defaults():
     assert cfg.mrf is None and cfg.sweep is None and cfg.delay.link_hi is None
     assert cfg.delay.kind == "none"
     assert not cfg.fault.collisions_enabled
-    assert build_topology(cfg.topology).n == 9
+    assert cfg.topology.n == 9
 
 
 def test_comments_and_blank_lines():
@@ -72,6 +73,10 @@ def test_comments_and_blank_lines():
      "<string>:9: churn join of node 30 at period 2: self-loop at node 30"),
     ("churn.1 = join 30 at 2 edges 1,99",
      "<string>:9: churn join of node 30 at period 2: edge 30-99 references unknown node 99"),
+    # a delay value the delay kind never reads
+    ("delay.nu = 400", "<string>: delay: nu = 400 needs kind 'deterministic', not 'none'"),
+    ("delay.kind = deterministic\ndelay.nu = 5\ndelay.hi = 9",
+     "<string>: delay: hi = 9 needs kind 'uniform', not 'deterministic'"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
@@ -133,12 +138,34 @@ def test_build_topology_calls_the_builder_through_the_module(monkeypatch):
     from ebsim import scenario
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return make_regular_grid(*args)
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return make_regular_grid(**kwargs)
     monkeypatch.setattr(scenario, "make_regular_grid", counting)
-    topo = build_topology(parse_scenario_text(MINIMAL).topology)
-    assert calls == [(3, 3, False)] and topo.n == 9
+    assert build_topology("grid", rows=3, cols=2, wraparound=False).n == 6
+    assert calls == [{"rows": 3, "cols": 2, "wraparound": False}]
+    # parsing builds the network once; sweep points and runs reuse it
+    cfg = parse_scenario_text(MINIMAL + "run.horizon = 2\n")
+    assert len(calls) == 2 and cfg.topology.n == 9
+    point = apply_override(cfg, "run.seed", 4)
+    run_config(point)
+    assert len(calls) == 2 and point.topology is cfg.topology
+
+
+@pytest.mark.parametrize("topology,message", [
+    ("topology.kind = grid\ntopology.rows = 1\ntopology.cols = 3",
+     "grid needs rows >= 2 and cols >= 2"),
+    ("topology.kind = random_geometric\ntopology.n = 5\ntopology.radius = -1",
+     "radius must be >= 0"),
+    ("topology.kind = file\ntopology.path = /nonexistent/edges.txt",
+     "No such file or directory"),
+    ("topology.kind = complete\ntopology.n = 1",
+     "the network has no links: no node can hear another"),
+], ids=["grid_rows_1", "geometric_radius_negative", "file_missing", "complete_1"])
+def test_topology_errors_name_the_kind_line(topology, message):
+    # the network is built and checked at parse time, not when a run starts
+    with pytest.raises(ScenarioError, match=f"^<string>:1: topology: .*{message}"):
+        parse_scenario_text(topology + "\n" + WITHOUT_TOPOLOGY)
 
 
 def test_link_delay_parsing_and_override():
@@ -228,6 +255,13 @@ def test_readme_key_table_matches_registry():
             documented |= {head} | {f"{section}.{name}" for name in rest}
     registry = {f"{key}.N" if spec.indexed else key for key, spec in KEYS.items()}
     assert documented == registry
+
+
+def test_readme_names_the_size_of_all():
+    import ebsim
+    with open(README, encoding="utf-8") as fh:
+        counts = re.findall(r"`ebsim\.__all__` holds the (\d+) names", fh.read())
+    assert counts == [str(len(ebsim.__all__))]
 
 
 def test_readme_library_example_runs():
@@ -372,23 +406,23 @@ def test_cli_bad_churn_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
+EDGELESS = "error: {}:1: topology: the network has no links: no node can hear another\n"
+
+
 def test_cli_edgeless_network_fails_cleanly(tmp_path, capsys):
-    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n"
-                            + MINIMAL.split("topology.cols = 3\n")[1])
+    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n" + WITHOUT_TOPOLOGY)
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no links" in err and "Traceback" not in err
-    assert os.listdir(out) == []
+    assert capsys.readouterr().err == EDGELESS.format(path)
+    assert not out.exists()  # it failed before the output directory was made
 
 
 def test_cli_check_edgeless_network_fails_like_run(tmp_path, capsys):
     # the report must describe a configuration that can run
-    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n"
-                            + MINIMAL.split("topology.cols = 3\n")[1])
+    path = _write(tmp_path, "topology.kind = complete\ntopology.n = 1\n" + WITHOUT_TOPOLOGY)
     assert main(["check", path]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: the network has no links: ")
+    assert captured.err == EDGELESS.format(path)
     assert captured.out == ""
 
 

@@ -157,6 +157,14 @@ def test_delay_model_validation():
         DelayModel(link_lo=-3, link_hi=5)
     with pytest.raises(ValueError):
         DelayModel(link_lo=5, link_hi=2)
+    # a delay value the kind never reads is an error, not silently dropped
+    for kwargs in ({"nu": 400}, {"kind": "uniform", "nu": 3, "hi": 9},
+                   {"lo": 2, "hi": 5}, {"kind": "deterministic", "nu": 3, "hi": 5}):
+        with pytest.raises(ValueError, match="needs kind"):
+            DelayModel(**kwargs)
+    # zero values are what every kind reads as unset
+    assert DelayModel(kind="deterministic", nu=0, lo=0, hi=0).constant() == 0
+    assert DelayModel(kind="uniform", nu=0, lo=0, hi=0).constant() is None
     with pytest.raises(ValueError):
         LinkFaultModel(loss_probability=1.5)
     with pytest.raises(ValueError):
