@@ -19,11 +19,10 @@ from .scenario import (ScenarioConfig, ScenarioError, apply_override,
 from .sim import SimulationError
 
 
-def _run_one(cfg: ScenarioConfig, override: tuple[str, object], scheme: str,
-             out_dir: str, name: str, trace: bool, columns: dict) -> dict:
-    """Worker: one run of cfg with one key overridden, exported to CSV; its
-    summary row carries the point's columns.  Top level for pickling."""
-    point = apply_override(cfg, *override)
+def _run_one(point: ScenarioConfig, scheme: str, out_dir: str, name: str,
+             trace: bool, columns: dict) -> dict:
+    """Worker: one run of a built point, exported to CSV; its summary row
+    carries the point's columns.  Top level for pickling."""
     result = run_config(point, scheme=scheme, trace=trace)
     path = os.path.join(out_dir, name)
     export_csv(result.series, path)
@@ -51,17 +50,15 @@ def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
 
 
 def _execute_points(args: argparse.Namespace, cfg: ScenarioConfig,
-                    points: list[tuple[str, dict, tuple[str, object]]]) -> int:
-    """Run each (file tag, columns, override) point of cfg under its schemes.
-
-    Every point is checked before anything is written and rebuilt by its
-    worker rather than held; a failure removes what this run wrote."""
+                    points: list[tuple[str, dict, ScenarioConfig]]) -> int:
+    """Run each (file tag, columns, point) of cfg under its schemes; the
+    points come built, once each and all before anything is written, and
+    a failure removes what this run wrote."""
     tasks, written = [], ["resolved-config.txt"]
-    for tag, columns, override in points:
-        point = apply_override(cfg, *override)
+    for tag, columns, point in points:
         for scheme in ("ebs", "mrf") if point.mrf is not None else ("ebs",):
             name = f"{scheme}_{tag}seed{point.seed}.csv"
-            tasks.append((cfg, override, scheme, args.out, name, args.trace, columns))
+            tasks.append((point, scheme, args.out, name, args.trace, columns))
             written += [name, name[:-4] + ".trace.txt"] if args.trace else [name]
     os.makedirs(args.out, exist_ok=True)
     try:
@@ -99,26 +96,31 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
+def _sweep_points(cfg: ScenarioConfig) -> list[tuple[str, dict, ScenarioConfig]]:
+    """Each (file tag, columns, point) of cfg's sweep, the point built."""
+    param = cfg.sweep.parameter
+    short = param.split(".")[-1]
+    return [(f"{short}={value}_", {"label": f"{short}={value}", "parameter": param,
+                                   "value": value}, apply_override(cfg, param, value))
+            for value in cfg.sweep.values]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
-    return _execute_points(args, cfg, [("", {"label": f"seed={cfg.seed}"},
-                                        ("run.seed", cfg.seed))])
+    return _execute_points(args, cfg, [("", {"label": f"seed={cfg.seed}"}, cfg)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
     if cfg.sweep is None:
         raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
-    param = cfg.sweep.parameter
-    short = param.split(".")[-1]
-    return _execute_points(args, cfg, [
-        (f"{short}={value}_", {"label": f"{short}={value}", "parameter": param,
-                                "value": value}, (param, value))
-        for value in cfg.sweep.values])
+    return _execute_points(args, cfg, _sweep_points(cfg))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
+    if cfg.sweep is not None:
+        _sweep_points(cfg)  # a bad point fails here as it fails sweep
     report = build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
     for line in report.lines():
         print(line)

@@ -17,7 +17,7 @@ keys:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
@@ -39,16 +39,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A parsed scenario.
+    """A parsed scenario, or one of its sweep points.
 
-    values holds one entry per KEYS entry, in registry order: the key's
-    value with defaults filled in, or None where the key does not apply.
-    It is what resolved_text echoes and what sweep points are rebuilt
-    from; the other fields are built from it, topology being the network,
-    built and checked to have links and to take the churn schedule.
+    given holds the keys as written (a point's override included), outside
+    equality; resolved_text and apply_override resolve it again, so a
+    default tied to another key (mrf.t_ref = T/2) follows that key.  The
+    other fields are built from it, topology being the network, checked to
+    have links and to take the churn schedule.
     """
 
-    values: tuple
+    given: dict[str, object] = field(compare=False)
     topology: Topology
     protocol: ProtocolConfig
     mrf: MrfConfig | None
@@ -271,14 +271,10 @@ def _read(key: str, text: str, where: str):
         raise ScenarioError(f"{where}: {key}: expected {kind.name}, got {text!r}") from None
 
 
-def _build(given: dict[str, object], where: Callable[[str | None], str],
-           topology: Topology | None = None) -> ScenarioConfig:
-    """Resolve the given keys against the registry and build the config
-    that runs, on the given topology if any, else on one built from the keys.
-
-    where(key) names the place a key's value came from (where(None): the
-    scenario as a whole; where("churn.i"): churn entry i) for error messages.
-    """
+def _resolve(given: dict[str, object], where: Callable[[str | None], str]) -> dict[str, object]:
+    """Each key that applies, in registry order, given or defaulted and
+    checked across keys; where(key) names where a key's value came from
+    (None: the scenario; "churn.i": churn entry i) for error messages."""
     if _SWEEP(given) and not all(key in given for key in ("sweep.parameter", "sweep.values")):
         raise ScenarioError(f"{where(None)}: sweep needs both sweep.parameter and sweep.values")
     values: dict[str, object] = {}
@@ -301,10 +297,16 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
     if "mrf.t_ref" in values and not 0 < values["mrf.t_ref"] < values["protocol.period_t"]:
         raise ScenarioError(f"{where('mrf.t_ref')}: mrf.t_ref must satisfy "
                             "0 < t_ref < protocol.period_t")
+    return values
 
+
+def _build(given: dict[str, object], where: Callable[[str | None], str],
+           topology: Topology | None = None) -> ScenarioConfig:
+    """The config that runs the given keys, on the given topology if any,
+    else on one built from the keys; where is _resolve's."""
     kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
     top: dict[str, object] = {}
-    for key, value in values.items():
+    for key, value in _resolve(given, where).items():
         section, _, attr = (KEYS[key].field or "").rpartition(".")
         if attr:
             (kwargs[section] if section else top)[attr] = value
@@ -316,7 +318,7 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
         except (ValueError, OSError, SimulationError) as exc:
             at = where("topology.kind" if name == "topology" else None)
             raise ScenarioError(f"{at}: {name}: {exc}") from None
-    cfg = ScenarioConfig(values=tuple(values.get(key) for key in KEYS), **built, **top)
+    cfg = ScenarioConfig(given=given, **built, **top)
     bad = churn_error(cfg.topology, cfg.churn, cfg.horizon)
     if bad is not None:
         raise ScenarioError(f"{where(f'churn.{bad[0]}')}: {bad[1]}")
@@ -324,6 +326,9 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
+    """Parse scenario text; source names it in messages, and a relative
+    topology.path is read from source's directory (for "<string>", the
+    working directory) and kept as an absolute path."""
     given: dict[str, object] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -345,6 +350,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
         given[key] = _read(key, val, f"{source}:{lineno}")
         lines[key] = lineno
+    if "topology.path" in given:
+        given["topology.path"] = os.path.abspath(
+            os.path.join(os.path.dirname(source), given["topology.path"]))
     return _build(given, lambda key: f"{source}:{lines[key]}" if key in lines else source)
 
 
@@ -356,24 +364,21 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def apply_override(cfg: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    """Return the scenario with one sweepable key set to value (read from
-    str(value), as from a scenario file), rebuilt through the same type
-    check and validation as a parsed file; it shares cfg's network, since
-    no topology key is sweepable."""
+    """The scenario of cfg's written keys with one sweepable key set to
+    value (read from str(value)), resolved and checked as a parsed file is;
+    it shares cfg's network, since no topology key is sweepable."""
     if parameter not in SWEEPABLE:
         raise ScenarioError(f"cannot sweep {parameter!r}")
     point = f"sweep point {parameter} = {value}"
-    given = {key: v for key, v in zip(KEYS, cfg.values) if v is not None}
-    given[parameter] = _read(parameter, str(value), point)
+    given = {**cfg.given, parameter: _read(parameter, str(value), point)}
     return _build(given, lambda key: point, cfg.topology)
 
 
 def resolved_text(cfg: ScenarioConfig) -> str:
     """Echo of the fully materialized configuration, defaults included."""
     out = []
-    for (key, spec), value in zip(KEYS.items(), cfg.values):
-        if spec.indexed:
-            out += [f"{key}.{i} = {spec.type.text(v)}" for i, v in enumerate(value, start=1)]
-        elif value is not None:
-            out.append(f"{key} = {spec.type.text(value)}")
+    for key, value in _resolve(cfg.given, str).items():  # cannot fail: cfg was built
+        spec = KEYS[key]
+        out += ([f"{key}.{i} = {spec.type.text(v)}" for i, v in enumerate(value, start=1)]
+                if spec.indexed else [f"{key} = {spec.type.text(value)}"])
     return "".join(line + "\n" for line in out)

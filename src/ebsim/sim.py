@@ -215,8 +215,6 @@ class Engine:
         self.series: list[MetricsRow] = []
         self.stats = {"broadcasts": 0, "arrival_attempts": 0, "lost": 0,
                       "collisions": 0, "dropped_asleep": 0, "received": 0}
-        self._bucket_awake = 0
-        self._bucket_received = 0
 
         bad = churn_error(topology, churn, horizon)
         if bad is not None:  # fail before the first event
@@ -246,7 +244,8 @@ class Engine:
         node = NodeState(
             id=nid, period_ticks=period, next_fire=now + r0,
             epsilon_eff=self.cfg.epsilon, period_start=now,
-            init_periods_left=self.cfg.init_listen_periods)
+            init_periods_left=self.cfg.init_listen_periods,
+            fire_seq=next(self._counter))  # past every stale FIRE of this id
         if self.mrf is not None:
             node.mode = _SYNC  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
@@ -273,8 +272,8 @@ class Engine:
         once.  Both ways end in the one reception step: it records the
         sender and, strictly between the window edges, applies the coupling
         jump (Mirollo & Strogatz 1990) on integer ticks.  Stale FIREs are
-        dropped here, and receptions and asleep drops counted in locals
-        until the next sample or the end.
+        dropped here, and receptions, asleep drops and awake ticks counted
+        in locals until the next sample takes them.
         """
         end = self.horizon * self.T
         heap, nodes, stats, trace = self._heap, self.nodes, self.stats, self.trace
@@ -288,7 +287,7 @@ class Engine:
         refractory = 0 if ebs else self.mrf.refractory
         deaf = not ebs and self.mrf.sleep_during_refractory
         steady, init = _STEADY, _INIT
-        received = dropped = 0
+        received = dropped = awake = 0
         commits = deque()  # RX_COMMITs, made in key order (see EventKind)
         while heap or commits:
             if commits and (not heap or commits[0] < heap[0]):
@@ -351,14 +350,12 @@ class Engine:
             elif kind == _FIRE:
                 node = nodes.get(nid)
                 if node is not None and payload == node.fire_seq:
-                    fire(time, node)
+                    awake += fire(time, node)
             elif kind == _CHURN:
                 self._handle_churn(time, payload)
-            else:
-                self._add_counts(received, dropped)
-                received = dropped = 0
-                self._handle_sample(time)
-        self._add_counts(received, dropped)
+            else:  # the sample at horizon * T is the last event handled
+                self._handle_sample(time, received, dropped, awake)
+                received = dropped = awake = 0
         return RunResult(
             series=self.series,
             flap_events=self.flap_events,
@@ -369,21 +366,16 @@ class Engine:
             trace=self.trace,
         )
 
-    def _add_counts(self, received: int, dropped_asleep: int) -> None:
-        self.stats["received"] += received
-        self.stats["dropped_asleep"] += dropped_asleep
-        self._bucket_received += received
-
-    def _handle_fire(self, now: int, node: NodeState) -> None:
+    def _handle_fire(self, now: int, node: NodeState) -> int:
         """The phase reached 1: the node's period ends and its phase resets.
 
-        The node was awake all period, except asleep in a sleeping baseline's
-        refractory stretch or outside a steady node's window.  Every
-        baseline fire goes on air; an EBS fire does without reach-back (a
-        fresh sync message, or piggybacking a payload) and with partial
-        reach-back only when it carries a pending payload.  An EBS node then
-        takes its mode step and starts the new period.  A broadcast draws
-        loss, then jitter, per receiver.
+        Returns the ticks the node was awake in that period: all of it,
+        except asleep in a sleeping baseline's refractory stretch or outside
+        a steady node's window.  Every baseline fire goes on air; an EBS
+        fire does without reach-back (a fresh sync message, or piggybacking
+        a payload) and with partial reach-back only when it carries a
+        pending payload.  An EBS node then takes its mode step and starts
+        the new period.  A broadcast draws loss, then jitter, per receiver.
         """
         mrf, cfg = self.mrf, self.cfg
         awake = now - node.period_start
@@ -391,7 +383,6 @@ class Engine:
             awake = max(0, awake - mrf.refractory)
         elif node.mode is _STEADY:  # baseline nodes are never steady
             awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
-        self._bucket_awake += awake
         node.fires.append(now)
         node.next_fire = now + node.period_ticks
         node.period_start = now
@@ -411,7 +402,7 @@ class Engine:
         if self.trace is not None:
             self.trace.append(f"{now}\tfire\tnode={node.id}\temit={emit}")
         if not emit:
-            return
+            return awake
         stats, rng, jitter = self.stats, self.rng, self._jitter
         loss = self.fault.loss_probability
         fanout = self._fanout[node.id]
@@ -424,6 +415,7 @@ class Engine:
             at = now + offset + (rng.randint(self.delay.lo, self.delay.hi)
                                  if jitter is None else jitter)
             push(heap, (at, _ARRIVAL, recv, node.id, next(counter), None))
+        return awake
 
     def _step_mode(self, node: NodeState, now: int) -> None:
         """An EBS node's mode transition at the end of its period.
@@ -492,7 +484,10 @@ class Engine:
                 self.trace.append(f"{now}\tjoin\tnode={nid}\tedges={len(ev.edges)}")
         self._relink()
 
-    def _handle_sample(self, now: int) -> None:
+    def _handle_sample(self, now: int, received: int, dropped_asleep: int, awake: int) -> None:
+        """One series row; the counts are those since the last sample."""
+        self.stats["received"] += received
+        self.stats["dropped_asleep"] += dropped_asleep
         period_index = now // self.T - 1
         n = len(self.nodes)
         dphi_lit = dphi_circ = 0.0
@@ -504,8 +499,8 @@ class Engine:
                 phases = {nid: self.nodes[nid].phase_at(now) for nid, _ in linked}
                 dphi_lit, dphi_circ = avg_phase_difference(phases, linked)
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
-            duty = 100.0 * self._bucket_awake / (n * self.T)
-            thr = 100.0 * self._bucket_received / (self.avg_degree * n)
+            duty = 100.0 * awake / (n * self.T)
+            thr = 100.0 * received / (self.avg_degree * n)
             steady = 100.0 * sum(
                 1 for nd in self.nodes.values() if nd.mode is _STEADY) / n
         else:
@@ -514,8 +509,6 @@ class Engine:
                                       duty, thr, steady, len(self.flap_events)))
         for node in self.nodes.values():
             node.advance_accum = 0.0
-        self._bucket_awake = 0
-        self._bucket_received = 0
         if now < self.horizon * self.T:
             self._push(now + self.T, _SAMPLE, -1, -1, None)
 

@@ -13,15 +13,17 @@ def deliver(eng, end, *arrivals, events=()):
     """Run eng on the given (tick, receiver, sender) arrivals alone, up to
     tick end, a whole number of periods; returns the RunResult.
 
-    The rest of the queue is dropped first; events holds further
-    (tick, kind, node, payload) entries to queue, such as a FIRE carrying
-    the node's fire_seq or a SAMPLE.  What the arrivals queue past end is
-    not processed, so a coupled node keeps the next_fire its jump gave it
-    and a reception past end stays in flight.
+    The rest of the queue is dropped first and, as in every run, a SAMPLE
+    at end closes it and takes the run's counts into eng.stats; events
+    holds further (tick, kind, node, payload) entries to queue, such as a
+    FIRE carrying the node's fire_seq.  What the arrivals queue past end
+    is not processed, so a coupled node keeps the next_fire its jump gave
+    it and a reception past end stays in flight.
     """
     periods, rest = divmod(end, eng.T)
     assert rest == 0, "the run must end on a period boundary"
     eng._heap.clear()
+    eng._push(end, EventKind.SAMPLE, -1, -1, None)
     for at, recv, sender in arrivals:
         eng._push(at, EventKind.ARRIVAL, recv, sender, None)
     for at, kind, node, payload in events:

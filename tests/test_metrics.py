@@ -5,8 +5,6 @@ from ebsim.protocol import Mode, ProtocolConfig
 from ebsim.sim import ChurnEvent, Engine, run
 from ebsim.topology import Topology, make_complete, make_regular_grid
 
-from engine_steps import fire
-
 
 def _row(period, **kw):
     base = dict(period=period, dphi_literal=0.0, dphi_circular=0.0, dplus=0.0,
@@ -45,8 +43,9 @@ def test_duty_cycle_mixed():
     recovering.mode = Mode.RECOVERY
     for node in (steady, awake, recovering):
         node.period_start = 0
-        fire(eng, node.id, 1000)
-    eng._handle_sample(1000)
+    ticks = sum(eng._handle_fire(1000, node) for node in (steady, awake, recovering))
+    assert ticks == 50 + 1000 + 1000
+    eng._handle_sample(1000, 0, 0, ticks)
     assert eng.series[-1].duty_pct == pytest.approx(205.0 / 3)
 
 
@@ -63,8 +62,7 @@ def _thr(received):
     # one broadcast per node heard by every neighbour
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
     eng = Engine(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0)
-    eng._bucket_received = received
-    eng._handle_sample(1000)
+    eng._handle_sample(1000, received, 0, 0)
     return eng.series[-1].thr_pct
 
 

@@ -42,9 +42,9 @@ def end_period(node, now, cfg=None, mrf=None, payload_rate=1.0):
 def hear(node, sender, now, cfg=None, mrf=None):
     """Deliver sender's fire to node at tick now through the engine loop
     (EBS, or the baseline with mrf); returns the phase jump applied."""
-    before = node.advance_accum
+    before = node.next_fire
     deliver(_engine(node, cfg, mrf), now, (now, 0, sender))
-    return node.advance_accum - before
+    return (before - node.next_fire) / node.period_ticks
 
 
 def is_awake(node, phi, mrf=None):

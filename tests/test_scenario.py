@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -5,10 +7,11 @@ import sys
 
 import pytest
 
-from ebsim import cli
+from ebsim import cli, scenario
 from ebsim.cli import main
-from ebsim.protocol import Variant
-from ebsim.sim import SimulationError
+from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
+from ebsim.sim import (ClockDriftModel, DelayModel, Engine, LinkFaultModel,
+                       SimulationError)
 from ebsim.topology import make_regular_grid
 from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
                             parse_scenario, parse_scenario_text,
@@ -242,6 +245,52 @@ def test_period_override_below_refractory_is_an_error():
     cfg = parse_scenario_text(MINIMAL + "mrf.enabled = true\nmrf.t_ref = 600\n")
     with pytest.raises(ScenarioError, match="sweep point protocol.period_t = 500"):
         apply_override(cfg, "protocol.period_t", 500)
+
+
+def test_key_defaults_match_the_library():
+    # a default written both in KEYS and on the field or Engine parameter
+    # the key sets must be the same value, of the same type
+    library = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
+               "fault": LinkFaultModel, "drift": ClockDriftModel}
+    defaults = {name: {f.name: f.default for f in dataclasses.fields(cls)}
+                for name, cls in library.items()}
+    defaults[""] = {name: p.default
+                    for name, p in inspect.signature(Engine.__init__).parameters.items()}
+    compared = []
+    for key, spec in KEYS.items():
+        section, _, attr = (spec.field or "").rpartition(".")
+        if (spec.default is scenario._REQUIRED or callable(spec.default)
+                or not attr or section not in defaults):
+            continue
+        theirs = defaults[section][attr]
+        assert (type(spec.default), spec.default) == (type(theirs), theirs), key
+        compared.append(key)
+    assert compared == [
+        "protocol.c0", "protocol.variant", "protocol.adaptive_c",
+        "protocol.init_listen_periods", "mrf.sleep", "delay.kind", "delay.nu",
+        "delay.lo", "delay.hi", "delay.link_lo", "delay.link_seed",
+        "fault.loss_probability", "fault.collisions", "fault.beta",
+        "drift.skew_ppm_min", "drift.skew_ppm_max", "run.horizon", "run.seed",
+        "run.payload_rate", "churn"]
+
+
+WITH_MRF = (MINIMAL.replace("period_t = 1000", "period_t = 10000")
+            + "mrf.enabled = true\nrun.horizon = 2\n")
+
+
+def test_sweep_points_resolve_defaults_from_the_written_keys():
+    # mrf.t_ref is not written: each point's refractory is half its own period
+    cfg = parse_scenario_text(WITH_MRF)
+    assert cfg.mrf.refractory == 5000
+    for period in (1000, 40000):
+        point = apply_override(cfg, "protocol.period_t", period)
+        assert point.mrf.refractory == period // 2
+        assert f"mrf.t_ref = {period // 2}\n" in resolved_text(point)
+    # switching the baseline off leaves no mrf.t_ref behind to refuse
+    assert apply_override(cfg, "mrf.enabled", False).mrf is None
+    assert "mrf.t_ref" not in cfg.given
+    # the written keys are not part of equality: a resolved echo parses equal
+    assert parse_scenario_text(resolved_text(cfg)) == cfg
 
 
 def test_readme_key_table_matches_registry():
@@ -499,3 +548,95 @@ def test_cli_identical_reruns_are_byte_identical(tmp_path):
     assert main(["run", path, "--out", str(out_a)]) == 0
     assert main(["run", path, "--out", str(out_b)]) == 0
     assert (out_a / "ebs_seed0.csv").read_bytes() == (out_b / "ebs_seed0.csv").read_bytes()
+
+
+def _recorded_runs(monkeypatch):
+    """The (scheme, period, mrf) of each run the CLI makes, in order."""
+    runs = []
+
+    def recording(point, **kwargs):
+        runs.append((kwargs["scheme"], point.protocol.period_t, point.mrf))
+        return run_config(point, **kwargs)
+    monkeypatch.setattr(cli, "run_config", recording)
+    return runs
+
+
+def test_cli_sweep_of_the_period_moves_the_default_refractory(tmp_path, monkeypatch, capsys):
+    runs = _recorded_runs(monkeypatch)
+    path = _write(tmp_path, WITH_MRF + "sweep.parameter = protocol.period_t\n"
+                                       "sweep.values = [1000, 40000]\n")
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 0
+    assert runs == [("ebs", 1000, MrfConfig(500)), ("mrf", 1000, MrfConfig(500)),
+                    ("ebs", 40000, MrfConfig(20000)), ("mrf", 40000, MrfConfig(20000))]
+    # the echo is the scenario's own: its period and its default refractory
+    echo = (tmp_path / "out" / "resolved-config.txt").read_text()
+    assert "protocol.period_t = 10000\n" in echo and "mrf.t_ref = 5000\n" in echo
+
+
+def test_cli_sweep_can_switch_the_baseline_off(tmp_path, monkeypatch, capsys):
+    runs = _recorded_runs(monkeypatch)
+    path = _write(tmp_path, WITH_MRF + "sweep.parameter = mrf.enabled\n"
+                                       "sweep.values = [true, false]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--out", str(out)]) == 0
+    assert runs == [("ebs", 10000, MrfConfig(5000)), ("mrf", 10000, MrfConfig(5000)),
+                    ("ebs", 10000, None)]
+    assert sorted(os.listdir(out)) == [
+        "ebs_enabled=false_seed0.csv", "ebs_enabled=true_seed0.csv",
+        "mrf_enabled=true_seed0.csv", "resolved-config.txt", "summary.csv"]
+
+
+def test_cli_builds_each_point_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = scenario._build
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(scenario, "_build", counting)
+    path = _write(tmp_path, MINIMAL + "run.horizon = 2\n")
+    for argv, count in ((["run", path], 1), (["run", path, "--seed", "3"], 2)):
+        builds.clear()
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        assert len(builds) == count, argv
+    path = _write(tmp_path, MINIMAL + "run.horizon = 2\nsweep.parameter = run.seed\n"
+                                      "sweep.values = [0, 1, 2]\n")
+    builds.clear()
+    parse_scenario(path)  # parsing builds the scenario, not its points
+    assert len(builds) == 1
+    for argv in (["sweep", path, "--out", str(tmp_path / "sweep")], ["check", path]):
+        builds.clear()
+        assert main(argv) == 0
+        assert len(builds) == 1 + 3, argv
+
+
+def test_cli_check_fails_on_a_bad_sweep_point_like_sweep(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL + "sweep.parameter = run.horizon\n"
+                                      "sweep.values = [3, 0]\n")
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep point run.horizon = 0: run.horizon: expected int >= 1, got '0'\n"
+    assert not out.exists()
+    assert main(["check", path]) == 1
+    assert capsys.readouterr() == ("", err)  # no report for a sweep that cannot run
+
+
+def test_topology_path_is_relative_to_the_scenario_file(tmp_path, monkeypatch, capsys):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+    _write(tmp_path, "topology.kind = file\ntopology.path = edges.txt\n"
+                     + WITHOUT_TOPOLOGY + "run.horizon = 2\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    path = os.path.join(os.pardir, "scenario.txt")
+    assert main(["check", path]) == 0
+    assert "delta (nu/T)" in capsys.readouterr().out
+    assert main(["run", path, "--out", "out"]) == 0
+    # the echo names the file that was read
+    echo = (elsewhere / "out" / "resolved-config.txt").read_text()
+    assert f"topology.path = {tmp_path / 'edges.txt'}\n" in echo
+    # text parsed on its own reads from the working directory, as before
+    missing = re.escape(f"No such file or directory: '{elsewhere / 'edges.txt'}'")
+    with pytest.raises(ScenarioError, match=missing):
+        parse_scenario_text((tmp_path / "scenario.txt").read_text())

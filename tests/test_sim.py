@@ -218,9 +218,8 @@ def test_commit_ordered_before_same_tick_arrival():
     eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
                  fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5),
                  trace=True)
-    res = deliver(eng, 1000, (995, 1, 0), events=[
-        (1000, EventKind.SAMPLE, -1, None),
-        (1000, EventKind.FIRE, 2, eng.nodes[2].fire_seq)])
+    res = deliver(eng, 1000, (995, 1, 0),
+                  events=[(1000, EventKind.FIRE, 2, eng.nodes[2].fire_seq)])
     assert _fire_and_rx_lines(res.trace) == [
         "1000\tfire\tnode=2\temit=True", "1000\trx\tnode=1\tsender=0\tjump=0.0"]
     assert eng.stats["received"] == 1 and eng.stats["collisions"] == 0
@@ -313,6 +312,26 @@ def test_rejoin_under_the_same_id_gets_fresh_links():
     eng._handle_churn(200, ChurnEvent(2, "join", 4, (1, 3)))
     assert eng._fanout[4] == ((1, 0), (3, 0))
     assert (4, 0) in eng._fanout[1] and (4, 0) in eng._fanout[3]
+
+
+@pytest.mark.parametrize("seed", [47, 67, 86])
+def test_rejoined_node_ignores_its_predecessors_fire_entries(seed):
+    # node 3 leaves with a FIRE still queued and rejoins a period later:
+    # every fire the engine runs, the rejoined node's included, is at its
+    # node's next_fire, never on an entry the node that left made
+    cfg = make_cfg(period_t=10000, sigma=0.3)
+    churn = (ChurnEvent(0, "leave", 3), ChurnEvent(1, "join", 3, (2, 4, 8, 23)))
+    eng = Engine(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
+                 churn=churn, horizon=6, seed=seed)
+    handle, fired = eng._handle_fire, []
+
+    def checked(now, node):
+        fired.append((node.id, now, node.next_fire))
+        return handle(now, node)
+    eng._handle_fire = checked
+    res = eng.run()
+    assert [(nid, now) for nid, now, due in fired if now != due] == []
+    assert res.fire_times[3] and res.fire_times[3][0] >= 10000
 
 
 @pytest.mark.parametrize("schedule", [
