@@ -114,6 +114,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
     if cfg.sweep is None:
         raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
+    if args.seed is not None and cfg.sweep.parameter == "run.seed":
+        raise ScenarioError(f"{args.scenario}: --seed does not apply to a run.seed sweep")
     return _execute_points(args, cfg, _sweep_points(cfg))
 
 

@@ -68,7 +68,7 @@ class ProtocolConfig:
 class MrfConfig:
     """Refractory-period baseline: coupling is ignored for the first
     refractory ticks after every own fire.  It runs on the protocol's
-    period T, which the refractory must stay below.
+    period T; the engine refuses a refractory outside (0, T).
 
     With sleep_during_refractory the radio also sleeps through that
     stretch (duty cycle (T - refractory)/T); without it the node listens
@@ -78,10 +78,6 @@ class MrfConfig:
 
     refractory: int
     sleep_during_refractory: bool = True
-
-    def __post_init__(self) -> None:
-        if self.refractory <= 0:
-            raise ValueError("refractory must be positive")
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
 from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                  RunResult, SimulationError, churn_error, require_links, run)
+                  RunResult, run, run_error)
 from .topology import (Topology, load_topology, make_complete,
                        make_random_geometric, make_regular_grid)
 
@@ -44,8 +44,8 @@ class ScenarioConfig:
     given holds the keys as written (a point's override included), outside
     equality; resolved_text and apply_override resolve it again, so a
     default tied to another key (mrf.t_ref = T/2) follows that key.  The
-    other fields are built from it, topology being the network, checked to
-    have links and to take the churn schedule.
+    other fields are built from it, topology being the network, and
+    together they pass sim.run_error, so a run of them can start.
     """
 
     given: dict[str, object] = field(compare=False)
@@ -74,11 +74,8 @@ _TOPOLOGIES: dict[str, tuple[str, tuple[str, ...]]] = {
 
 
 def build_topology(kind: str, **fields) -> Topology:
-    """The network of a topology kind, built from its parameters; a
-    SimulationError if no node can hear another."""
-    topology = globals()[_TOPOLOGIES[kind][0]](**fields)
-    require_links(topology)
-    return topology
+    """The network of a topology kind, built from its parameters."""
+    return globals()[_TOPOLOGIES[kind][0]](**fields)
 
 
 def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
@@ -238,11 +235,9 @@ KEYS: dict[str, Key] = {
     "fault.beta": Key(_INT, 4, "fault.airtime_beta"),
     "drift.skew_ppm_min": Key(_FLOAT, 0.0, "drift.skew_ppm_min"),
     "drift.skew_ppm_max": Key(_FLOAT, 0.0, "drift.skew_ppm_max"),
-    "run.horizon": Key(_Type("int >= 1", _checked(int, lambda v: v >= 1)), 50, "horizon"),
+    "run.horizon": Key(_INT, 50, "horizon"),
     "run.seed": Key(_INT, 0, "seed"),
-    "run.payload_rate": Key(_Type("probability in [0, 1]",
-                                  _checked(float, lambda v: 0.0 <= v <= 1.0)),
-                            1.0, "payload_rate"),
+    "run.payload_rate": Key(_FLOAT, 1.0, "payload_rate"),
     "churn": Key(_Type("churn entry 'leave <id> at <period>' or "
                        "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
                  (), "churn", indexed=True),
@@ -256,6 +251,9 @@ KEYS: dict[str, Key] = {
 # entries name its node ids) and the sweep itself
 SWEEPABLE = tuple(key for key, spec in KEYS.items()
                   if not spec.indexed and key.split(".")[0] not in ("topology", "sweep"))
+
+# the key behind each input sim.run_error can name; a churn entry names itself
+_KEY_OF = {spec.field: key for key, spec in KEYS.items() if spec.field} | {"topology": "topology.kind"}
 
 # ScenarioConfig fields built from the keys' "section.attribute" fields
 _SECTIONS = {"topology": build_topology, "protocol": ProtocolConfig,
@@ -275,8 +273,6 @@ def _resolve(given: dict[str, object], where: Callable[[str | None], str]) -> di
     """Each key that applies, in registry order, given or defaulted and
     checked across keys; where(key) names where a key's value came from
     (None: the scenario; "churn.i": churn entry i) for error messages."""
-    if _SWEEP(given) and not all(key in given for key in ("sweep.parameter", "sweep.values")):
-        raise ScenarioError(f"{where(None)}: sweep needs both sweep.parameter and sweep.values")
     values: dict[str, object] = {}
     for key, spec in KEYS.items():
         if spec.applies is not None and not spec.applies(given):
@@ -294,16 +290,14 @@ def _resolve(given: dict[str, object], where: Callable[[str | None], str]) -> di
         raise ScenarioError(f"{where('sweep.parameter')}: cannot sweep {parameter!r}")
     if _LINK(values) and not 0 <= values["delay.link_lo"] <= values["delay.link_hi"]:
         raise ScenarioError(f"{where('delay.link_hi')}: link delays need 0 <= link_lo <= link_hi")
-    if "mrf.t_ref" in values and not 0 < values["mrf.t_ref"] < values["protocol.period_t"]:
-        raise ScenarioError(f"{where('mrf.t_ref')}: mrf.t_ref must satisfy "
-                            "0 < t_ref < protocol.period_t")
     return values
 
 
 def _build(given: dict[str, object], where: Callable[[str | None], str],
            topology: Topology | None = None) -> ScenarioConfig:
     """The config that runs the given keys, on the given topology if any,
-    else on one built from the keys; where is _resolve's."""
+    else on one built from the keys; where is _resolve's.  It passes the
+    engine's sim.run_error, or fails at the key behind the input at fault."""
     kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
     top: dict[str, object] = {}
     for key, value in _resolve(given, where).items():
@@ -315,13 +309,13 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
         try:
             if name not in built:
                 built[name] = make(**kwargs[name]) if kwargs[name] else None
-        except (ValueError, OSError, SimulationError) as exc:
+        except (ValueError, OSError) as exc:
             at = where("topology.kind" if name == "topology" else None)
             raise ScenarioError(f"{at}: {name}: {exc}") from None
     cfg = ScenarioConfig(given=given, **built, **top)
-    bad = churn_error(cfg.topology, cfg.churn, cfg.horizon)
-    if bad is not None:
-        raise ScenarioError(f"{where(f'churn.{bad[0]}')}: {bad[1]}")
+    if bad := run_error(cfg.topology, cfg.protocol, mrf=cfg.mrf, drift=cfg.drift,
+                        churn=cfg.churn, horizon=cfg.horizon, payload_rate=cfg.payload_rate):
+        raise ScenarioError(f"{where(_KEY_OF.get(bad[0], bad[0]))}: {bad[1]}")
     return cfg
 
 

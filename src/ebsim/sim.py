@@ -169,6 +169,7 @@ class Engine:
     refractory-period baseline (always broadcasting, deaf and asleep for
     the refractory stretch after each own fire).  The engine runs every
     node transition: reception in run, the period end in _handle_fire.
+    What run_error refuses is a SimulationError, raised before any event.
     """
 
     def __init__(self, topology: Topology, cfg: ProtocolConfig, *,
@@ -179,11 +180,6 @@ class Engine:
                  churn: tuple[ChurnEvent, ...] = (),
                  horizon: int = 50, seed: int = 0,
                  payload_rate: float = 1.0, trace: bool = False) -> None:
-        if horizon < 1:
-            raise SimulationError("horizon must be >= 1 period")
-        if mrf is not None and mrf.refractory >= cfg.period_t:
-            raise SimulationError(f"mrf refractory {mrf.refractory} must be below "
-                                  f"the protocol period {cfg.period_t}")
         self.cfg = cfg
         self.mrf = mrf
         self.delay = delay or DelayModel()
@@ -196,7 +192,9 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace: list[str] | None = [] if trace else None
 
-        require_links(topology)
+        if bad := run_error(topology, cfg, mrf=mrf, drift=self.drift, churn=churn,
+                            horizon=horizon, payload_rate=payload_rate):
+            raise SimulationError(bad[1])
         # lossless all-awake ceiling of receptions per node and period
         self.avg_degree = topology.average_degree
 
@@ -216,9 +214,6 @@ class Engine:
         self.stats = {"broadcasts": 0, "arrival_attempts": 0, "lost": 0,
                       "collisions": 0, "dropped_asleep": 0, "received": 0}
 
-        bad = churn_error(topology, churn, horizon)
-        if bad is not None:  # fail before the first event
-            raise SimulationError(bad[1])
         for nid in topology.node_ids:
             self._spawn_node(nid, 0)
         for ev in churn:
@@ -238,8 +233,7 @@ class Engine:
                              for u, fan in sorted(self._fanout.items()) if fan)
 
     def _spawn_node(self, nid: int, now: int) -> None:
-        skew = self.drift.sample(self.rng)
-        period = int(self.T * (1.0 + skew * 1e-6) + 0.5)
+        period = skewed_period(self.T, self.drift.sample(self.rng))
         r0 = self.rng.randint(1, period)
         node = NodeState(
             id=nid, period_ticks=period, next_fire=now + r0,
@@ -513,18 +507,32 @@ class Engine:
             self._push(now + self.T, _SAMPLE, -1, -1, None)
 
 
-def require_links(topology: Topology) -> None:
-    """SimulationError for a network in which no node can hear another."""
-    if topology.average_degree == 0:
-        raise SimulationError("the network has no links: no node can hear another")
+def skewed_period(period_t: int, skew_ppm: float) -> int:
+    """A node's period in ticks under a clock skew of skew_ppm."""
+    return int(period_t * (1.0 + skew_ppm * 1e-6) + 0.5)
 
 
-def churn_error(topology: Topology, churn: tuple[ChurnEvent, ...],
-                horizon: int) -> tuple[int, str] | None:
-    """Replay the churn schedule on the topology's node ids, in the order
-    the engine runs it; returns the index in churn and the message of the
-    first bad entry, or None."""
-    live = set(topology.adjacency)
+def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
+              drift: ClockDriftModel, churn: tuple[ChurnEvent, ...], horizon: int,
+              payload_rate: float) -> tuple[str, str] | None:
+    """None if a run of these inputs can start, else (the input at fault: a
+    parameter, "mrf.refractory", "drift.<bound>" or "churn.<i>", the message)."""
+    if horizon < 1:
+        return "horizon", "horizon must be >= 1 period"
+    if not 0.0 <= payload_rate <= 1.0:
+        return "payload_rate", f"payload_rate must be a probability in [0, 1], got {payload_rate}"
+    if mrf is not None and not 0 < mrf.refractory < cfg.period_t:
+        return "mrf.refractory", (f"mrf refractory {mrf.refractory} must be above 0 "
+                                  f"and below the protocol period {cfg.period_t}")
+    for name in ("skew_ppm_min", "skew_ppm_max"):
+        if not abs(skew := getattr(drift, name)) <= 1e6:  # NaN fails too
+            return f"drift.{name}", f"drift {name} {skew} must be finite and within [-1e6, 1e6] ppm"
+    if (shortest := skewed_period(cfg.period_t, drift.skew_ppm_min)) < 1:
+        return "drift.skew_ppm_min", (f"drift skew_ppm_min {drift.skew_ppm_min} shortens the "
+                                      f"period {cfg.period_t} to {shortest} ticks, below 1")
+    if not any(topology.adjacency.values()):
+        return "topology", "topology: the network has no links: no node can hear another"
+    live = set(topology.adjacency)  # the churn replay, in the engine's order
     for i in sorted(range(len(churn)), key=lambda i: (churn[i].at_period, churn[i].node_id)):
         ev, nid = churn[i], churn[i].node_id
         if ev.at_period >= horizon:
@@ -540,7 +548,7 @@ def churn_error(topology: Topology, churn: tuple[ChurnEvent, ...],
                        else f"edge {nid}-{v} references unknown node {v}")
             live.add(nid)
         if problem is not None:
-            return i, f"churn {ev.action} of node {nid} at period {ev.at_period}: {problem}"
+            return f"churn.{i}", f"churn {ev.action} of node {nid} at period {ev.at_period}: {problem}"
     return None
 
 

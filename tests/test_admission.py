@@ -1,0 +1,222 @@
+"""One admission check, sim.run_error, decides whether a run can start.
+
+The engine raises its message as a SimulationError; the scenario parser
+raises it as a ScenarioError at the line of the key behind the input, for
+a parsed file and for every sweep point alike, so `check` passes exactly
+the scenarios that `run` and `sweep` can start.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ebsim import cli, scenario
+from ebsim.protocol import MrfConfig, ProtocolConfig
+from ebsim.scenario import (KEYS, SWEEPABLE, ScenarioError, apply_override,
+                            parse_scenario, parse_scenario_text)
+from ebsim.sim import ChurnEvent, ClockDriftModel, Engine, SimulationError
+from ebsim.topology import make_complete, make_regular_grid
+
+GRID = ("topology.kind = grid\ntopology.rows = 3\ntopology.cols = 3\n"
+        "topology.wraparound = false\n")
+PROTOCOL = {"protocol.period_t": "1000", "protocol.epsilon": "0.05",
+            "protocol.sigma": "0.01", "protocol.s_th": "80"}
+BASE = GRID + "".join(f"{key} = {text}\n" for key, text in PROTOCOL.items())
+FIRST = BASE.count("\n") + 1  # the line of the first key after BASE
+CFG = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80)
+
+
+def _drift(low, high=None):
+    high = low if high is None else high
+    return ({"drift": ClockDriftModel(float(low), float(high))},
+            f"drift.skew_ppm_min = {low}\ndrift.skew_ppm_max = {high}")
+
+
+REFRACTORY = "mrf refractory {} must be above 0 and below the protocol period 1000"
+OUTSIDE = "drift skew_ppm_{} {} must be finite and within [-1e6, 1e6] ppm"
+
+# each rule: the Engine arguments that break it, the scenario lines that do
+# (after BASE), the offset of the line at fault among them, and the message
+RULES = {
+    "horizon": ({"horizon": 0}, "run.horizon = 0", 0, "horizon must be >= 1 period"),
+    "payload_rate": ({"payload_rate": 1.5}, "run.payload_rate = 1.5", 0,
+                     "payload_rate must be a probability in [0, 1], got 1.5"),
+    "payload_rate_nan": ({"payload_rate": float("nan")}, "run.payload_rate = nan", 0,
+                         "payload_rate must be a probability in [0, 1], got nan"),
+    "refractory_0": ({"mrf": MrfConfig(0)}, "mrf.enabled = true\nmrf.t_ref = 0", 1,
+                     REFRACTORY.format(0)),
+    "refractory_T": ({"mrf": MrfConfig(1000)}, "mrf.enabled = true\nmrf.t_ref = 1000", 1,
+                     REFRACTORY.format(1000)),
+    "skew_-2e6": (*_drift(-2000000), 0, OUTSIDE.format("min", -2000000.0)),
+    "skew_period_0": (*_drift(-999600), 0, "drift skew_ppm_min -999600.0 shortens "
+                      "the period 1000 to 0 ticks, below 1"),
+    "skew_nan": (*_drift(float("nan")), 0, OUTSIDE.format("min", "nan")),
+    "skew_inf": (*_drift(float("inf")), 0, OUTSIDE.format("min", "inf")),
+    "skew_max_2e6": (*_drift(0, 2000000), 1, OUTSIDE.format("max", 2000000.0)),
+    "churn": ({"churn": (ChurnEvent(2, "leave", 42),)}, "churn.1 = leave 42 at 2", 0,
+              "churn leave of node 42 at period 2: node 42 does not exist"),
+}
+
+
+@pytest.mark.parametrize("engine,lines,offset,message", RULES.values(), ids=RULES)
+def test_each_rule_holds_in_the_engine_and_at_its_key(engine, lines, offset, message):
+    with pytest.raises(SimulationError) as err:
+        Engine(make_regular_grid(3, 3, False), CFG, **engine)
+    assert str(err.value) == message
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(BASE + lines + "\n")
+    assert str(err.value) == f"<string>:{FIRST + offset}: {message}"
+
+
+def test_a_network_without_links_is_refused_at_the_topology_line():
+    message = "topology: the network has no links: no node can hear another"
+    with pytest.raises(SimulationError) as err:
+        Engine(make_complete(1), CFG)
+    assert str(err.value) == message
+    text = "topology.kind = complete\ntopology.n = 1\n" + BASE[len(GRID):]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert str(err.value) == f"<string>:1: {message}"
+
+
+@pytest.mark.parametrize("parameter,value,message", [
+    ("run.horizon", 0, "horizon must be >= 1 period"),
+    ("run.payload_rate", 1.5, "payload_rate must be a probability in [0, 1], got 1.5"),
+    ("mrf.t_ref", 1000, REFRACTORY.format(1000)),
+    # the default refractory, half of a 1-tick period, is 0
+    ("protocol.period_t", 1,
+     "mrf refractory 0 must be above 0 and below the protocol period 1"),
+    ("drift.skew_ppm_min", -999600, "drift skew_ppm_min -999600.0 shortens "
+     "the period 1000 to 0 ticks, below 1"),
+    ("drift.skew_ppm_min", "nan", OUTSIDE.format("min", "nan")),
+    ("drift.skew_ppm_max", "inf", OUTSIDE.format("max", "inf")),
+])
+def test_each_rule_holds_at_a_sweep_point(parameter, value, message):
+    cfg = parse_scenario_text(BASE + "mrf.enabled = true\n")
+    with pytest.raises(ScenarioError) as err:
+        apply_override(cfg, parameter, value)
+    assert str(err.value) == f"sweep point {parameter} = {value}: {message}"
+
+
+@pytest.mark.parametrize("skew", ["-2000000", "-999600", "nan", "inf"])
+def test_cli_refuses_a_skew_the_engine_cannot_run(tmp_path, capsys, skew):
+    # check used to call these stable and run died in the engine
+    path = tmp_path / "scenario.txt"
+    path.write_text(BASE + f"drift.skew_ppm_min = {skew}\ndrift.skew_ppm_max = {skew}\n")
+    out = tmp_path / "out"
+    for argv in (["check", str(path)], ["run", str(path), "--out", str(out)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:{FIRST}: drift skew_ppm_min ")
+    assert not out.exists()
+
+
+def test_cli_sweep_of_the_seed_refuses_a_seed_option(tmp_path, capsys):
+    # every point sets its own run.seed, so --seed would be echoed unused
+    path = tmp_path / "scenario.txt"
+    path.write_text(BASE + "run.horizon = 2\nsweep.parameter = run.seed\n"
+                           "sweep.values = [0, 1]\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--seed", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: --seed does not apply to "
+                                       "a run.seed sweep\n")
+    assert not out.exists()
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+    assert "run.seed = 0\n" in (out / "resolved-config.txt").read_text()
+
+
+# --- the scenario surface, fuzzed -------------------------------------------
+
+_BOUNDARY = ("0", "-1", "nan", "inf", "-inf", str(2 ** 63), "1e300", "")
+# values that mostly parse and pass, by type and for some keys their own
+# edges; run.horizon and protocol.period_t take only their own small
+# values, "nan" and "", so no example runs long
+_TYPICAL = {scenario._INT: ("1", "2", "40"), scenario._FLOAT: ("0.05", "0.3", "1"),
+            scenario._BOOL: ("true", "false")}
+_OWN = {"protocol.variant": ("no_reachback", "partial_reachback"),
+        "delay.kind": ("none", "deterministic", "uniform"),
+        "mrf.t_ref": ("500", "999", "1000"),
+        "drift.skew_ppm_min": ("-1000000", "-999600", "-500000", "1000000"),
+        "drift.skew_ppm_max": ("-999600", "1000000", "1000001"),
+        "run.horizon": ("-1", "0", "1", "3"),
+        "protocol.period_t": ("-1", "0", "1", "2", "100", "1000")}
+_SMALL = ("run.horizon", "protocol.period_t")
+
+
+def _text(draw, key: str) -> str:
+    """Text for one single-valued key: a boundary value one time in six,
+    else one of its typical values."""
+    typical = _OWN.get(key, ()) + _TYPICAL.get(KEYS[key].type, ())
+    if key in _SMALL:
+        return draw(st.sampled_from(typical + ("nan", "")))
+    return draw(st.sampled_from(_BOUNDARY if draw(st.integers(0, 5)) == 0 else typical))
+
+
+_node = st.integers(-1, 10).map(str)
+_period = st.integers(0, 3).map(str)
+_leave = st.builds("leave {} at {}".format, _node, _period)
+_join = st.builds("join {} at {} edges {}".format, _node, _period,
+                  st.lists(_node, min_size=1, max_size=3).map(",".join))
+_churn = st.one_of(*[_leave, _join] * 3, st.sampled_from(("", "vanish 3 at 2", "leave 3 at -1")))
+_FUZZED = [key for key, spec in KEYS.items() if not spec.indexed
+           and key.split(".")[0] not in ("topology", "sweep")]
+
+
+@st.composite
+def _scenarios(draw) -> dict[str, str]:
+    """Key texts that, added to BASE, make a scenario; a key drawn again
+    replaces BASE's line."""
+    keys = draw(st.lists(st.sampled_from(_FUZZED), max_size=3, unique=True))
+    lines = {key: _text(draw, key) for key in keys}
+    if "drift.skew_ppm_min" in lines and draw(st.booleans()):  # one skew for every node
+        lines["drift.skew_ppm_max"] = lines["drift.skew_ppm_min"]
+    if draw(st.integers(0, 3)) == 0:  # a churn entry one time in four
+        lines["churn.1"] = draw(_churn)
+    if draw(st.integers(0, 3)) == 0:  # a sweep one time in four
+        parameter = draw(st.sampled_from(SWEEPABLE + ("topology.rows",)))
+        values = [_text(draw, parameter) if parameter in KEYS else draw(_node)
+                  for _ in range(draw(st.integers(1, 3)))]
+        lines["sweep.parameter"] = parameter
+        lines["sweep.values"] = f"[{', '.join(values)}]"
+    return lines
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+@example({"drift.skew_ppm_min": "-2000000", "drift.skew_ppm_max": "-2000000"})
+@example({"drift.skew_ppm_min": "-999600", "drift.skew_ppm_max": "-999600"})
+@example({"drift.skew_ppm_min": "nan", "drift.skew_ppm_max": "nan"})
+@example({"drift.skew_ppm_min": "inf", "drift.skew_ppm_max": "inf"})
+def test_check_passes_exactly_what_runs(lines):
+    # check and the command it vouches for (sweep for a scenario with a
+    # sweep, else run) both exit 0, or both exit 1 with an error line
+    given = {**PROTOCOL, "run.horizon": "3", **lines}
+    text = GRID + "".join(f"{key} = {value}\n" for key, value in given.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            parse_scenario(path)
+        except ScenarioError as exc:
+            assert str(exc).startswith(path), str(exc)
+        command = "sweep" if "sweep.parameter" in lines else "run"
+        check = _main(["check", path])
+        ran = _main([command, path, "--out", os.path.join(tmp, "out")])
+    assert check[0] == ran[0], (text, check, ran)
+    for code, err in (check, ran):
+        assert code in (0, 1) and "Traceback" not in err
+        assert (code == 1) == err.startswith("error: "), (text, err)

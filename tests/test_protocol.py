@@ -2,7 +2,7 @@ import pytest
 
 from ebsim.protocol import (Mode, MrfConfig, NodeState, ProtocolConfig,
                             Variant, effective_epsilon)
-from ebsim.sim import Engine
+from ebsim.sim import Engine, SimulationError
 from ebsim.topology import make_complete
 
 from engine_steps import deliver, fire
@@ -267,11 +267,10 @@ def test_effective_epsilon_caps_the_adaptive_window():
 # --- refractory baseline ---------------------------------------------------
 
 def test_mrf_config_validation():
-    # the upper limit, the protocol period, is checked by the engine
-    with pytest.raises(ValueError):
-        MrfConfig(0)
-    with pytest.raises(ValueError):
-        MrfConfig(-T)
+    # the engine checks the refractory, 0 < refractory < period_t
+    for refractory in (0, -T, T):
+        with pytest.raises(SimulationError, match=f"mrf refractory {refractory} must be"):
+            Engine(make_complete(2), make_cfg(), mrf=MrfConfig(refractory))
 
 
 def test_mrf_refractory_blocks_coupling():

@@ -53,13 +53,13 @@ def test_comments_and_blank_lines():
     ("nonsense = 1", "unknown key"),
     ("protocol.epsilon 0.05", "expected 'key = value'"),
     ("run.horizon = soon", "expected int"),
-    ("sweep.values = [1, 2]", "sweep needs both"),
     ("delay.link_hi = -3", "link_lo <= link_hi"),
     ("churn.1 = vanish 3 at 9", "churn entry"),
     ("run.payload_rate = 7", "probability"),
     ("run.payload_rate = -0.5", "probability"),
     ("delay.link_seed = 4", "delay.link_hi"),
-    ("mrf.enabled = true\nmrf.t_ref = 1000", "<string>:10: mrf.t_ref"),
+    ("mrf.enabled = true\nmrf.t_ref = 1000",
+     "<string>:10: mrf refractory 1000 must be above 0 and below the protocol period 1000"),
     # a key that does not apply is refused, not silently dropped
     ("mrf.t_ref = 300", "<string>:9: mrf.t_ref does not apply"),
     ("topology.radius = 0.5", "<string>:9: topology.radius does not apply"),
@@ -84,6 +84,14 @@ def test_comments_and_blank_lines():
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario_text(MINIMAL + line + "\n")
+
+
+def test_half_given_sweep_names_the_missing_key():
+    # giving either sweep key switches both on, so the other is required
+    for line, missing in (("sweep.values = [1, 2]", "sweep.parameter"),
+                          ("sweep.parameter = run.seed", "sweep.values")):
+        with pytest.raises(ScenarioError, match=f"^<string>: missing required key '{missing}'$"):
+            parse_scenario_text(MINIMAL + line + "\n")
 
 
 def test_error_reports_line_number():
@@ -213,7 +221,7 @@ def test_sweep_values_are_typed_like_the_file():
 
 
 @pytest.mark.parametrize("parameter,value,fragment", [
-    ("run.horizon", 0, "int >= 1"),
+    ("run.horizon", 0, "horizon must be >= 1"),
     ("run.payload_rate", -1, "probability"),
     ("run.payload_rate", 1.5, "probability"),
     ("delay.nu", 2.5, "expected int"),
@@ -616,7 +624,7 @@ def test_cli_check_fails_on_a_bad_sweep_point_like_sweep(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: sweep point run.horizon = 0: run.horizon: expected int >= 1, got '0'\n"
+    assert err == "error: sweep point run.horizon = 0: horizon must be >= 1 period\n"
     assert not out.exists()
     assert main(["check", path]) == 1
     assert capsys.readouterr() == ("", err)  # no report for a sweep that cannot run
