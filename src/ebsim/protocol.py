@@ -37,7 +37,7 @@ class ProtocolConfig:
     """Full parameterization of one node's protocol behaviour.
 
     period_t and c0 are in ticks; epsilon, sigma are phase fractions;
-    s_th is a percentage.
+    s_th is a percentage.  A plain record: sim.run_error judges the values.
     """
 
     period_t: int
@@ -49,26 +49,12 @@ class ProtocolConfig:
     adaptive_c: bool = False
     init_listen_periods: int = 5
 
-    def __post_init__(self) -> None:
-        if self.period_t <= 0:
-            raise ValueError("period_t must be positive")
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must be in (0, 0.5], got {self.epsilon}")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must be in (0, 1), got {self.sigma}")
-        if not 0.0 <= self.s_th <= 100.0:
-            raise ValueError(f"s_th must be within [0, 100], got {self.s_th}")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        if self.init_listen_periods < 0:
-            raise ValueError("init_listen_periods must be >= 0")
-
 
 @dataclass(frozen=True)
 class MrfConfig:
     """Refractory-period baseline: coupling is ignored for the first
     refractory ticks after every own fire.  It runs on the protocol's
-    period T; the engine refuses a refractory outside (0, T).
+    period T; sim.run_error refuses a refractory outside (0, T).
 
     With sleep_during_refractory the radio also sleeps through that
     stretch (duty cycle (T - refractory)/T); without it the node listens

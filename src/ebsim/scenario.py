@@ -111,16 +111,6 @@ def _bool(text: str) -> bool:
     return _BOOLS[text.lower()]
 
 
-def _checked(convert, ok):
-    """A parser that also rejects converted values outside a domain."""
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise ValueError(text)
-        return value
-    return parse
-
-
 def _item(text: str):
     for convert in (int, float):
         try:
@@ -131,9 +121,16 @@ def _item(text: str):
 
 
 def _list(text: str) -> tuple:
-    if not (text.startswith("[") and text.endswith("]")):
+    items = tuple(_item(s.strip()) for s in text[1:-1].split(",") if s.strip())
+    if not (text.startswith("[") and text.endswith("]") and items):
         raise ValueError(text)
-    return tuple(_item(s.strip()) for s in text[1:-1].split(",") if s.strip())
+    return items
+
+
+def _topology_kind(text: str) -> str:
+    if text not in _TOPOLOGIES:
+        raise ValueError(text)
+    return text
 
 
 def _churn(text: str) -> ChurnEvent:
@@ -199,8 +196,7 @@ _LINK = _any_given("delay.link_lo", "delay.link_hi", "delay.link_seed")
 _SWEEP = _any_given("sweep.parameter", "sweep.values")
 
 KEYS: dict[str, Key] = {
-    "topology.kind": Key(_Type(" or ".join(_TOPOLOGIES),
-                               _checked(str, _TOPOLOGIES.__contains__)),
+    "topology.kind": Key(_Type(" or ".join(_TOPOLOGIES), _topology_kind),
                          _REQUIRED, "topology.kind"),
     "topology.rows": _topology_key(_INT, _REQUIRED, "rows"),
     "topology.cols": _topology_key(_INT, _REQUIRED, "cols"),
@@ -242,7 +238,7 @@ KEYS: dict[str, Key] = {
                        "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
                  (), "churn", indexed=True),
     "sweep.parameter": Key(_STR, _REQUIRED, "sweep.parameter", _SWEEP),
-    "sweep.values": Key(_Type("non-empty [a, b, ...] list", _checked(_list, bool),
+    "sweep.values": Key(_Type("non-empty [a, b, ...] list", _list,
                               lambda v: f"[{', '.join(map(str, v))}]"),
                         _REQUIRED, "sweep.values", _SWEEP),
 }
@@ -255,10 +251,9 @@ SWEEPABLE = tuple(key for key, spec in KEYS.items()
 # the key behind each input sim.run_error can name; a churn entry names itself
 _KEY_OF = {spec.field: key for key, spec in KEYS.items() if spec.field} | {"topology": "topology.kind"}
 
-# ScenarioConfig fields built from the keys' "section.attribute" fields
-_SECTIONS = {"topology": build_topology, "protocol": ProtocolConfig,
-             "mrf": MrfConfig, "delay": DelayModel, "fault": LinkFaultModel,
-             "drift": ClockDriftModel, "sweep": SweepSpec}
+# ScenarioConfig records built from the keys' "section.attribute" fields
+_SECTIONS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
+             "fault": LinkFaultModel, "drift": ClockDriftModel, "sweep": SweepSpec}
 
 
 def _read(key: str, text: str, where: str):
@@ -288,8 +283,6 @@ def _resolve(given: dict[str, object], where: Callable[[str | None], str]) -> di
     parameter = values.get("sweep.parameter")
     if parameter is not None and parameter not in SWEEPABLE:
         raise ScenarioError(f"{where('sweep.parameter')}: cannot sweep {parameter!r}")
-    if _LINK(values) and not 0 <= values["delay.link_lo"] <= values["delay.link_hi"]:
-        raise ScenarioError(f"{where('delay.link_hi')}: link delays need 0 <= link_lo <= link_hi")
     return values
 
 
@@ -298,23 +291,23 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
     """The config that runs the given keys, on the given topology if any,
     else on one built from the keys; where is _resolve's.  It passes the
     engine's sim.run_error, or fails at the key behind the input at fault."""
-    kwargs: dict[str, dict] = {name: {} for name in _SECTIONS}
+    kwargs: dict[str, dict] = {name: {} for name in ("topology", *_SECTIONS)}
     top: dict[str, object] = {}
     for key, value in _resolve(given, where).items():
         section, _, attr = (KEYS[key].field or "").rpartition(".")
         if attr:
             (kwargs[section] if section else top)[attr] = value
-    built = {} if topology is None else {"topology": topology}
-    for name, make in _SECTIONS.items():
+    if topology is None:
         try:
-            if name not in built:
-                built[name] = make(**kwargs[name]) if kwargs[name] else None
+            topology = build_topology(**kwargs["topology"])
         except (ValueError, OSError) as exc:
-            at = where("topology.kind" if name == "topology" else None)
-            raise ScenarioError(f"{at}: {name}: {exc}") from None
-    cfg = ScenarioConfig(given=given, **built, **top)
-    if bad := run_error(cfg.topology, cfg.protocol, mrf=cfg.mrf, drift=cfg.drift,
-                        churn=cfg.churn, horizon=cfg.horizon, payload_rate=cfg.payload_rate):
+            raise ScenarioError(f"{where('topology.kind')}: topology: {exc}") from None
+    records = {name: make(**kwargs[name]) if kwargs[name] else None
+               for name, make in _SECTIONS.items()}
+    cfg = ScenarioConfig(given=given, topology=topology, **records, **top)
+    if bad := run_error(cfg.topology, cfg.protocol, mrf=cfg.mrf, delay=cfg.delay,
+                        fault=cfg.fault, drift=cfg.drift, churn=cfg.churn,
+                        horizon=cfg.horizon, seed=cfg.seed, payload_rate=cfg.payload_rate):
         raise ScenarioError(f"{where(_KEY_OF.get(bad[0], bad[0]))}: {bad[1]}")
     return cfg
 

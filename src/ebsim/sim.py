@@ -59,7 +59,8 @@ class DelayModel:
     """Propagation delay in ticks: per-message jitter (``kind``) plus,
     when link_hi is set, a fixed offset per directed link drawn once from
     [link_lo, link_hi]; the offsets model stable propagation/processing
-    skew, so coincidences between senders are stable too.
+    skew, so coincidences between senders are stable too.  A plain record:
+    run_error judges the values.
     """
 
     kind: str = "none"  # none | deterministic | uniform
@@ -69,17 +70,6 @@ class DelayModel:
     link_lo: int = 0
     link_hi: int | None = None  # None: no per-link offsets
     link_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "deterministic", "uniform"):
-            raise ValueError(f"unknown delay kind {self.kind!r}")
-        for name, kind in (("nu", "deterministic"), ("lo", "uniform"), ("hi", "uniform")):
-            if (value := getattr(self, name)) and self.kind != kind:
-                raise ValueError(f"{name} = {value} needs kind {kind!r}, not {self.kind!r}")
-        if self.nu < 0 or self.lo < 0 or self.hi < self.lo:
-            raise ValueError("delays must be non-negative with lo <= hi")
-        if self.link_hi is not None and not 0 <= self.link_lo <= self.link_hi:
-            raise ValueError("link delays need 0 <= link_lo <= link_hi")
 
     def link_table(self, topology: Topology) -> dict[tuple[int, int], int]:
         """Each directed link's offset, drawn from Random(link_seed) in
@@ -106,30 +96,21 @@ class LinkFaultModel:
     """Independent per-(message, receiver) loss plus optional collisions.
 
     With collisions enabled, two receptions at one node whose airtime
-    intervals [arrival, arrival + beta) overlap destroy each other.
+    intervals [arrival, arrival + beta) overlap destroy each other.  A
+    plain record: run_error judges the values.
     """
 
     loss_probability: float = 0.0
     collisions_enabled: bool = False
     airtime_beta: int = 4
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        if self.airtime_beta <= 0:
-            raise ValueError("airtime_beta must be positive")
-
 
 @dataclass(frozen=True)
 class ClockDriftModel:
-    """Per-node rate skew drawn uniformly from [skew_ppm_min, skew_ppm_max]."""
+    """Per-node rate skew, uniform in [skew_ppm_min, skew_ppm_max]; run_error judges it."""
 
     skew_ppm_min: float = 0.0
     skew_ppm_max: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.skew_ppm_max < self.skew_ppm_min:
-            raise ValueError("skew_ppm_max must be >= skew_ppm_min")
 
     def sample(self, rng: random.Random) -> float:
         if self.skew_ppm_min == 0.0 and self.skew_ppm_max == 0.0:
@@ -139,16 +120,13 @@ class ClockDriftModel:
 
 @dataclass(frozen=True)
 class ChurnEvent:
+    """A node leaving, or joining with edges, at the start of a period.  A
+    plain record: run_error replays the schedule on the network."""
+
     at_period: int
     action: str  # join | leave
     node_id: int
     edges: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.action not in ("join", "leave"):
-            raise ValueError(f"unknown churn action {self.action!r}")
-        if self.at_period < 0:
-            raise ValueError("churn period must be >= 0")
 
 
 @dataclass
@@ -192,8 +170,9 @@ class Engine:
         self.rng = random.Random(seed)
         self.trace: list[str] | None = [] if trace else None
 
-        if bad := run_error(topology, cfg, mrf=mrf, drift=self.drift, churn=churn,
-                            horizon=horizon, payload_rate=payload_rate):
+        if bad := run_error(topology, cfg, mrf=mrf, delay=self.delay, fault=self.fault,
+                            drift=self.drift, churn=churn, horizon=horizon, seed=seed,
+                            payload_rate=payload_rate):
             raise SimulationError(bad[1])
         # lossless all-awake ceiling of receptions per node and period
         self.avg_degree = topology.average_degree
@@ -512,30 +491,72 @@ def skewed_period(period_t: int, skew_ppm: float) -> int:
     return int(period_t * (1.0 + skew_ppm * 1e-6) + 0.5)
 
 
+_MAX_TICKS = 2 ** 53  # the longest duration a float holds to the tick
+
+
 def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
-              drift: ClockDriftModel, churn: tuple[ChurnEvent, ...], horizon: int,
+              delay: DelayModel, fault: LinkFaultModel, drift: ClockDriftModel,
+              churn: tuple[ChurnEvent, ...], horizon: int, seed: int,
               payload_rate: float) -> tuple[str, str] | None:
     """None if a run of these inputs can start, else (the input at fault: a
-    parameter, "mrf.refractory", "drift.<bound>" or "churn.<i>", the message)."""
-    if horizon < 1:
-        return "horizon", "horizon must be >= 1 period"
-    if not 0.0 <= payload_rate <= 1.0:
-        return "payload_rate", f"payload_rate must be a probability in [0, 1], got {payload_rate}"
+    parameter, "<record>.<field>" as named on ScenarioConfig, or
+    "churn.<i>", the message).  NaN fails every comparison here."""
+    for name, low in (("period_t", 1), ("c0", 1), ("init_listen_periods", 0)):
+        if not low <= (value := getattr(cfg, name)) <= _MAX_TICKS:
+            return f"protocol.{name}", f"protocol {name} {value} must be in [{low}, 2^53]"
+    if not 0.0 < cfg.epsilon <= 0.5:
+        return "protocol.epsilon", f"protocol epsilon {cfg.epsilon} must be in (0, 0.5]"
+    if not 0.0 < cfg.sigma < 1.0:
+        return "protocol.sigma", f"protocol sigma {cfg.sigma} must be in (0, 1)"
+    if not 0.0 <= cfg.s_th <= 100.0:
+        return "protocol.s_th", f"protocol s_th {cfg.s_th} must be in [0, 100]"
     if mrf is not None and not 0 < mrf.refractory < cfg.period_t:
         return "mrf.refractory", (f"mrf refractory {mrf.refractory} must be above 0 "
                                   f"and below the protocol period {cfg.period_t}")
+    if delay.kind not in ("none", "deterministic", "uniform"):
+        return "delay.kind", f"unknown delay kind {delay.kind!r}"
+    for name, kind in (("nu", "deterministic"), ("lo", "uniform"), ("hi", "uniform")):
+        if (value := getattr(delay, name)) and delay.kind != kind:
+            return f"delay.{name}", f"delay {name} = {value} needs kind {kind!r}, not {delay.kind!r}"
+        if not 0 <= value <= _MAX_TICKS:
+            return f"delay.{name}", f"delay {name} {value} must be in [0, 2^53]"
+    if delay.hi < delay.lo:
+        return "delay.hi", f"delay hi {delay.hi} must be >= lo {delay.lo}"
+    if delay.link_hi is not None and not 0 <= delay.link_lo <= delay.link_hi <= _MAX_TICKS:
+        return ("delay.link_lo" if not 0 <= delay.link_lo <= _MAX_TICKS else "delay.link_hi",
+                f"delay needs 0 <= link_lo <= link_hi <= 2^53, got {delay.link_lo} and {delay.link_hi}")
+    if not -2 ** 63 <= delay.link_seed < 2 ** 63:
+        return "delay.link_seed", f"delay link_seed {delay.link_seed} must be in [-2^63, 2^63)"
+    if not 0.0 <= fault.loss_probability <= 1.0:
+        return "fault.loss_probability", (f"fault loss_probability {fault.loss_probability} "
+                                          "must be in [0, 1]")
+    if not 1 <= fault.airtime_beta <= _MAX_TICKS:
+        return "fault.airtime_beta", f"fault airtime_beta {fault.airtime_beta} must be in [1, 2^53]"
     for name in ("skew_ppm_min", "skew_ppm_max"):
-        if not abs(skew := getattr(drift, name)) <= 1e6:  # NaN fails too
+        if not abs(skew := getattr(drift, name)) <= 1e6:
             return f"drift.{name}", f"drift {name} {skew} must be finite and within [-1e6, 1e6] ppm"
+    if drift.skew_ppm_min > drift.skew_ppm_max:  # blame a bound off its default 0: one written
+        return ("drift.skew_ppm_min" if drift.skew_ppm_min > 0 else "drift.skew_ppm_max",
+                f"drift skew_ppm_min {drift.skew_ppm_min} is above the max {drift.skew_ppm_max}")
     if (shortest := skewed_period(cfg.period_t, drift.skew_ppm_min)) < 1:
         return "drift.skew_ppm_min", (f"drift skew_ppm_min {drift.skew_ppm_min} shortens the "
                                       f"period {cfg.period_t} to {shortest} ticks, below 1")
+    if not horizon >= 1:
+        return "horizon", "horizon must be >= 1 period"
+    if not -2 ** 63 <= seed < 2 ** 63:
+        return "seed", f"seed {seed} must be in [-2^63, 2^63)"
+    if not 0.0 <= payload_rate <= 1.0:
+        return "payload_rate", f"payload_rate must be a probability in [0, 1], got {payload_rate}"
     if not any(topology.adjacency.values()):
         return "topology", "topology: the network has no links: no node can hear another"
     live = set(topology.adjacency)  # the churn replay, in the engine's order
     for i in sorted(range(len(churn)), key=lambda i: (churn[i].at_period, churn[i].node_id)):
         ev, nid = churn[i], churn[i].node_id
-        if ev.at_period >= horizon:
+        if ev.action not in ("join", "leave"):
+            problem = "the action must be join or leave"
+        elif not ev.at_period >= 0:
+            problem = "the period must be >= 0"
+        elif ev.at_period >= horizon:
             problem = f"beyond the horizon of {horizon} periods"
         elif ev.action == "leave":
             problem = None if nid in live else f"node {nid} does not exist"

@@ -3,22 +3,28 @@
 The engine raises its message as a SimulationError; the scenario parser
 raises it as a ScenarioError at the line of the key behind the input, for
 a parsed file and for every sweep point alike, so `check` passes exactly
-the scenarios that `run` and `sweep` can start.
+the scenarios that `run` and `sweep` can start.  The config records
+themselves accept any value.
 """
 
 import contextlib
+import dataclasses
+import importlib
 import io
 import os
+import pkgutil
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ebsim
 from ebsim import cli, scenario
 from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import (KEYS, SWEEPABLE, ScenarioError, apply_override,
                             parse_scenario, parse_scenario_text)
-from ebsim.sim import ChurnEvent, ClockDriftModel, Engine, SimulationError
+from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
+                       LinkFaultModel, SimulationError, run_error)
 from ebsim.topology import make_complete, make_regular_grid
 
 GRID = ("topology.kind = grid\ntopology.rows = 3\ntopology.cols = 3\n"
@@ -36,12 +42,63 @@ def _drift(low, high=None):
             f"drift.skew_ppm_min = {low}\ndrift.skew_ppm_max = {high}")
 
 
+def _protocol(**fields):
+    return {"cfg": dataclasses.replace(CFG, **fields)}
+
+
+HUGE = 10 ** 400  # overflows a float, and a file name as digits
 REFRACTORY = "mrf refractory {} must be above 0 and below the protocol period 1000"
 OUTSIDE = "drift skew_ppm_{} {} must be finite and within [-1e6, 1e6] ppm"
+NEEDS = "delay {} = {} needs kind '{}', not '{}'"
 
 # each rule: the Engine arguments that break it, the scenario lines that do
-# (after BASE), the offset of the line at fault among them, and the message
+# (after BASE, less the protocol keys they set), the offset of the line at
+# fault among them, and the message
 RULES = {
+    "period_t_0": (_protocol(period_t=0), "protocol.period_t = 0", 0,
+                   "protocol period_t 0 must be in [1, 2^53]"),
+    "period_t_huge": (_protocol(period_t=HUGE), f"protocol.period_t = {HUGE}", 0,
+                      f"protocol period_t {HUGE} must be in [1, 2^53]"),
+    "epsilon": (_protocol(epsilon=0.7), "protocol.epsilon = 0.7", 0,
+                "protocol epsilon 0.7 must be in (0, 0.5]"),
+    "sigma": (_protocol(sigma=1.0), "protocol.sigma = 1", 0, "protocol sigma 1.0 must be in (0, 1)"),
+    "s_th": (_protocol(s_th=120.0), "protocol.s_th = 120", 0,
+             "protocol s_th 120.0 must be in [0, 100]"),
+    "c0_0": (_protocol(c0=0), "protocol.c0 = 0", 0, "protocol c0 0 must be in [1, 2^53]"),
+    "c0_huge": (_protocol(c0=HUGE), f"protocol.c0 = {HUGE}", 0,
+                f"protocol c0 {HUGE} must be in [1, 2^53]"),
+    "init_listen_periods": (_protocol(init_listen_periods=-1), "protocol.init_listen_periods = -1",
+                            0, "protocol init_listen_periods -1 must be in [0, 2^53]"),
+    "delay_kind": ({"delay": DelayModel("gaussian")}, "delay.kind = gaussian", 0,
+                   "unknown delay kind 'gaussian'"),
+    "delay_needs_kind": ({"delay": DelayModel(nu=400)}, "delay.nu = 400", 0,
+                         NEEDS.format("nu", 400, "deterministic", "none")),
+    "delay_negative": ({"delay": DelayModel("deterministic", nu=-5)},
+                       "delay.kind = deterministic\ndelay.nu = -5", 1, "delay nu -5 must be in [0, 2^53]"),
+    "delay_nu_huge": ({"delay": DelayModel("deterministic", nu=HUGE)},
+                      f"delay.kind = deterministic\ndelay.nu = {HUGE}", 1,
+                      f"delay nu {HUGE} must be in [0, 2^53]"),
+    "delay_hi_below_lo": ({"delay": DelayModel("uniform", lo=5, hi=2)},
+                          "delay.kind = uniform\ndelay.lo = 5\ndelay.hi = 2", 2,
+                          "delay hi 2 must be >= lo 5"),
+    "link_lo_negative": ({"delay": DelayModel(link_lo=-3, link_hi=5)},
+                         "delay.link_lo = -3\ndelay.link_hi = 5", 0,
+                         "delay needs 0 <= link_lo <= link_hi <= 2^53, got -3 and 5"),
+    "link_seed_huge": ({"delay": DelayModel(link_hi=5, link_seed=HUGE)},
+                       f"delay.link_hi = 5\ndelay.link_seed = {HUGE}", 1,
+                       f"delay link_seed {HUGE} must be in [-2^63, 2^63)"),
+    "link_hi_huge": ({"delay": DelayModel(link_hi=HUGE)}, f"delay.link_hi = {HUGE}", 0,
+                     f"delay needs 0 <= link_lo <= link_hi <= 2^53, got 0 and {HUGE}"),
+    "loss": ({"fault": LinkFaultModel(loss_probability=2.0)}, "fault.loss_probability = 2", 0,
+             "fault loss_probability 2.0 must be in [0, 1]"),
+    "beta": ({"fault": LinkFaultModel(airtime_beta=0)}, "fault.beta = 0", 0,
+             "fault airtime_beta 0 must be in [1, 2^53]"),
+    "skew_min_above_max": (*_drift(5, 0), 0, "drift skew_ppm_min 5.0 is above the max 0.0"),
+    "skew_max_below_min": (*_drift(0, -5), 1, "drift skew_ppm_min 0.0 is above the max -5.0"),
+    "seed_huge": ({"seed": HUGE}, f"run.seed = {HUGE}", 0,
+                  f"seed {HUGE} must be in [-2^63, 2^63)"),
+    "churn_period_negative": ({"churn": (ChurnEvent(-1, "leave", 3),)}, "churn.1 = leave 3 at -1",
+                              0, "churn leave of node 3 at period -1: the period must be >= 0"),
     "horizon": ({"horizon": 0}, "run.horizon = 0", 0, "horizon must be >= 1 period"),
     "payload_rate": ({"payload_rate": 1.5}, "run.payload_rate = 1.5", 0,
                      "payload_rate must be a probability in [0, 1], got 1.5"),
@@ -65,11 +122,15 @@ RULES = {
 @pytest.mark.parametrize("engine,lines,offset,message", RULES.values(), ids=RULES)
 def test_each_rule_holds_in_the_engine_and_at_its_key(engine, lines, offset, message):
     with pytest.raises(SimulationError) as err:
-        Engine(make_regular_grid(3, 3, False), CFG, **engine)
+        Engine(make_regular_grid(3, 3, False), **{"cfg": CFG, **engine})
     assert str(err.value) == message
+    keys = {line.split(" = ")[0] for line in lines.splitlines()}
+    base = "".join(line for line in BASE.splitlines(keepends=True)
+                   if line.split(" = ")[0] not in keys)
+    first = base.count("\n") + 1
     with pytest.raises(ScenarioError) as err:
-        parse_scenario_text(BASE + lines + "\n")
-    assert str(err.value) == f"<string>:{FIRST + offset}: {message}"
+        parse_scenario_text(base + lines + "\n")
+    assert str(err.value) == f"<string>:{first + offset}: {message}"
 
 
 def test_a_network_without_links_is_refused_at_the_topology_line():
@@ -94,6 +155,10 @@ def test_a_network_without_links_is_refused_at_the_topology_line():
      "the period 1000 to 0 ticks, below 1"),
     ("drift.skew_ppm_min", "nan", OUTSIDE.format("min", "nan")),
     ("drift.skew_ppm_max", "inf", OUTSIDE.format("max", "inf")),
+    ("protocol.epsilon", 0.7, "protocol epsilon 0.7 must be in (0, 0.5]"),
+    ("delay.nu", 400, NEEDS.format("nu", 400, "deterministic", "none")),
+    ("fault.beta", 0, "fault airtime_beta 0 must be in [1, 2^53]"),
+    ("drift.skew_ppm_max", -5, "drift skew_ppm_min 0.0 is above the max -5.0"),
 ])
 def test_each_rule_holds_at_a_sweep_point(parameter, value, message):
     cfg = parse_scenario_text(BASE + "mrf.enabled = true\n")
@@ -132,7 +197,7 @@ def test_cli_sweep_of_the_seed_refuses_a_seed_option(tmp_path, capsys):
 
 # --- the scenario surface, fuzzed -------------------------------------------
 
-_BOUNDARY = ("0", "-1", "nan", "inf", "-inf", str(2 ** 63), "1e300", "")
+_BOUNDARY = ("0", "-1", "nan", "inf", "-inf", str(2 ** 63), str(HUGE), "1e300", "")
 # values that mostly parse and pass, by type and for some keys their own
 # edges; run.horizon and protocol.period_t take only their own small
 # values, "nan" and "", so no example runs long
@@ -200,6 +265,15 @@ def _main(argv: list[str]) -> tuple[int, str]:
 @example({"drift.skew_ppm_min": "-999600", "drift.skew_ppm_max": "-999600"})
 @example({"drift.skew_ppm_min": "nan", "drift.skew_ppm_max": "nan"})
 @example({"drift.skew_ppm_min": "inf", "drift.skew_ppm_max": "inf"})
+# a float cannot hold these, nor a file name the seed: check died or run failed
+@example({"protocol.c0": str(HUGE)})
+@example({"delay.kind": "deterministic", "delay.nu": str(HUGE)})
+@example({"delay.link_hi": str(HUGE)})
+@example({"run.seed": str(HUGE)})
+@example({"protocol.period_t": str(HUGE)})
+# a sweep value is part of each CSV's file name
+@example({"sweep.parameter": "protocol.init_listen_periods", "sweep.values": f"[{HUGE}]"})
+@example({"delay.link_hi": "5", "sweep.parameter": "delay.link_seed", "sweep.values": f"[{HUGE}]"})
 def test_check_passes_exactly_what_runs(lines):
     # check and the command it vouches for (sweep for a scenario with a
     # sweep, else run) both exit 0, or both exit 1 with an error line
@@ -220,3 +294,82 @@ def test_check_passes_exactly_what_runs(lines):
     for code, err in (check, ran):
         assert code in (0, 1) and "Traceback" not in err
         assert (code == 1) == err.startswith("error: "), (text, err)
+
+
+# --- the config records, fuzzed ---------------------------------------------
+
+_ODD = (0, -1, float("nan"), float("inf"), float("-inf"), 2 ** 53 + 1, HUGE)
+# each (record, field) the fuzzer may set to an odd value, with those values
+_FIELDS = [
+    *[("cfg", name, _ODD) for name in ("period_t", "epsilon", "sigma", "s_th", "c0",
+                                        "init_listen_periods")],
+    ("mrf", "refractory", _ODD), ("delay", "kind", ("gaussian",)),
+    *[("delay", name, _ODD) for name in ("nu", "lo", "hi", "link_lo", "link_hi", "link_seed")],
+    ("fault", "loss_probability", _ODD), ("fault", "airtime_beta", _ODD),
+    ("drift", "skew_ppm_min", _ODD), ("drift", "skew_ppm_max", _ODD),
+    ("churn", "action", ("explode",)), ("churn", "at_period", _ODD),
+    ("run", "seed", _ODD), ("run", "payload_rate", _ODD),
+]
+_RECORDS = {"cfg": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
+            "fault": LinkFaultModel, "drift": ClockDriftModel, "churn": ChurnEvent}
+
+
+def _runnable(kind="none", adaptive_c=False, init_listen_periods=0, link_hi=None,
+              collisions=False, odd=()) -> dict[str, dict]:
+    """Field values of records that run, by delay kind and switch, with
+    each (record, field, value) of odd set."""
+    fields = {
+        "cfg": {"period_t": 1000, "epsilon": 0.05, "sigma": 0.01, "s_th": 80.0,
+                "adaptive_c": adaptive_c, "init_listen_periods": init_listen_periods},
+        "mrf": {"refractory": 500},
+        "delay": {"kind": kind, "nu": 30 * (kind == "deterministic"),
+                  "lo": 1 * (kind == "uniform"), "hi": 20 * (kind == "uniform"),
+                  "link_hi": link_hi},
+        "fault": {"loss_probability": 0.1, "collisions_enabled": collisions},
+        "drift": {"skew_ppm_min": -100.0, "skew_ppm_max": 100.0},
+        "churn": {"at_period": 1, "action": "leave", "node_id": 4},
+        "run": {"seed": 3, "payload_rate": 0.5},
+    }
+    for record, name, value in odd:
+        fields[record][name] = value
+    return fields
+
+
+@st.composite
+def _records(draw) -> dict[str, dict]:
+    """Runnable records with up to three fields set to an odd value."""
+    odd = [(record, name, draw(st.sampled_from(values))) for record, name, values
+           in draw(st.lists(st.sampled_from(_FIELDS), max_size=3, unique=True))]
+    return _runnable(draw(st.sampled_from(("none", "deterministic", "uniform"))),
+                     draw(st.booleans()), draw(st.sampled_from((0, 2))),
+                     draw(st.sampled_from((None, 30))), draw(st.booleans()), odd)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_records(), st.booleans())
+# no float holds these: they overflowed in the engine
+@example(_runnable(odd=[("cfg", "period_t", HUGE)]), False)
+@example(_runnable(adaptive_c=True, odd=[("cfg", "c0", HUGE)]), False)
+def test_the_engine_runs_or_refuses_any_record(fields, baseline):
+    # the records take any value; the Engine refuses with run_error's
+    # message, or the run of two periods completes
+    args = {name: make(**fields[name]) for name, make in _RECORDS.items()}
+    args.update(churn=(args["churn"],), mrf=args["mrf"] if baseline else None,
+                horizon=2, **fields["run"])
+    topology = make_regular_grid(3, 3, False)
+    try:
+        engine = Engine(topology, **args)
+    except SimulationError as exc:
+        assert str(exc) == run_error(topology, **args)[1]
+    else:
+        assert len(engine.run().series) == 2
+
+
+def test_only_the_topology_checks_in_its_constructor():
+    # a value rule belongs in run_error, where the parser can name its key
+    modules = [importlib.import_module(f"ebsim.{info.name}")
+               for info in pkgutil.iter_modules(ebsim.__path__)]
+    checked = {obj.__name__ for module in modules for obj in vars(module).values()
+               if dataclasses.is_dataclass(obj) and "__post_init__" in vars(obj)}
+    assert checked == {"Topology"}

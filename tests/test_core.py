@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from ebsim.core import advance_remaining_ticks, avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
-from ebsim.sim import Engine, run
+from ebsim.sim import Engine, SimulationError, run
 from ebsim.topology import make_regular_grid, make_complete
 
 from engine_steps import deliver
@@ -37,16 +37,11 @@ def _hear(remaining, eps, sigma, mrf=False, period=T):
 
 
 def test_coupling_params_validation():
-    # the coupling parameters are checked where they are configured
-    with pytest.raises(ValueError):
-        ProtocolConfig(period_t=T, epsilon=0.0, sigma=0.01, s_th=80.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(period_t=T, epsilon=0.6, sigma=0.01, s_th=80.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(period_t=T, epsilon=0.01, sigma=0.0, s_th=80.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(period_t=T, epsilon=0.01, sigma=1.0, s_th=80.0)
-    ProtocolConfig(period_t=T, epsilon=0.5, sigma=0.5, s_th=80.0)
+    # the engine refuses coupling parameters outside the analysis' bounds
+    for eps, sigma in ((0.0, 0.01), (0.6, 0.01), (0.01, 0.0), (0.01, 1.0)):
+        with pytest.raises(SimulationError, match="protocol (epsilon|sigma)"):
+            _engine(eps, sigma)
+    _engine(0.5, 0.5)
 
 
 def test_phase_advance_mid_period():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ebsim.params import build_report
 from ebsim.protocol import ProtocolConfig, adaptive_c
+from ebsim.sim import Engine, SimulationError
 from ebsim.topology import make_complete, make_random_geometric, make_regular_grid
 
 
@@ -32,8 +33,8 @@ def test_epsilon_opt_substitution():
 def test_epsilon_opt_clamped():
     r = build_report(ProtocolConfig(1000, 0.1, 0.01, 80, c0=1000), make_complete(101), 0)
     assert r.epsilon_opt == 0.5 and any("0.5 ceiling" in w for w in r.warnings)
-    with pytest.raises(ValueError):  # the period is checked where it is configured
-        ProtocolConfig(0, 0.1, 0.01, 80, c0=10)
+    with pytest.raises(SimulationError, match="protocol period_t 0"):  # the engine refuses it
+        Engine(make_complete(2), ProtocolConfig(0, 0.1, 0.01, 80, c0=10))
 
 
 @given(st.integers(1, 100), st.integers(0, 50), st.integers(0, 1000),
@@ -53,8 +54,8 @@ def test_sigma_max():
     assert _judge(0.1, 0.01, nu=500).sigma_max == pytest.approx(0.0)
     # a window is at most half the period, and the period is positive
     for eps, t in ((1.0, 10000), (0.6, 10000), (0.1, 0)):
-        with pytest.raises(ValueError):
-            ProtocolConfig(t, eps, 0.01, 80)
+        with pytest.raises(SimulationError):
+            Engine(make_complete(2), ProtocolConfig(t, eps, 0.01, 80))
 
 
 def _cfg(c0, s_th):
@@ -73,13 +74,13 @@ def test_adaptive_c_full_threshold(c0, n):
 
 
 def test_adaptive_c_validation():
-    # c0 and s_th are checked where they are declared, in ProtocolConfig
-    with pytest.raises(ValueError):
-        adaptive_c(_cfg(0, 80), 4)
+    # the engine refuses a c0 or s_th that ProtocolConfig records
+    with pytest.raises(SimulationError, match="protocol c0 0 must be"):
+        Engine(make_complete(2), _cfg(0, 80))
     with pytest.raises(ValueError):
         adaptive_c(_cfg(50, 80), -1)
-    with pytest.raises(ValueError):
-        adaptive_c(_cfg(50, 101), 4)
+    with pytest.raises(SimulationError, match="protocol s_th 101 must be"):
+        Engine(make_complete(2), _cfg(50, 101))
 
 
 def test_check_stability():

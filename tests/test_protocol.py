@@ -56,18 +56,11 @@ def is_awake(node, phi, mrf=None):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_cfg(period_t=0)
-    with pytest.raises(ValueError):
-        make_cfg(epsilon=0.7)
-    with pytest.raises(ValueError):
-        make_cfg(sigma=1.0)
-    with pytest.raises(ValueError):
-        make_cfg(s_th=120.0)
-    with pytest.raises(ValueError):
-        make_cfg(c0=0)
-    with pytest.raises(ValueError):
-        make_cfg(init_listen_periods=-1)
+    # ProtocolConfig is a plain record; the engine refuses each bad value
+    for field, value in (("period_t", 0), ("epsilon", 0.7), ("sigma", 1.0), ("s_th", 120.0),
+                         ("c0", 0), ("init_listen_periods", -1)):
+        with pytest.raises(SimulationError, match=f"^protocol {field} {value} must be"):
+            Engine(make_complete(2), make_cfg(**{field: value}))
 
 
 def test_phase_at():

@@ -77,9 +77,9 @@ def test_comments_and_blank_lines():
     ("churn.1 = join 30 at 2 edges 1,99",
      "<string>:9: churn join of node 30 at period 2: edge 30-99 references unknown node 99"),
     # a delay value the delay kind never reads
-    ("delay.nu = 400", "<string>: delay: nu = 400 needs kind 'deterministic', not 'none'"),
+    ("delay.nu = 400", "<string>:9: delay nu = 400 needs kind 'deterministic', not 'none'"),
     ("delay.kind = deterministic\ndelay.nu = 5\ndelay.hi = 9",
-     "<string>: delay: hi = 9 needs kind 'uniform', not 'deterministic'"),
+     "<string>:11: delay hi = 9 needs kind 'uniform', not 'deterministic'"),
 ])
 def test_parse_errors_name_the_problem(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):

@@ -149,28 +149,25 @@ def test_delay_constant_and_draw_split():
 
 
 def test_delay_model_validation():
-    with pytest.raises(ValueError):
-        DelayModel(kind="gaussian")
-    with pytest.raises(ValueError):
-        DelayModel(kind="uniform", lo=5, hi=2)
-    with pytest.raises(ValueError):
-        DelayModel(link_lo=-3, link_hi=5)
-    with pytest.raises(ValueError):
-        DelayModel(link_lo=5, link_hi=2)
+    # the models are plain records; the engine refuses what no run can use
+    def refused(match, **models):
+        with pytest.raises(SimulationError, match=match):
+            Engine(pair(), make_cfg(), **models)
+    refused("unknown delay kind 'gaussian'", delay=DelayModel(kind="gaussian"))
+    refused("delay hi 2 must be >= lo 5", delay=DelayModel(kind="uniform", lo=5, hi=2))
+    refused("link_lo <= link_hi", delay=DelayModel(link_lo=-3, link_hi=5))
+    refused("link_lo <= link_hi", delay=DelayModel(link_lo=5, link_hi=2))
     # a delay value the kind never reads is an error, not silently dropped
     for kwargs in ({"nu": 400}, {"kind": "uniform", "nu": 3, "hi": 9},
                    {"lo": 2, "hi": 5}, {"kind": "deterministic", "nu": 3, "hi": 5}):
-        with pytest.raises(ValueError, match="needs kind"):
-            DelayModel(**kwargs)
+        refused("needs kind", delay=DelayModel(**kwargs))
     # zero values are what every kind reads as unset
     assert DelayModel(kind="deterministic", nu=0, lo=0, hi=0).constant() == 0
     assert DelayModel(kind="uniform", nu=0, lo=0, hi=0).constant() is None
-    with pytest.raises(ValueError):
-        LinkFaultModel(loss_probability=1.5)
-    with pytest.raises(ValueError):
-        LinkFaultModel(airtime_beta=0)
-    with pytest.raises(ValueError):
-        ClockDriftModel(skew_ppm_min=5.0, skew_ppm_max=1.0)
+    refused("fault loss_probability 1.5", fault=LinkFaultModel(loss_probability=1.5))
+    refused("fault airtime_beta 0", fault=LinkFaultModel(airtime_beta=0))
+    refused("drift skew_ppm_min 5.0 is above the max 1.0",
+            drift=ClockDriftModel(skew_ppm_min=5.0, skew_ppm_max=1.0))
 
 
 def test_collision_overlapping_airtimes_destroy_both():
@@ -379,8 +376,8 @@ def test_edgeless_network_is_rejected(topology):
 
 
 def test_churn_validation():
-    with pytest.raises(ValueError):
-        ChurnEvent(5, "explode", 4)
+    with pytest.raises(SimulationError, match="the action must be join or leave"):
+        run(pair(), make_cfg(), horizon=10, churn=(ChurnEvent(5, "explode", 0),))
     with pytest.raises(SimulationError):
         run(pair(), make_cfg(), horizon=5,
             churn=(ChurnEvent(7, "leave", 0),))
