@@ -90,14 +90,19 @@ class NodeState:
     init_periods_left: int = 0
     synchronicity: float = 0.0
     pending_payload: bool = False
-    # simulator bookkeeping
-    fire_seq: int = 0
+    # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last
+    armed: list[tuple[int, int]] = field(default_factory=list)
     advance_accum: float = 0.0
     rx_busy_until: int = -1
     # the reception in flight as (sender, arrival tick): its commit waits in
     # the engine's FIFO, and a collision clears it, so at most one
     rx_pending: tuple[int, int] | None = None
     fires: list[int] = field(default_factory=list)
+
+    @property
+    def fire_seq(self) -> int:
+        """The earliest queued FIRE entry's seq if due at next_fire, else -1 (a wake-up)."""
+        return self.armed[-1][1] if self.armed and self.armed[-1][0] == self.next_fire else -1
 
     def phase_at(self, now: int) -> float:
         return 1.0 - (self.next_fire - now) / self.period_ticks

@@ -6,7 +6,10 @@ id, insertion counter), so a run is bitwise reproducible for a given
 (scenario, seed).  Event-type priority at one tick: churn, then fires (and
 the period-boundary processing they imply), then reception commits, then
 message arrivals, then the metrics sample.  Commits wait in a FIFO, the
-rest in a binary heap; the event loop merges the two by that key.
+rest in a binary heap; the event loop merges the two by that key.  A
+node's queued FIRE entries are a stack (NodeState.armed), earliest on top:
+a jump queues one only before the top, a top due at next_fire fires the
+node and an earlier one wakes it to re-arm; any other is a predecessor's.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ _CHURN, _FIRE, _RX_COMMIT, _ARRIVAL, _SAMPLE = map(int, EventKind)
 # enum members as globals: on Python 3.11 each read of Mode.STEADY costs ~0.1 us
 _INIT, _SYNC, _STEADY, _RECOVERY = (Mode.INITIALIZATION, Mode.SYNCHRONIZATION,
                                     Mode.STEADY, Mode.RECOVERY)
-_NO_REACHBACK = Variant.NO_REACHBACK
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ class Engine:
     Without mrf the nodes run the four-mode protocol; with it, the
     refractory-period baseline (always broadcasting, deaf and asleep for
     the refractory stretch after each own fire).  The engine runs every
-    node transition: reception in run, the period end in _handle_fire.
+    node transition: reception in run, the period end in _fire_handler.
     What run_error refuses is a SimulationError, raised before any event.
     """
 
@@ -161,7 +163,6 @@ class Engine:
         self.cfg = cfg
         self.mrf = mrf
         self.delay = delay or DelayModel()
-        self._jitter = self.delay.constant()  # None: draw per message
         self.fault = fault or LinkFaultModel()
         self.drift = drift or ClockDriftModel()
         self.horizon = horizon
@@ -190,8 +191,10 @@ class Engine:
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
         self.series: list[MetricsRow] = []
+        # an arrival attempt ends lost, dropped_asleep, collided, departed, received or in_flight
         self.stats = {"broadcasts": 0, "arrival_attempts": 0, "lost": 0,
-                      "collisions": 0, "dropped_asleep": 0, "received": 0}
+                      "collisions": 0, "dropped_asleep": 0, "received": 0,
+                      "collided": 0, "departed": 0, "in_flight": 0}
 
         for nid in topology.node_ids:
             self._spawn_node(nid, 0)
@@ -217,8 +220,7 @@ class Engine:
         node = NodeState(
             id=nid, period_ticks=period, next_fire=now + r0,
             epsilon_eff=self.cfg.epsilon, period_start=now,
-            init_periods_left=self.cfg.init_listen_periods,
-            fire_seq=next(self._counter))  # past every stale FIRE of this id
+            init_periods_left=self.cfg.init_listen_periods)
         if self.mrf is not None:
             node.mode = _SYNC  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
@@ -232,7 +234,9 @@ class Engine:
         rate = self.payload_rate
         node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
         self.nodes[nid] = node
-        self._push(node.next_fire, _FIRE, nid, -1, node.fire_seq)
+        seq = next(self._counter)  # fresh: a predecessor's entries are foreign
+        node.armed.append((node.next_fire, seq))
+        heapq.heappush(self._heap, (node.next_fire, _FIRE, nid, -1, seq, seq))
 
     # -- event handlers --------------------------------------------------
 
@@ -244,14 +248,15 @@ class Engine:
         (collisions on; its RX_COMMIT ends the airtime) or is received at
         once.  Both ways end in the one reception step: it records the
         sender and, strictly between the window edges, applies the coupling
-        jump (Mirollo & Strogatz 1990) on integer ticks.  Stale FIREs are
-        dropped here, and receptions, asleep drops and awake ticks counted
-        in locals until the next sample takes them.
+        jump (Mirollo & Strogatz 1990) on integer ticks.  A FIRE entry is
+        checked against its node's stack, and a node re-armed, here too.
+        Receptions, asleep drops and awake ticks are counted in locals
+        until the next sample takes them.
         """
         end = self.horizon * self.T
         heap, nodes, stats, trace = self._heap, self.nodes, self.stats, self.trace
         pop, push, counter = heapq.heappop, heapq.heappush, self._counter
-        fire = self._handle_fire
+        fire = self._fire_handler()
         sigma = self.cfg.sigma
         collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
         ebs = self.mrf is None
@@ -260,7 +265,8 @@ class Engine:
         refractory = 0 if ebs else self.mrf.refractory
         deaf = not ebs and self.mrf.sleep_during_refractory
         steady, init = _STEADY, _INIT
-        received = dropped = awake = 0
+        arrival, commit, fire_kind = _ARRIVAL, _RX_COMMIT, _FIRE
+        received = dropped = awake = collided = departed = popped_past = 0
         commits = deque()  # RX_COMMITs, made in key order (see EventKind)
         while heap or commits:
             if commits and (not heap or commits[0] < heap[0]):
@@ -268,22 +274,24 @@ class Engine:
             else:
                 time, kind, nid, sender, _, payload = pop(heap)
             if time > end:
+                popped_past = kind == arrival
                 break
-            if kind == _ARRIVAL or kind == _RX_COMMIT:
+            if kind == arrival or kind == commit:
                 node = nodes.get(nid)
-                if node is None:
-                    continue
-                if kind == _RX_COMMIT:
-                    if payload != node.rx_pending:
-                        continue  # a collision destroyed it
+                if kind == commit:
+                    if node is None or payload != node.rx_pending:
+                        continue  # counted when a collision or a leave ended it
                     node.rx_pending = None
+                elif node is None:
+                    departed += 1
+                    continue
                 remaining = node.next_fire - time
                 period = node.period_ticks
                 phi = 1.0 - remaining / period
                 eps = node.epsilon_eff
                 in_window = phi <= eps or phi >= 1.0 - eps
                 refr = refractory and phi * period < refractory
-                if kind == _ARRIVAL:
+                if kind == arrival:
                     if (deaf and refr) or (not in_window and node.mode is steady):
                         dropped += 1
                         continue
@@ -291,6 +299,7 @@ class Engine:
                         busy = node.rx_busy_until
                         if time < busy:
                             # overlapping airtime destroys both the in-flight and the new one
+                            collided += 1 if node.rx_pending is None else 2
                             node.rx_pending = None
                             node.rx_busy_until = max(busy, time + beta)
                             stats["collisions"] += 1
@@ -316,19 +325,34 @@ class Engine:
                     jump = (remaining - jumped) / period
                 if trace is not None:
                     trace.append(f"{time}\trx\tnode={nid}\tsender={sender}\tjump={jump}")
-                if jump > 0.0:
-                    node.advance_accum += jump
-                    node.fire_seq += 1
-                    push(heap, (node.next_fire, _FIRE, nid, -1, next(counter), node.fire_seq))
-            elif kind == _FIRE:
+                if jump <= 0.0:
+                    continue
+                node.advance_accum += jump
+            elif kind == fire_kind:
                 node = nodes.get(nid)
-                if node is not None and payload == node.fire_seq:
+                if node is None or payload != node.armed[-1][1]:
+                    continue  # foreign
+                node.armed.pop()
+                if time == node.next_fire:  # else a wake-up
                     awake += fire(time, node)
             elif kind == _CHURN:
-                self._handle_churn(time, payload)
+                departed += self._handle_churn(time, payload)
+                continue
             else:  # the sample at horizon * T is the last event handled
                 self._handle_sample(time, received, dropped, awake)
                 received = dropped = awake = 0
+                continue
+            # re-arm: queue an entry at next_fire unless an earlier one is queued
+            armed, due = node.armed, node.next_fire
+            if not armed or due < armed[-1][0]:
+                seq = next(counter)
+                armed.append((due, seq))
+                push(heap, (due, fire_kind, nid, -1, seq, seq))
+        stats["collided"] += collided
+        stats["departed"] += departed
+        # past the horizon: queued arrivals, and receptions whose commit waits
+        stats["in_flight"] = (popped_past + sum(entry[1] == arrival for entry in heap)
+                              + sum(node.rx_pending is not None for node in nodes.values()))
         return RunResult(
             series=self.series,
             flap_events=self.flap_events,
@@ -339,56 +363,59 @@ class Engine:
             trace=self.trace,
         )
 
-    def _handle_fire(self, now: int, node: NodeState) -> int:
-        """The phase reached 1: the node's period ends and its phase resets.
-
-        Returns the ticks the node was awake in that period: all of it,
-        except asleep in a sleeping baseline's refractory stretch or outside
-        a steady node's window.  Every baseline fire goes on air; an EBS
-        fire does without reach-back (a fresh sync message, or piggybacking
-        a payload) and with partial reach-back only when it carries a
-        pending payload.  An EBS node then takes its mode step and starts
-        the new period.  A broadcast draws loss, then jitter, per receiver.
+    def _fire_handler(self):
+        """The period end, with the run's constants read once: returns
+        fire(now, node), which ends node's period and returns the ticks it
+        was awake in it: all of it, except asleep in a sleeping baseline's
+        refractory stretch or outside a steady node's window.  Every
+        baseline fire goes on air; an EBS fire does without reach-back (a
+        fresh sync message, or piggybacking a payload) and with partial
+        reach-back only when it carries a pending payload.  An EBS node then
+        takes its mode step.  A broadcast draws loss, then jitter, per
+        receiver.  Re-arming the node is run's.
         """
-        mrf, cfg = self.mrf, self.cfg
-        awake = now - node.period_start
-        if mrf is not None and mrf.sleep_during_refractory:
-            awake = max(0, awake - mrf.refractory)
-        elif node.mode is _STEADY:  # baseline nodes are never steady
-            awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
-        node.fires.append(now)
-        node.next_fire = now + node.period_ticks
-        node.period_start = now
-        emit = True
-        if mrf is None:
-            emit = cfg.variant is _NO_REACHBACK or node.pending_payload
-            self._step_mode(node, now)
-            node.heard_this_period.clear()
-            node.heard_any.clear()
-            node.epsilon_eff = (protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
-                                if cfg.adaptive_c else cfg.epsilon)
-            rate = self.payload_rate
-            node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
-        heap, push, counter = self._heap, heapq.heappush, self._counter
-        node.fire_seq += 1
-        push(heap, (node.next_fire, _FIRE, node.id, -1, next(counter), node.fire_seq))
-        if self.trace is not None:
-            self.trace.append(f"{now}\tfire\tnode={node.id}\temit={emit}")
-        if not emit:
+        cfg, rng, stats, trace = self.cfg, self.rng, self.stats, self.trace
+        ebs, rate, step_mode = self.mrf is None, self.payload_rate, self._step_mode
+        sleep = 0 if ebs or not self.mrf.sleep_during_refractory else self.mrf.refractory
+        every, adaptive = cfg.variant is Variant.NO_REACHBACK, cfg.adaptive_c
+        heap, push, counter, fanouts = self._heap, heapq.heappush, self._counter, self._fanout
+        loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
+        jitter = self.delay.constant()  # None: draw per message
+
+        def fire(now: int, node: NodeState) -> int:
+            awake = now - node.period_start
+            if sleep:
+                awake = max(0, awake - sleep)
+            elif node.mode is _STEADY:  # baseline nodes are never steady
+                awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
+            node.fires.append(now)
+            node.next_fire = now + node.period_ticks
+            node.period_start = now
+            emit = True
+            if ebs:
+                emit = every or node.pending_payload
+                step_mode(node, now)
+                node.heard_this_period.clear()
+                node.heard_any.clear()
+                node.epsilon_eff = (protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
+                                    if adaptive else cfg.epsilon)
+                node.pending_payload = rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
+            if trace is not None:
+                trace.append(f"{now}\tfire\tnode={node.id}\temit={emit}")
+            if not emit:
+                return awake
+            nid = node.id
+            fanout = fanouts[nid]
+            stats["broadcasts"] += 1
+            stats["arrival_attempts"] += len(fanout)
+            for recv, offset in fanout:
+                if loss > 0 and rng.random() < loss:
+                    stats["lost"] += 1
+                    continue
+                at = now + offset + (rng.randint(lo, hi) if jitter is None else jitter)
+                push(heap, (at, _ARRIVAL, recv, nid, next(counter), None))
             return awake
-        stats, rng, jitter = self.stats, self.rng, self._jitter
-        loss = self.fault.loss_probability
-        fanout = self._fanout[node.id]
-        stats["broadcasts"] += 1
-        stats["arrival_attempts"] += len(fanout)
-        for recv, offset in fanout:
-            if loss > 0 and rng.random() < loss:
-                stats["lost"] += 1
-                continue
-            at = now + offset + (rng.randint(self.delay.lo, self.delay.hi)
-                                 if jitter is None else jitter)
-            push(heap, (at, _ARRIVAL, recv, node.id, next(counter), None))
-        return awake
+        return fire
 
     def _step_mode(self, node: NodeState, now: int) -> None:
         """An EBS node's mode transition at the end of its period.
@@ -438,14 +465,15 @@ class Engine:
             if self.trace is not None:
                 self.trace.append(f"{now}\tflap\tnode={node.id}")
 
-    def _handle_churn(self, now: int, ev: ChurnEvent) -> None:
+    def _handle_churn(self, now: int, ev: ChurnEvent) -> int:
         """A leave drops the node's links from _fanout; a join adds links
-        with no offset, so a rejoin starts afresh."""
-        fanout, nid = self._fanout, ev.node_id
+        with no offset, so a rejoin starts afresh.  Returns the receptions
+        a leave cut short: 1 if the node had one in flight, else 0."""
+        fanout, nid, cut = self._fanout, ev.node_id, 0
         if ev.action == "leave":
             for recv, _ in fanout.pop(nid):
                 fanout[recv] = tuple(link for link in fanout[recv] if link[0] != nid)
-            del self.nodes[nid]
+            cut = int(self.nodes.pop(nid).rx_pending is not None)
             if self.trace is not None:
                 self.trace.append(f"{now}\tleave\tnode={nid}")
         else:
@@ -456,6 +484,7 @@ class Engine:
             if self.trace is not None:
                 self.trace.append(f"{now}\tjoin\tnode={nid}\tedges={len(ev.edges)}")
         self._relink()
+        return cut
 
     def _handle_sample(self, now: int, received: int, dropped_asleep: int, awake: int) -> None:
         """One series row; the counts are those since the last sample."""
@@ -494,6 +523,15 @@ def skewed_period(period_t: int, skew_ppm: float) -> int:
 _MAX_TICKS = 2 ** 53  # the longest duration a float holds to the tick
 
 
+def _shown(value) -> str:
+    """value as a message shows it; an int too long for str() by its size."""
+    try:
+        return f"{value}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        sign = "a negative" if value < 0 else "an"
+        return f"<{sign} integer of about {int(value.bit_length() * 0.30103) + 1} digits>"
+
+
 def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
               delay: DelayModel, fault: LinkFaultModel, drift: ClockDriftModel,
               churn: tuple[ChurnEvent, ...], horizon: int, seed: int,
@@ -503,38 +541,42 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
     "churn.<i>", the message).  NaN fails every comparison here."""
     for name, low in (("period_t", 1), ("c0", 1), ("init_listen_periods", 0)):
         if not low <= (value := getattr(cfg, name)) <= _MAX_TICKS:
-            return f"protocol.{name}", f"protocol {name} {value} must be in [{low}, 2^53]"
+            return f"protocol.{name}", f"protocol {name} {_shown(value)} must be in [{low}, 2^53]"
     if not 0.0 < cfg.epsilon <= 0.5:
-        return "protocol.epsilon", f"protocol epsilon {cfg.epsilon} must be in (0, 0.5]"
+        return "protocol.epsilon", f"protocol epsilon {_shown(cfg.epsilon)} must be in (0, 0.5]"
     if not 0.0 < cfg.sigma < 1.0:
-        return "protocol.sigma", f"protocol sigma {cfg.sigma} must be in (0, 1)"
+        return "protocol.sigma", f"protocol sigma {_shown(cfg.sigma)} must be in (0, 1)"
     if not 0.0 <= cfg.s_th <= 100.0:
-        return "protocol.s_th", f"protocol s_th {cfg.s_th} must be in [0, 100]"
+        return "protocol.s_th", f"protocol s_th {_shown(cfg.s_th)} must be in [0, 100]"
     if mrf is not None and not 0 < mrf.refractory < cfg.period_t:
-        return "mrf.refractory", (f"mrf refractory {mrf.refractory} must be above 0 "
+        return "mrf.refractory", (f"mrf refractory {_shown(mrf.refractory)} must be above 0 "
                                   f"and below the protocol period {cfg.period_t}")
     if delay.kind not in ("none", "deterministic", "uniform"):
         return "delay.kind", f"unknown delay kind {delay.kind!r}"
     for name, kind in (("nu", "deterministic"), ("lo", "uniform"), ("hi", "uniform")):
         if (value := getattr(delay, name)) and delay.kind != kind:
-            return f"delay.{name}", f"delay {name} = {value} needs kind {kind!r}, not {delay.kind!r}"
+            return f"delay.{name}", (f"delay {name} = {_shown(value)} needs kind {kind!r}, "
+                                     f"not {delay.kind!r}")
         if not 0 <= value <= _MAX_TICKS:
-            return f"delay.{name}", f"delay {name} {value} must be in [0, 2^53]"
+            return f"delay.{name}", f"delay {name} {_shown(value)} must be in [0, 2^53]"
     if delay.hi < delay.lo:
         return "delay.hi", f"delay hi {delay.hi} must be >= lo {delay.lo}"
     if delay.link_hi is not None and not 0 <= delay.link_lo <= delay.link_hi <= _MAX_TICKS:
         return ("delay.link_lo" if not 0 <= delay.link_lo <= _MAX_TICKS else "delay.link_hi",
-                f"delay needs 0 <= link_lo <= link_hi <= 2^53, got {delay.link_lo} and {delay.link_hi}")
+                f"delay needs 0 <= link_lo <= link_hi <= 2^53, got {_shown(delay.link_lo)} "
+                f"and {_shown(delay.link_hi)}")
     if not -2 ** 63 <= delay.link_seed < 2 ** 63:
-        return "delay.link_seed", f"delay link_seed {delay.link_seed} must be in [-2^63, 2^63)"
+        return "delay.link_seed", f"delay link_seed {_shown(delay.link_seed)} must be in [-2^63, 2^63)"
     if not 0.0 <= fault.loss_probability <= 1.0:
-        return "fault.loss_probability", (f"fault loss_probability {fault.loss_probability} "
+        return "fault.loss_probability", (f"fault loss_probability {_shown(fault.loss_probability)} "
                                           "must be in [0, 1]")
     if not 1 <= fault.airtime_beta <= _MAX_TICKS:
-        return "fault.airtime_beta", f"fault airtime_beta {fault.airtime_beta} must be in [1, 2^53]"
+        return "fault.airtime_beta", (f"fault airtime_beta {_shown(fault.airtime_beta)} "
+                                      "must be in [1, 2^53]")
     for name in ("skew_ppm_min", "skew_ppm_max"):
         if not abs(skew := getattr(drift, name)) <= 1e6:
-            return f"drift.{name}", f"drift {name} {skew} must be finite and within [-1e6, 1e6] ppm"
+            return f"drift.{name}", (f"drift {name} {_shown(skew)} must be finite and "
+                                     "within [-1e6, 1e6] ppm")
     if drift.skew_ppm_min > drift.skew_ppm_max:  # blame a bound off its default 0: one written
         return ("drift.skew_ppm_min" if drift.skew_ppm_min > 0 else "drift.skew_ppm_max",
                 f"drift skew_ppm_min {drift.skew_ppm_min} is above the max {drift.skew_ppm_max}")
@@ -544,9 +586,10 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
     if not horizon >= 1:
         return "horizon", "horizon must be >= 1 period"
     if not -2 ** 63 <= seed < 2 ** 63:
-        return "seed", f"seed {seed} must be in [-2^63, 2^63)"
+        return "seed", f"seed {_shown(seed)} must be in [-2^63, 2^63)"
     if not 0.0 <= payload_rate <= 1.0:
-        return "payload_rate", f"payload_rate must be a probability in [0, 1], got {payload_rate}"
+        return "payload_rate", ("payload_rate must be a probability in [0, 1], "
+                                f"got {_shown(payload_rate)}")
     if not any(topology.adjacency.values()):
         return "topology", "topology: the network has no links: no node can hear another"
     live = set(topology.adjacency)  # the churn replay, in the engine's order
@@ -557,19 +600,20 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
         elif not ev.at_period >= 0:
             problem = "the period must be >= 0"
         elif ev.at_period >= horizon:
-            problem = f"beyond the horizon of {horizon} periods"
+            problem = f"beyond the horizon of {_shown(horizon)} periods"
         elif ev.action == "leave":
-            problem = None if nid in live else f"node {nid} does not exist"
+            problem = None if nid in live else f"node {_shown(nid)} does not exist"
             live.discard(nid)
         elif nid in live:
-            problem = f"node {nid} already exists"
+            problem = f"node {_shown(nid)} already exists"
         else:
             v = next((v for v in ev.edges if v == nid or v not in live), None)
-            problem = (None if v is None else f"self-loop at node {nid}" if v == nid
-                       else f"edge {nid}-{v} references unknown node {v}")
+            problem = (None if v is None else f"self-loop at node {_shown(nid)}" if v == nid
+                       else f"edge {_shown(nid)}-{_shown(v)} references unknown node {_shown(v)}")
             live.add(nid)
         if problem is not None:
-            return f"churn.{i}", f"churn {ev.action} of node {nid} at period {ev.at_period}: {problem}"
+            return f"churn.{i}", (f"churn {_shown(ev.action)} of node {_shown(nid)} "
+                                  f"at period {_shown(ev.at_period)}: {problem}")
     return None
 
 

@@ -5,6 +5,7 @@ One test per claim, each printing a single PASS/FAIL line (run pytest with
 together they take on the order of a minute.
 """
 
+import heapq
 import time
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from ebsim.metrics import export_csv
 from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import parse_scenario_text
-from ebsim.sim import ChurnEvent, DelayModel, LinkFaultModel, run
+from ebsim import sim
+from ebsim.sim import ChurnEvent, DelayModel, EventKind, LinkFaultModel, run
 from ebsim.topology import Topology, make_random_geometric, make_regular_grid
 
 from tick_oracle import run_oracle
@@ -260,6 +262,16 @@ ORACLE_GRAPHS = {
 }
 
 
+def _oracle_difference(res, fires, rows) -> str | None:
+    """What differs between an engine run and the oracle's, if anything."""
+    if res.fire_times != fires:
+        return "fire times differ"
+    for row, (lit, circ) in zip(res.series, rows):
+        if abs(row.dphi_literal - lit) > 1e-12 or abs(row.dphi_circular - circ) > 1e-12:
+            return "phase metrics differ"
+    return None
+
+
 def test_c10_oracle_equivalence():
     mismatches = []
     cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0,
@@ -276,14 +288,8 @@ def test_c10_oracle_equivalence():
                 res = run(topo, cfg, delay=delay, horizon=20, seed=seed)
                 fires, rows = run_oracle(topo, period=1000, epsilon=0.05, sigma=0.01,
                                          s_th=80.0, horizon=20, seed=seed, delays=table)
-                if res.fire_times != fires:
-                    mismatches.append(f"{label}: fire times differ")
-                    continue
-                for row, (lit, circ) in zip(res.series, rows):
-                    if abs(row.dphi_literal - lit) > 1e-12 or \
-                       abs(row.dphi_circular - circ) > 1e-12:
-                        mismatches.append(f"{label}: phase metrics differ")
-                        break
+                if problem := _oracle_difference(res, fires, rows):
+                    mismatches.append(f"{label}: {problem}")
     assert _report(
         "C10 oracle equivalence",
         not mismatches,
@@ -292,3 +298,52 @@ def test_c10_oracle_equivalence():
         "without delay and with a fixed 5..25-tick delay per link, on "
         + ", ".join(ORACLE_GRAPHS)
         + ("" if not mismatches else "; " + "; ".join(mismatches)))
+
+
+def test_c10_oracle_equivalence_under_strong_coupling(monkeypatch):
+    # sigma above epsilon: a node jumps several times a period, so its stack
+    # of queued FIRE entries grows (4-5 deep on star5), and a fire is often
+    # reached through wake-ups; the engine still fires when the oracle does
+    deepest = 0
+
+    class _DepthHeap:
+        """heapq, noting the deepest FIRE stack a push leaves."""
+        engine = None
+        heappop = staticmethod(heapq.heappop)
+
+        def heappush(self, heap, entry):
+            nonlocal deepest
+            heapq.heappush(heap, entry)
+            if entry[1] == EventKind.FIRE and self.engine is not None:
+                deepest = max(deepest, len(self.engine.nodes[entry[2]].armed))
+
+    depth_heap = _DepthHeap()
+    monkeypatch.setattr(sim, "heapq", depth_heap)
+    mismatches = []
+    for sigma, epsilon in ((0.3, 0.05), (0.6, 0.02)):
+        cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
+                             init_listen_periods=0)
+        for name, adj in ORACLE_GRAPHS.items():
+            for seed in range(5):
+                # odd seeds: the fixed 5..25-tick delay per link of C10
+                delay = seed % 2 and DelayModel(kind="deterministic", nu=5, link_hi=20,
+                                                link_seed=seed) or None
+                topo = Topology({k: set(v) for k, v in adj.items()})
+                table = delay and {link: 5 + offset
+                                   for link, offset in delay.link_table(topo).items()}
+                depth_heap.engine = None  # while the nodes spawn
+                depth_heap.engine = engine = sim.Engine(topo, cfg, delay=delay, horizon=20,
+                                                        seed=seed)
+                res = engine.run()
+                fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma,
+                                         s_th=80.0, horizon=20, seed=seed, delays=table)
+                if problem := _oracle_difference(res, fires, rows):
+                    mismatches.append(f"sigma {sigma} epsilon {epsilon} {name} seed {seed}: "
+                                      + problem)
+    assert deepest >= 4
+    assert _report(
+        "C10 oracle equivalence, strong coupling",
+        not mismatches,
+        f"the engine matches the tick oracle at sigma 0.3 / epsilon 0.05 and sigma 0.6 / "
+        f"epsilon 0.02, 5 seeds each on {', '.join(ORACLE_GRAPHS)}; FIRE stacks reached "
+        f"depth {deepest}" + ("" if not mismatches else "; " + "; ".join(mismatches)))

@@ -133,6 +133,32 @@ def test_each_rule_holds_in_the_engine_and_at_its_key(engine, lines, offset, mes
     assert str(err.value) == f"<string>:{first + offset}: {message}"
 
 
+LONG = 10 ** 5000  # more digits than str() converts
+SHOWN = "<an integer of about 5001 digits>"
+
+
+@pytest.mark.parametrize("engine,message", [
+    ({"seed": LONG}, f"seed {SHOWN} must be in [-2^63, 2^63)"),
+    (_protocol(period_t=LONG), f"protocol period_t {SHOWN} must be in [1, 2^53]"),
+    (_protocol(epsilon=LONG), f"protocol epsilon {SHOWN} must be in (0, 0.5]"),
+    ({"delay": DelayModel("deterministic", nu=-LONG)},
+     "delay nu <a negative integer of about 5001 digits> must be in [0, 2^53]"),
+    ({"delay": DelayModel(link_hi=LONG)},
+     f"delay needs 0 <= link_lo <= link_hi <= 2^53, got 0 and {SHOWN}"),
+    ({"fault": LinkFaultModel(airtime_beta=LONG)}, f"fault airtime_beta {SHOWN} must be in [1, 2^53]"),
+    ({"churn": (ChurnEvent(2, "leave", LONG),)},
+     f"churn leave of node {SHOWN} at period 2: node {SHOWN} does not exist"),
+    ({"churn": (ChurnEvent(2, "join", 9, (0, LONG)),)},
+     f"churn join of node 9 at period 2: edge 9-{SHOWN} references unknown node {SHOWN}"),
+], ids=["seed", "period_t", "epsilon", "nu", "link_hi", "beta", "churn_node", "churn_edge"])
+def test_a_value_too_long_to_print_is_shown_by_its_size(engine, message):
+    # a library caller's int of more than 4,300 digits: str() refuses it,
+    # so the message gives its size and the Engine still raises its error
+    with pytest.raises(SimulationError) as err:
+        Engine(make_regular_grid(3, 3, False), **{"cfg": CFG, **engine})
+    assert str(err.value) == message
+
+
 def test_a_network_without_links_is_refused_at_the_topology_line():
     message = "topology: the network has no links: no node can hear another"
     with pytest.raises(SimulationError) as err:
@@ -298,7 +324,7 @@ def test_check_passes_exactly_what_runs(lines):
 
 # --- the config records, fuzzed ---------------------------------------------
 
-_ODD = (0, -1, float("nan"), float("inf"), float("-inf"), 2 ** 53 + 1, HUGE)
+_ODD = (0, -1, float("nan"), float("inf"), float("-inf"), 2 ** 53 + 1, HUGE, LONG)
 # each (record, field) the fuzzer may set to an odd value, with those values
 _FIELDS = [
     *[("cfg", name, _ODD) for name in ("period_t", "epsilon", "sigma", "s_th", "c0",

@@ -43,7 +43,8 @@ def test_duty_cycle_mixed():
     recovering.mode = Mode.RECOVERY
     for node in (steady, awake, recovering):
         node.period_start = 0
-    ticks = sum(eng._handle_fire(1000, node) for node in (steady, awake, recovering))
+    fire = eng._fire_handler()
+    ticks = sum(fire(1000, node) for node in (steady, awake, recovering))
     assert ticks == 50 + 1000 + 1000
     eng._handle_sample(1000, 0, 0, ticks)
     assert eng.series[-1].duty_pct == pytest.approx(205.0 / 3)

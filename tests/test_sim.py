@@ -1,11 +1,14 @@
 import heapq
+import os
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebsim import sim
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
+from ebsim.scenario import apply_override, parse_scenario, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
                        EventKind, LinkFaultModel, SimulationError, run)
 from ebsim.topology import (Topology, make_complete, make_random_geometric,
@@ -320,12 +323,16 @@ def test_rejoined_node_ignores_its_predecessors_fire_entries(seed):
     churn = (ChurnEvent(0, "leave", 3), ChurnEvent(1, "join", 3, (2, 4, 8, 23)))
     eng = Engine(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
                  churn=churn, horizon=6, seed=seed)
-    handle, fired = eng._handle_fire, []
+    make, fired = eng._fire_handler, []
 
-    def checked(now, node):
-        fired.append((node.id, now, node.next_fire))
-        return handle(now, node)
-    eng._handle_fire = checked
+    def checked_handler():
+        handle = make()
+
+        def checked(now, node):
+            fired.append((node.id, now, node.next_fire))
+            return handle(now, node)
+        return checked
+    eng._fire_handler = checked_handler
     res = eng.run()
     assert [(nid, now) for nid, now, due in fired if now != due] == []
     assert res.fire_times[3] and res.fire_times[3][0] >= 10000
@@ -475,3 +482,112 @@ def test_heap_is_looked_up_through_the_module(monkeypatch):
                                                      - res.stats["lost"]) > 0
         fires = sum(len(ts) for ts in res.fire_times.values())
         assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires > 0
+
+
+def test_a_second_run_handles_nothing():
+    # the horizon bounds every run: queued FIRE entries past it do not fire
+    eng = Engine(path3(), make_cfg(), horizon=3, seed=0)
+    first = eng.run()
+    rows, fires = list(first.series), {nid: list(ts) for nid, ts in first.fire_times.items()}
+    second = eng.run()
+    assert second.series == rows and second.fire_times == fires
+
+
+def test_a_jump_queues_no_fire_entry_behind_an_earlier_one(monkeypatch):
+    # the torus-delay benchmark's network at 20 periods: coupling jumps
+    # every period, and a node re-armed from the FIRE entries it already
+    # has queued leaves few of them stale (one entry per jump left ~1/2)
+    counting = _CountingHeap()
+    monkeypatch.setattr(sim, "heapq", counting)
+    eng = Engine(make_regular_grid(5, 5, True), make_cfg(period_t=10000, epsilon=0.1),
+                 delay=DelayModel(kind="deterministic", nu=500), horizon=20, seed=0)
+    counting.engine = eng
+    res = eng.run()
+    fire_pops = counting.pops[EventKind.FIRE]
+    assert 0 < counting.stale_fire_pops <= fire_pops / 5
+    assert sum(counting.pushes.values()) - sum(counting.pops.values()) == len(eng._heap)
+    assert counting.pushes[EventKind.ARRIVAL] == (res.stats["arrival_attempts"]
+                                                 - res.stats["lost"]) > 0
+    fires = sum(len(ts) for ts in res.fire_times.values())
+    assert fire_pops - counting.stale_fire_pops == fires
+
+
+# --- the message ledger --------------------------------------------------------
+
+OUTCOMES = ("lost", "dropped_asleep", "collided", "departed", "received", "in_flight")
+
+
+def _ledger_gap(stats) -> int:
+    """Arrival attempts that no outcome counts (negative: counted twice)."""
+    return stats["arrival_attempts"] - sum(stats[k] for k in OUTCOMES)
+
+
+@st.composite
+def _small_runs(draw):
+    """Engine arguments for a few periods of a small network: loss,
+    collisions with a short or a long airtime, each delay kind with or
+    without link offsets, the baseline, and a node that leaves and may
+    rejoin, in the same period or a later one."""
+    topology = draw(st.sampled_from((make_complete(4), make_regular_grid(3, 3, True), path3())))
+    horizon = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("none", "deterministic", "uniform")))
+    delay = DelayModel(kind, nu=draw(st.integers(0, 600)) if kind == "deterministic" else 0,
+                       lo=0, hi=draw(st.integers(0, 600)) if kind == "uniform" else 0,
+                       link_hi=draw(st.sampled_from((None, 40))))
+    fault = LinkFaultModel(draw(st.sampled_from((0.0, 0.2))), draw(st.booleans()),
+                           draw(st.sampled_from((1, 30, 400))))
+    churn = ()
+    if draw(st.booleans()):
+        nid = draw(st.sampled_from(sorted(topology.node_ids)))
+        left = draw(st.integers(0, horizon - 1))
+        churn = (ChurnEvent(left, "leave", nid),)
+        if draw(st.booleans()):
+            others = [v for v in topology.node_ids if v != nid]
+            churn += (ChurnEvent(draw(st.integers(left, horizon - 1)), "join", nid,
+                                 tuple(draw(st.lists(st.sampled_from(others), min_size=1,
+                                                     max_size=3)))),)
+    mrf = draw(st.sampled_from((None, MrfConfig(400), MrfConfig(400, False))))
+    cfg = make_cfg(sigma=draw(st.sampled_from((0.01, 0.3))),
+                   init_listen_periods=draw(st.sampled_from((0, 2))))
+    return dict(topology=topology, cfg=cfg, mrf=mrf, delay=delay, fault=fault, churn=churn,
+                horizon=horizon, seed=draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_runs())
+def test_every_arrival_attempt_ends_in_one_outcome(args):
+    res = run(args.pop("topology"), args.pop("cfg"), **args)
+    assert _ledger_gap(res.stats) == 0
+
+
+def test_the_ledger_closes_where_an_in_flight_reception_leaves_and_rejoins():
+    # node 1 leaves at period 1 and rejoins at the same tick; a reception
+    # in flight at the leave (900-tick airtime) departs with the old node,
+    # though its commit finds the new one
+    fault = LinkFaultModel(collisions_enabled=True, airtime_beta=900)
+    churn = (ChurnEvent(1, "leave", 1), ChurnEvent(1, "join", 1, (0, 2)))
+    for seed in range(20):
+        res = run(path3(), make_cfg(), fault=fault, churn=churn, horizon=3, seed=seed)
+        assert _ledger_gap(res.stats) == 0
+        if res.stats["departed"]:
+            return
+    pytest.fail("no seed left a reception in flight at the leave")
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+def test_the_ledger_closes_on_every_shipped_scenario(name):
+    # the file's own values and, for 10 periods, a sweep's last point
+    cfg = parse_scenario(os.path.join(SCENARIO_DIR, name))
+    points = [cfg]
+    if cfg.sweep is not None:
+        last = apply_override(cfg, cfg.sweep.parameter, cfg.sweep.values[-1])
+        points.append(apply_override(last, "run.horizon", 10))
+    for point in points:
+        for scheme in ("ebs", "mrf") if point.mrf is not None else ("ebs",):
+            stats = run_config(point, scheme=scheme).stats
+            assert stats["arrival_attempts"] > 0
+            assert _ledger_gap(stats) == 0, (scheme, stats)
