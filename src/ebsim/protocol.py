@@ -8,9 +8,9 @@ steady node spends after its synchronicity dropped below the threshold;
 it then refreshes its neighbour estimate and drops back to
 Synchronization.
 
-This module holds data only: sim.Engine runs every transition, the
-reception step in its event loop and the period end in its fire handler.
-Time is integer ticks.
+This module holds data only: sim.Engine.run runs every transition in its
+event loop, the reception step on an arrival and the period end, mode
+step included, on a fire.  Time is integer ticks.
 """
 
 from __future__ import annotations

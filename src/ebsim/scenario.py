@@ -163,8 +163,9 @@ class Key(NamedTuple):
     the ScenarioConfig field it sets ("section.attribute", or a top-level
     attribute).  A key without a field only switches other keys on.
     applies(given) says whether the key takes part at all; a key that does
-    not is neither required, built nor echoed, and an error when given.  An indexed key is written
-    as key.1, key.2, ... and collects a tuple."""
+    not is neither required, built nor echoed, and an error when given.
+    An indexed key is written key.N, N a positive integer and each N once;
+    it collects a tuple in file order."""
 
     type: _Type
     default: object
@@ -318,6 +319,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
     working directory) and kept as an absolute path."""
     given: dict[str, object] = {}
     lines: dict[str, int] = {}
+    entries: set[str] = set()  # the indexed keys written, as key.N
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -326,12 +328,16 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:
             raise ScenarioError(f"{source}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        head = key.rsplit(".", 1)[0]
-        if head in KEYS and KEYS[head].indexed:
+        head, _, index = key.rpartition(".")
+        indexed = head in KEYS and KEYS[head].indexed
+        if indexed and index.isascii() and index.isdigit() and index[0] != "0":
+            if key in entries:
+                raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
+            entries.add(key)
             given[head] = given.get(head, ()) + (_read(head, val, f"{source}:{lineno}"),)
             lines[f"{head}.{len(given[head]) - 1}"] = lineno  # for where(f"{head}.{i}")
             continue
-        if key not in KEYS:
+        if key not in KEYS or KEYS[key].indexed:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
         if key in given:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")

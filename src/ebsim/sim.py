@@ -10,6 +10,8 @@ rest in a binary heap; the event loop merges the two by that key.  A
 node's queued FIRE entries are a stack (NodeState.armed), earliest on top:
 a jump queues one only before the top, a top due at next_fire fires the
 node and an earlier one wakes it to re-arm; any other is a predecessor's.
+Engine.run handles every arrival, commit and fire inline, and counts in
+locals that it adds to the run's stats once the loop ends.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class Engine:
     Without mrf the nodes run the four-mode protocol; with it, the
     refractory-period baseline (always broadcasting, deaf and asleep for
     the refractory stretch after each own fire).  The engine runs every
-    node transition: reception in run, the period end in _fire_handler.
-    What run_error refuses is a SimulationError, raised before any event.
+    node transition inline in run: reception, the period end and the mode
+    step.  What run_error refuses is a SimulationError, raised before any
+    event.
     """
 
     def __init__(self, topology: Topology, cfg: ProtocolConfig, *,
@@ -243,30 +246,38 @@ class Engine:
     def run(self) -> RunResult:
         """Process the events up to the horizon.
 
-        Arrivals and reception commits are handled here.  An arrival that
-        passes the wake check either claims the radio for beta ticks
-        (collisions on; its RX_COMMIT ends the airtime) or is received at
-        once.  Both ways end in the one reception step: it records the
-        sender and, strictly between the window edges, applies the coupling
-        jump (Mirollo & Strogatz 1990) on integer ticks.  A FIRE entry is
-        checked against its node's stack, and a node re-armed, here too.
-        Receptions, asleep drops and awake ticks are counted in locals
-        until the next sample takes them.
+        An arrival that passes the wake check either claims the radio for
+        beta ticks (collisions on; its RX_COMMIT ends the airtime) or is
+        received at once.  Both ways end in the one reception step: it
+        records the sender and, strictly between the window edges, applies
+        the coupling jump (Mirollo & Strogatz 1990) on integer ticks.  A
+        FIRE entry is checked against its node's stack; one due at
+        next_fire ends the node's period: it counts the ticks the node was
+        awake (all, except asleep in a sleeping baseline's refractory
+        stretch or outside a steady node's window) and, for EBS, takes the
+        mode step.  Every baseline fire goes on air; an EBS fire does
+        without reach-back (a fresh sync message, or piggybacking a payload)
+        and with partial reach-back only when it carries a pending payload.
+        A broadcast draws loss, then jitter, per receiver.
         """
         end = self.horizon * self.T
-        heap, nodes, stats, trace = self._heap, self.nodes, self.stats, self.trace
-        pop, push, counter = heapq.heappop, heapq.heappush, self._counter
-        fire = self._fire_handler()
-        sigma = self.cfg.sigma
+        cfg, rng, heap, nodes, trace = self.cfg, self.rng, self._heap, self.nodes, self.trace
+        warnings, flap_events = self.warnings, self.flap_events
+        pop, push, counter, fanouts = heapq.heappop, heapq.heappush, self._counter, self._fanout
+        sigma, s_th, adaptive, rate = cfg.sigma, cfg.s_th, cfg.adaptive_c, self.payload_rate
+        every = cfg.variant is Variant.NO_REACHBACK
         collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
+        loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
+        jitter = self.delay.constant()  # None: draw per message
         ebs = self.mrf is None
-        # the baseline is uncoupled, and deaf when it sleeps, for the
-        # refractory stretch after each own fire; its window stays epsilon
+        # the baseline is uncoupled, and asleep and deaf if it sleeps, for
+        # the refractory stretch after each own fire; its window stays epsilon
         refractory = 0 if ebs else self.mrf.refractory
-        deaf = not ebs and self.mrf.sleep_during_refractory
-        steady, init = _STEADY, _INIT
-        arrival, commit, fire_kind = _ARRIVAL, _RX_COMMIT, _FIRE
-        received = dropped = awake = collided = departed = popped_past = 0
+        sleep = refractory if not ebs and self.mrf.sleep_during_refractory else 0
+        sync, steady, init, recovery = _SYNC, _STEADY, _INIT, _RECOVERY
+        arrival, commit, fire = _ARRIVAL, _RX_COMMIT, _FIRE
+        received = dropped = collided = departed = popped_past = 0
+        broadcasts = attempts = lost = collisions = awake = sampled = 0
         commits = deque()  # RX_COMMITs, made in key order (see EventKind)
         while heap or commits:
             if commits and (not heap or commits[0] < heap[0]):
@@ -292,7 +303,7 @@ class Engine:
                 in_window = phi <= eps or phi >= 1.0 - eps
                 refr = refractory and phi * period < refractory
                 if kind == arrival:
-                    if (deaf and refr) or (not in_window and node.mode is steady):
+                    if (sleep and refr) or (not in_window and node.mode is steady):
                         dropped += 1
                         continue
                     if collide:
@@ -300,9 +311,9 @@ class Engine:
                         if time < busy:
                             # overlapping airtime destroys both the in-flight and the new one
                             collided += 1 if node.rx_pending is None else 2
+                            collisions += 1
                             node.rx_pending = None
                             node.rx_busy_until = max(busy, time + beta)
-                            stats["collisions"] += 1
                             if trace is not None:
                                 trace.append(f"{time}\tcollision\tnode={nid}\tsender={sender}")
                         else:
@@ -328,30 +339,105 @@ class Engine:
                 if jump <= 0.0:
                     continue
                 node.advance_accum += jump
-            elif kind == fire_kind:
+            elif kind == fire:
                 node = nodes.get(nid)
                 if node is None or payload != node.armed[-1][1]:
                     continue  # foreign
                 node.armed.pop()
-                if time == node.next_fire:  # else a wake-up
-                    awake += fire(time, node)
+                if time == node.next_fire:  # else a wake-up: re-arm only
+                    ticks = time - node.period_start
+                    if sleep:
+                        ticks = max(0, ticks - sleep)
+                    elif node.mode is steady:  # baseline nodes are never steady
+                        ticks = min(ticks, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
+                    awake += ticks
+                    node.fires.append(time)
+                    node.next_fire = time + node.period_ticks
+                    node.period_start = time
+                    emit = True
+                    if ebs:
+                        emit = every or node.pending_payload
+                        # the mode step: initialization counts the neighbours heard
+                        # over its listening periods; synchronization promotes to
+                        # steady at S >= s_th; a steady node below s_th flaps into
+                        # recovery, which refreshes the neighbour estimate from one
+                        # fully awake period and returns to synchronization
+                        mode = node.mode
+                        if mode is init:
+                            node.init_heard |= node.heard_any
+                            node.init_periods_left -= 1
+                            if node.init_periods_left <= 0:
+                                node.mode = sync
+                                node.neighbor_count_estimate = len(node.init_heard)
+                        elif mode is recovery:
+                            node.mode = sync
+                            node.neighbor_count_estimate = known = len(node.heard_any)
+                            if known > 0:
+                                node.synchronicity = 100.0 * len(node.heard_this_period) / known
+                        else:
+                            # a synchronizing node is awake all period, so what it
+                            # processed is its working neighbour count (a steady
+                            # node's reference set stays fixed); an unlucky (short)
+                            # initialization can end before any neighbour fired, and
+                            # then everything heard since stands in
+                            if mode is sync and node.heard_any or node.neighbor_count_estimate <= 0:
+                                node.neighbor_count_estimate = len(node.heard_any)
+                            known, heard = node.neighbor_count_estimate, len(node.heard_this_period)
+                            if known <= 0:
+                                warning = (f"node {nid} has no known neighbours "
+                                           "and cannot synchronize")
+                                if warning not in warnings:  # once per node id
+                                    warnings.append(warning)
+                            else:
+                                if heard > known:  # S above 100 only refreshes the estimate
+                                    node.neighbor_count_estimate = heard
+                                node.synchronicity = s = min(100.0, 100.0 * heard / known)
+                                if mode is sync and s >= s_th:
+                                    node.mode = steady
+                                elif mode is steady and s < s_th:
+                                    node.mode = recovery
+                                    flap_events.append((time, nid))
+                                    if trace is not None:
+                                        trace.append(f"{time}\tflap\tnode={nid}")
+                        node.heard_this_period.clear()
+                        node.heard_any.clear()
+                        estimate = node.neighbor_count_estimate
+                        node.epsilon_eff = (protocol.effective_epsilon(cfg, estimate)
+                                            if adaptive else cfg.epsilon)
+                        node.pending_payload = rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
+                    if trace is not None:
+                        trace.append(f"{time}\tfire\tnode={nid}\temit={emit}")
+                    if emit:
+                        fanout = fanouts[nid]
+                        broadcasts += 1
+                        attempts += len(fanout)
+                        for recv, offset in fanout:
+                            if loss > 0 and rng.random() < loss:
+                                lost += 1
+                                continue
+                            at = time + offset + (rng.randint(lo, hi) if jitter is None else jitter)
+                            push(heap, (at, arrival, recv, nid, next(counter), None))
             elif kind == _CHURN:
                 departed += self._handle_churn(time, payload)
                 continue
             else:  # the sample at horizon * T is the last event handled
-                self._handle_sample(time, received, dropped, awake)
-                received = dropped = awake = 0
+                self._handle_sample(time, received - sampled, awake)
+                sampled, awake = received, 0
                 continue
             # re-arm: queue an entry at next_fire unless an earlier one is queued
             armed, due = node.armed, node.next_fire
             if not armed or due < armed[-1][0]:
                 seq = next(counter)
                 armed.append((due, seq))
-                push(heap, (due, fire_kind, nid, -1, seq, seq))
-        stats["collided"] += collided
-        stats["departed"] += departed
+                push(heap, (due, fire, nid, -1, seq, seq))
+        stats = self.stats
+        for key, count in (("broadcasts", broadcasts), ("arrival_attempts", attempts),
+                           ("lost", lost), ("collisions", collisions), ("received", received),
+                           ("dropped_asleep", dropped), ("collided", collided),
+                           ("departed", departed)):
+            stats[key] += count
         # past the horizon: queued arrivals, and receptions whose commit waits
-        stats["in_flight"] = (popped_past + sum(entry[1] == arrival for entry in heap)
+        stats["in_flight"] = (popped_past + sum(entry[1] == _ARRIVAL for entry in heap)
                               + sum(node.rx_pending is not None for node in nodes.values()))
         return RunResult(
             series=self.series,
@@ -359,111 +445,9 @@ class Engine:
             fire_times={nid: list(node.fires) for nid, node in sorted(self.nodes.items())},
             final_nodes=self.nodes,
             warnings=self.warnings,
-            stats=self.stats,
+            stats=stats,
             trace=self.trace,
         )
-
-    def _fire_handler(self):
-        """The period end, with the run's constants read once: returns
-        fire(now, node), which ends node's period and returns the ticks it
-        was awake in it: all of it, except asleep in a sleeping baseline's
-        refractory stretch or outside a steady node's window.  Every
-        baseline fire goes on air; an EBS fire does without reach-back (a
-        fresh sync message, or piggybacking a payload) and with partial
-        reach-back only when it carries a pending payload.  An EBS node then
-        takes its mode step.  A broadcast draws loss, then jitter, per
-        receiver.  Re-arming the node is run's.
-        """
-        cfg, rng, stats, trace = self.cfg, self.rng, self.stats, self.trace
-        ebs, rate, step_mode = self.mrf is None, self.payload_rate, self._step_mode
-        sleep = 0 if ebs or not self.mrf.sleep_during_refractory else self.mrf.refractory
-        every, adaptive = cfg.variant is Variant.NO_REACHBACK, cfg.adaptive_c
-        heap, push, counter, fanouts = self._heap, heapq.heappush, self._counter, self._fanout
-        loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
-        jitter = self.delay.constant()  # None: draw per message
-
-        def fire(now: int, node: NodeState) -> int:
-            awake = now - node.period_start
-            if sleep:
-                awake = max(0, awake - sleep)
-            elif node.mode is _STEADY:  # baseline nodes are never steady
-                awake = min(awake, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
-            node.fires.append(now)
-            node.next_fire = now + node.period_ticks
-            node.period_start = now
-            emit = True
-            if ebs:
-                emit = every or node.pending_payload
-                step_mode(node, now)
-                node.heard_this_period.clear()
-                node.heard_any.clear()
-                node.epsilon_eff = (protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
-                                    if adaptive else cfg.epsilon)
-                node.pending_payload = rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
-            if trace is not None:
-                trace.append(f"{now}\tfire\tnode={node.id}\temit={emit}")
-            if not emit:
-                return awake
-            nid = node.id
-            fanout = fanouts[nid]
-            stats["broadcasts"] += 1
-            stats["arrival_attempts"] += len(fanout)
-            for recv, offset in fanout:
-                if loss > 0 and rng.random() < loss:
-                    stats["lost"] += 1
-                    continue
-                at = now + offset + (rng.randint(lo, hi) if jitter is None else jitter)
-                push(heap, (at, _ARRIVAL, recv, nid, next(counter), None))
-            return awake
-        return fire
-
-    def _step_mode(self, node: NodeState, now: int) -> None:
-        """An EBS node's mode transition at the end of its period.
-
-        Initialization counts the neighbours heard over its listening
-        periods.  Synchronization promotes to Steady at S >= s_th; a steady
-        node below s_th flaps into Recovery, which refreshes the neighbour
-        estimate from one fully awake period and returns to Synchronization.
-        S above 100 only refreshes the estimate.
-        """
-        mode = node.mode
-        if mode is _INIT:
-            node.init_heard |= node.heard_any
-            node.init_periods_left -= 1
-            if node.init_periods_left <= 0:
-                node.mode = _SYNC
-                node.neighbor_count_estimate = len(node.init_heard)
-            return
-        if mode is _RECOVERY:
-            node.mode = _SYNC
-            node.neighbor_count_estimate = estimate = len(node.heard_any)
-            if estimate > 0:
-                node.synchronicity = 100.0 * len(node.heard_this_period) / estimate
-            return
-        # a synchronizing node is awake all period, so what it processed is
-        # its working neighbour count (a steady node's reference set stays
-        # fixed); an unlucky (short) initialization can end before any
-        # neighbour fired, and then everything heard since stands in
-        if (mode is _SYNC and node.heard_any
-                or node.neighbor_count_estimate <= 0):
-            node.neighbor_count_estimate = len(node.heard_any)
-        if node.neighbor_count_estimate <= 0:
-            warning = f"node {node.id} has no known neighbours and cannot synchronize"
-            if warning not in self.warnings:  # once per node id
-                self.warnings.append(warning)
-            return
-        s = 100.0 * len(node.heard_this_period) / node.neighbor_count_estimate
-        if s > 100.0:
-            node.neighbor_count_estimate = len(node.heard_this_period)
-            s = 100.0
-        node.synchronicity = s
-        if mode is _SYNC and s >= self.cfg.s_th:
-            node.mode = _STEADY
-        elif mode is _STEADY and s < self.cfg.s_th:
-            node.mode = _RECOVERY
-            self.flap_events.append((now, node.id))
-            if self.trace is not None:
-                self.trace.append(f"{now}\tflap\tnode={node.id}")
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> int:
         """A leave drops the node's links from _fanout; a join adds links
@@ -486,17 +470,16 @@ class Engine:
         self._relink()
         return cut
 
-    def _handle_sample(self, now: int, received: int, dropped_asleep: int, awake: int) -> None:
-        """One series row; the counts are those since the last sample."""
-        self.stats["received"] += received
-        self.stats["dropped_asleep"] += dropped_asleep
+    def _handle_sample(self, now: int, received: int, awake: int) -> None:
+        """One series row from the receptions and awake ticks since the last sample."""
         period_index = now // self.T - 1
         n = len(self.nodes)
         dphi_lit = dphi_circ = 0.0
         if n > 0:
             linked = self._linked
-            if len(linked) < n and "isolated nodes excluded from phase metrics" not in self.warnings:
-                self.warnings.append("isolated nodes excluded from phase metrics")
+            isolated = "isolated nodes excluded from phase metrics"
+            if len(linked) < n and isolated not in self.warnings:
+                self.warnings.append(isolated)
             if linked:
                 phases = {nid: self.nodes[nid].phase_at(now) for nid, _ in linked}
                 dphi_lit, dphi_circ = avg_phase_difference(phases, linked)
@@ -566,10 +549,11 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
                 f"delay needs 0 <= link_lo <= link_hi <= 2^53, got {_shown(delay.link_lo)} "
                 f"and {_shown(delay.link_hi)}")
     if not -2 ** 63 <= delay.link_seed < 2 ** 63:
-        return "delay.link_seed", f"delay link_seed {_shown(delay.link_seed)} must be in [-2^63, 2^63)"
+        return "delay.link_seed", (f"delay link_seed {_shown(delay.link_seed)} "
+                                   "must be in [-2^63, 2^63)")
     if not 0.0 <= fault.loss_probability <= 1.0:
-        return "fault.loss_probability", (f"fault loss_probability {_shown(fault.loss_probability)} "
-                                          "must be in [0, 1]")
+        return "fault.loss_probability", ("fault loss_probability "
+                                          f"{_shown(fault.loss_probability)} must be in [0, 1]")
     if not 1 <= fault.airtime_beta <= _MAX_TICKS:
         return "fault.airtime_beta", (f"fault airtime_beta {_shown(fault.airtime_beta)} "
                                       "must be in [1, 2^53]")

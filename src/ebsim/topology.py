@@ -123,7 +123,7 @@ def load_topology(path: str) -> Topology:
             if parts[0] == "nodes":
                 if adjacency:
                     raise TopologyError(f"{path}:{lineno}: 'nodes' directive must precede edges")
-                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                     raise TopologyError(f"{path}:{lineno}: malformed 'nodes' directive")
                 declared = int(parts[1])
                 adjacency = {i: set() for i in range(declared)}

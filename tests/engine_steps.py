@@ -1,11 +1,14 @@
 """Single engine steps, for tests of the node transitions.
 
-The engine runs the wake check, collisions and the coupling jump inline in
-its event loop, so a test reaches them by queueing ARRIVAL events and
-running the loop.  The period end runs in the fire handler, which a test
-takes from Engine._fire_handler and calls directly.
+The engine runs every node transition inline in its event loop: the wake
+check, collisions and the coupling jump on an ARRIVAL, the period end and
+the mode step on a FIRE.  A test reaches them by queueing those events
+alone and running the loop.
 """
 
+import heapq
+
+from ebsim import sim
 from ebsim.sim import EventKind
 
 
@@ -14,12 +17,12 @@ def deliver(eng, end, *arrivals, events=()):
     tick end, a whole number of periods; returns the RunResult.
 
     The rest of the queue is dropped first, the nodes' FIRE entries with
-    it, and, as in every run, a SAMPLE at end closes it and takes the run's
-    counts into eng.stats; events holds further (tick, kind, node, payload)
-    entries to queue.  A FIRE among them, its payload a seq, becomes the
-    node's one queued entry, due at its tick.  What the arrivals queue past
-    end is not processed, so a coupled node keeps the next_fire its jump
-    gave it and a reception past end stays in flight.
+    it, and, as in every run, a SAMPLE at end closes it and the run adds
+    its counts to eng.stats; events holds further (tick, kind, node,
+    payload) entries to queue.  A FIRE among them, its payload a seq,
+    becomes the node's one queued entry, due at its tick.  What the
+    arrivals queue past end is not processed, so a coupled node keeps the
+    next_fire its jump gave it and a reception past end stays in flight.
     """
     periods, rest = divmod(end, eng.T)
     assert rest == 0, "the run must end on a period boundary"
@@ -38,10 +41,34 @@ def deliver(eng, end, *arrivals, events=()):
     return eng.run()
 
 
+class _HoldArrivals:
+    """Stand-in for heapq that holds back the ARRIVAL entries pushed."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self) -> None:
+        self.held = []
+
+    def heappush(self, heap, entry) -> None:
+        if entry[1] == EventKind.ARRIVAL:
+            self.held.append(entry)
+        else:
+            heapq.heappush(heap, entry)
+
+
 def fire(eng, nid, now):
-    """Run node nid's period end at tick now through the engine's fire
-    handler, which leaves re-arming the node to the loop; returns whether
-    the fire went on air."""
-    before = eng.stats["broadcasts"]
-    eng._fire_handler()(now, eng.nodes[nid])
+    """Run node nid's period end at tick now through the engine loop, as a
+    FIRE event delivered alone; returns whether the fire went on air.
+
+    While the loop runs, sim.heapq holds back the ARRIVAL entries the fire
+    makes, so none is delivered; they are queued in eng._heap afterwards.
+    """
+    before, hold = eng.stats["broadcasts"], _HoldArrivals()
+    bound, sim.heapq = sim.heapq, hold
+    try:
+        deliver(eng, -(-now // eng.T) * eng.T, events=[(now, EventKind.FIRE, nid, 0)])
+    finally:
+        sim.heapq = bound
+    for entry in hold.held:
+        heapq.heappush(eng._heap, entry)
     return eng.stats["broadcasts"] > before

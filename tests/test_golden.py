@@ -138,8 +138,27 @@ def _rng_mrf(seed: int) -> RunResult:
 
 
 # stats keys added after the digests were pinned: the message ledger's
-# outcomes, which tests/test_sim.py checks sum to arrival_attempts
+# outcomes, which tests/test_sim.py checks sum to arrival_attempts; LEDGER
+# pins them per run
 _UNPINNED_STATS = ("collided", "departed", "in_flight")
+
+# (collided, departed, in_flight) of each run pinned by RNG_GOLDEN or BENCH_GOLDEN
+LEDGER = {
+    ("torus", 0): (112, 0, 4),
+    ("torus", 1): (112, 0, 0),
+    ("mrf", 0): (0, 0, 0),
+    ("mrf", 1): (0, 0, 0),
+    ("testbed-collide", "ebs", 0): (661, 0, 0),
+    ("testbed-collide", "ebs", 1): (840, 0, 0),
+    ("testbed-collide", "mrf", 0): (863, 0, 0),
+    ("testbed-collide", "mrf", 1): (1041, 0, 0),
+    ("torus-delay", "ebs", 0): (0, 0, 36),
+    ("torus-delay", "ebs", 1): (0, 0, 48),
+}
+
+
+def _ledger(result: RunResult) -> tuple[int, ...]:
+    return tuple(result.stats[key] for key in _UNPINNED_STATS)
 
 
 def _run_digest(result: RunResult) -> str:
@@ -170,8 +189,9 @@ RNG_GOLDEN = {
 
 @pytest.mark.parametrize("config,seed", sorted(RNG_GOLDEN))
 def test_rng_path_outputs_are_pinned(config, seed):
-    build = {"torus": _rng_torus, "mrf": _rng_mrf}[config]
-    assert _run_digest(build(seed)) == RNG_GOLDEN[config, seed]
+    result = {"torus": _rng_torus, "mrf": _rng_mrf}[config](seed)
+    assert _run_digest(result) == RNG_GOLDEN[config, seed]
+    assert _ledger(result) == LEDGER[config, seed]
 
 
 def test_flaps_column_keeps_the_flaps_of_nodes_that_left():
@@ -250,3 +270,4 @@ def test_bench_configurations_are_pinned(workload, scheme, seed):
     cfg = apply_override(parse_scenario_text(text), "run.seed", seed)
     result = run_config(cfg, scheme=scheme, trace=True)
     assert _run_digest(result) == BENCH_GOLDEN[workload, scheme, seed]
+    assert _ledger(result) == LEDGER[workload, scheme, seed]

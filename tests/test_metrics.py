@@ -2,8 +2,10 @@ import pytest
 
 from ebsim.metrics import COLUMNS, MetricsRow, export_csv, steady_state
 from ebsim.protocol import Mode, ProtocolConfig
-from ebsim.sim import ChurnEvent, Engine, run
+from ebsim.sim import ChurnEvent, Engine, EventKind, run
 from ebsim.topology import Topology, make_complete, make_regular_grid
+
+from engine_steps import deliver
 
 
 def _row(period, **kw):
@@ -43,10 +45,8 @@ def test_duty_cycle_mixed():
     recovering.mode = Mode.RECOVERY
     for node in (steady, awake, recovering):
         node.period_start = 0
-    fire = eng._fire_handler()
-    ticks = sum(fire(1000, node) for node in (steady, awake, recovering))
-    assert ticks == 50 + 1000 + 1000
-    eng._handle_sample(1000, 0, 0, ticks)
+    # awake ticks: 50 + 1000 + 1000
+    deliver(eng, 1000, events=[(1000, EventKind.FIRE, nid, 0) for nid in range(3)])
     assert eng.series[-1].duty_pct == pytest.approx(205.0 / 3)
 
 
@@ -63,7 +63,7 @@ def _thr(received):
     # one broadcast per node heard by every neighbour
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
     eng = Engine(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0)
-    eng._handle_sample(1000, received, 0, 0)
+    eng._handle_sample(1000, received, 0)
     return eng.series[-1].thr_pct
 
 

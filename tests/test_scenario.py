@@ -55,6 +55,11 @@ def test_comments_and_blank_lines():
     ("run.horizon = soon", "expected int"),
     ("delay.link_hi = -3", "link_lo <= link_hi"),
     ("churn.1 = vanish 3 at 9", "churn entry"),
+    # an indexed key is written key.N, N a positive integer, once each
+    ("churn = leave 3 at 2", "^<string>:9: unknown key 'churn'$"),
+    ("churn.foo = leave 3 at 2", "^<string>:9: unknown key 'churn.foo'$"),
+    ("churn.0 = leave 3 at 2", "^<string>:9: unknown key 'churn.0'$"),
+    ("churn.1 = leave 3 at 2\nchurn.1 = leave 4 at 2", "^<string>:10: duplicate key 'churn.1'$"),
     ("run.payload_rate = 7", "probability"),
     ("run.payload_rate = -0.5", "probability"),
     ("delay.link_seed = 4", "delay.link_hi"),
@@ -127,6 +132,8 @@ def test_sweep_rejects_unknown_axis():
     with pytest.raises(ScenarioError, match="cannot sweep"):
         parse_scenario_text(MINIMAL + "sweep.parameter = topology.rows\n"
                                       "sweep.values = [3, 4]\n")
+    with pytest.raises(ScenarioError, match="^cannot sweep 'topology.rows'$"):
+        apply_override(parse_scenario_text(MINIMAL), "topology.rows", 4)
 
 
 def test_churn_entries():
@@ -177,6 +184,21 @@ def test_topology_errors_name_the_kind_line(topology, message):
     # the network is built and checked at parse time, not when a run starts
     with pytest.raises(ScenarioError, match=f"^<string>:1: topology: .*{message}"):
         parse_scenario_text(topology + "\n" + WITHOUT_TOPOLOGY)
+
+
+def test_unknown_topology_kind_is_refused_at_its_line():
+    with pytest.raises(ScenarioError, match="^<string>:1: topology.kind: expected grid or "
+                       "random_geometric or complete or file, got 'hexagon'$"):
+        parse_scenario_text("topology.kind = hexagon\n" + WITHOUT_TOPOLOGY)
+
+
+def test_a_bad_topology_file_is_refused_at_the_kind_line(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 x\n")
+    text = f"topology.kind = file\ntopology.path = {edges}\n" + WITHOUT_TOPOLOGY
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert str(err.value) == f"<string>:1: topology: {edges}:2: node ids must be integers"
 
 
 def test_link_delay_parsing_and_override():
@@ -556,6 +578,31 @@ def test_cli_identical_reruns_are_byte_identical(tmp_path):
     assert main(["run", path, "--out", str(out_a)]) == 0
     assert main(["run", path, "--out", str(out_b)]) == 0
     assert (out_a / "ebs_seed0.csv").read_bytes() == (out_b / "ebs_seed0.csv").read_bytes()
+
+
+def test_cli_trace_adds_the_run_trace_and_keeps_every_other_byte(tmp_path, capsys):
+    # --trace writes <csv stem>.trace.txt, the run's trace lines; every
+    # other file holds the bytes a run without it writes
+    path = _write(tmp_path, MINIMAL + "run.horizon = 5\n")
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert main(["run", path, "--out", str(plain)]) == 0
+    assert main(["run", path, "--out", str(traced), "--trace"]) == 0
+    lines = (traced / "ebs_seed0.trace.txt").read_text().splitlines()
+    assert lines == run_config(parse_scenario(path), trace=True).trace != []
+    names = sorted(os.listdir(plain))
+    assert names == ["ebs_seed0.csv", "resolved-config.txt", "summary.csv"]
+    assert sorted(os.listdir(traced)) == sorted(names + ["ebs_seed0.trace.txt"])
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_cli_reports_a_runs_warnings_on_stderr(tmp_path, capsys):
+    # every message lost: no node learns a neighbour, and each says so
+    path = _write(tmp_path, MINIMAL + "run.horizon = 8\nfault.loss_probability = 1\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    warnings = run_config(parse_scenario(path)).warnings
+    assert "node 0 has no known neighbours and cannot synchronize" in warnings
+    assert capsys.readouterr().err == f"  warning: {'; '.join(warnings)}\n"
 
 
 def _recorded_runs(monkeypatch):

@@ -315,26 +315,20 @@ def test_rejoin_under_the_same_id_gets_fresh_links():
 
 
 @pytest.mark.parametrize("seed", [47, 67, 86])
-def test_rejoined_node_ignores_its_predecessors_fire_entries(seed):
+def test_rejoined_node_ignores_its_predecessors_fire_entries(seed, monkeypatch):
     # node 3 leaves with a FIRE still queued and rejoins a period later:
-    # every fire the engine runs, the rejoined node's included, is at its
-    # node's next_fire, never on an entry the node that left made
+    # every fire the engine runs, the rejoined node's included, pops its
+    # node's own entry due at next_fire, never one the node that left made
     cfg = make_cfg(period_t=10000, sigma=0.3)
     churn = (ChurnEvent(0, "leave", 3), ChurnEvent(1, "join", 3, (2, 4, 8, 23)))
+    counting = _CountingHeap()
+    monkeypatch.setattr(sim, "heapq", counting)
     eng = Engine(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
                  churn=churn, horizon=6, seed=seed)
-    make, fired = eng._fire_handler, []
-
-    def checked_handler():
-        handle = make()
-
-        def checked(now, node):
-            fired.append((node.id, now, node.next_fire))
-            return handle(now, node)
-        return checked
-    eng._fire_handler = checked_handler
+    counting.engine = eng
     res = eng.run()
-    assert [(nid, now) for nid, now, due in fired if now != due] == []
+    fires = sum(len(ts) for ts in res.fire_times.values())
+    assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires
     assert res.fire_times[3] and res.fire_times[3][0] >= 10000
 
 

@@ -85,6 +85,30 @@ def test_load_topology_errors(tmp_path):
         load_topology(str(p))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 1\nnodes 3\n", "2: 'nodes' directive must precede edges"),
+    ("nodes three\n", "1: malformed 'nodes' directive"),
+    ("nodes \u00b2\n", "1: malformed 'nodes' directive"),  # a digit int() cannot read
+    ("0 1 2\n", "1: expected 'u v', got '0 1 2'"),
+    ("0 x\n", "1: node ids must be integers"),
+    ("0 -1\n", "1: node ids must be non-negative"),
+], ids=["nodes_after_edge", "nodes_malformed", "nodes_superscript", "not_a_pair",
+     "not_an_integer", "negative"])
+def test_load_topology_names_the_bad_line(tmp_path, text, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(TopologyError) as err:
+        load_topology(str(p))
+    assert str(err.value) == f"{p}:{message}"
+
+
+def test_generators_refuse_an_empty_network():
+    with pytest.raises(TopologyError, match="^need n >= 1$"):
+        make_complete(0)
+    with pytest.raises(TopologyError, match="^need n >= 1$"):
+        make_random_geometric(0, 0.5, seed=1)
+
+
 def test_random_geometric_deterministic():
     a = make_random_geometric(40, 0.3, seed=5)
     b = make_random_geometric(40, 0.3, seed=5)
