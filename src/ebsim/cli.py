@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Duty-cycled firefly synchronization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, text in (("run", cmd_run, "execute a scenario once"),
+                             ("sweep", cmd_sweep, "execute a scenario's sweep")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("scenario", help="scenario file")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
@@ -147,14 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-event trace files")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes")
-
-    p_run = sub.add_parser("run", help="execute a scenario once")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="execute a scenario's sweep")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+        p.set_defaults(func=func)
 
     p_check = sub.add_parser("check", help="print parameter analysis")
     p_check.add_argument("scenario", help="scenario file")

@@ -6,14 +6,13 @@ time by default) and phase quantities are fractions of the period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .protocol import ProtocolConfig, adaptive_c, effective_epsilon
 from .topology import Topology
 
 
-@dataclass
-class ParamReport:
+class ParamReport(NamedTuple):
     """Everything the `check` subcommand prints.  With adaptive C, budgets
     is the (lowest, highest) per-node receive budget in ticks."""
 

@@ -16,8 +16,8 @@ step included, on a fire.  Time is integer ticks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class Mode(Enum):
@@ -32,8 +32,7 @@ class Variant(Enum):
     PARTIAL_REACHBACK = "partial_reachback"
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(NamedTuple):
     """Full parameterization of one node's protocol behaviour.
 
     period_t and c0 are in ticks; epsilon, sigma are phase fractions;
@@ -50,8 +49,7 @@ class ProtocolConfig:
     init_listen_periods: int = 5
 
 
-@dataclass(frozen=True)
-class MrfConfig:
+class MrfConfig(NamedTuple):
     """Refractory-period baseline: coupling is ignored for the first
     refractory ticks after every own fire.  It runs on the protocol's
     period T; sim.run_error refuses a refractory outside (0, T).
@@ -66,7 +64,6 @@ class MrfConfig:
     sleep_during_refractory: bool = True
 
 
-@dataclass
 class NodeState:
     """One node's protocol and timing state.
 
@@ -77,27 +74,39 @@ class NodeState:
     estimates during initialization and recovery.
     """
 
-    id: int
-    period_ticks: int
-    next_fire: int
-    epsilon_eff: float
-    mode: Mode = Mode.INITIALIZATION
-    period_start: int = 0
-    neighbor_count_estimate: int = 0
-    heard_this_period: set[int] = field(default_factory=set)
-    heard_any: set[int] = field(default_factory=set)
-    init_heard: set[int] = field(default_factory=set)
-    init_periods_left: int = 0
-    synchronicity: float = 0.0
-    pending_payload: bool = False
-    # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last
-    armed: list[tuple[int, int]] = field(default_factory=list)
-    advance_accum: float = 0.0
-    rx_busy_until: int = -1
-    # the reception in flight as (sender, arrival tick): its commit waits in
-    # the engine's FIFO, and a collision clears it, so at most one
-    rx_pending: tuple[int, int] | None = None
-    fires: list[int] = field(default_factory=list)
+    __slots__ = ("id", "period_ticks", "next_fire", "epsilon_eff", "mode", "period_start",
+                 "neighbor_count_estimate", "heard_this_period", "heard_any", "init_heard",
+                 "init_periods_left", "synchronicity", "pending_payload", "armed",
+                 "advance_accum", "rx_busy_until", "rx_pending", "fires")
+
+    def __init__(self, id: int, period_ticks: int, next_fire: int, epsilon_eff: float,
+                 mode: Mode = Mode.INITIALIZATION, period_start: int = 0,
+                 neighbor_count_estimate: int = 0, heard_this_period: set[int] | None = None,
+                 heard_any: set[int] | None = None, init_heard: set[int] | None = None,
+                 init_periods_left: int = 0, synchronicity: float = 0.0,
+                 pending_payload: bool = False, armed: list[tuple[int, int]] | None = None,
+                 advance_accum: float = 0.0, rx_busy_until: int = -1,
+                 rx_pending: tuple[int, int] | None = None,
+                 fires: list[int] | None = None) -> None:
+        # a set or list left None starts empty
+        self.id, self.period_ticks, self.next_fire = id, period_ticks, next_fire
+        self.epsilon_eff, self.mode, self.period_start = epsilon_eff, mode, period_start
+        self.neighbor_count_estimate = neighbor_count_estimate
+        self.heard_this_period = set() if heard_this_period is None else heard_this_period
+        self.heard_any = set() if heard_any is None else heard_any
+        self.init_heard = set() if init_heard is None else init_heard
+        self.init_periods_left, self.synchronicity = init_periods_left, synchronicity
+        self.pending_payload = pending_payload
+        # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last
+        self.armed = [] if armed is None else armed
+        self.advance_accum, self.rx_busy_until = advance_accum, rx_busy_until
+        # the reception in flight as (sender, arrival tick): its commit waits in
+        # the engine's FIFO, and a collision clears it, so at most one
+        self.rx_pending = rx_pending
+        self.fires = [] if fires is None else fires
+
+    def __repr__(self) -> str:
+        return f"NodeState({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
     @property
     def fire_seq(self) -> int:

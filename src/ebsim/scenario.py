@@ -17,7 +17,6 @@ keys:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
@@ -31,15 +30,13 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     parameter: str
     values: tuple
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """A parsed scenario, or one of its sweep points.
+    """A parsed scenario, or one of its sweep points; read-only.
 
     given holds the keys as written (a point's override included), outside
     equality; resolved_text and apply_override resolve it again, so a
@@ -48,18 +45,30 @@ class ScenarioConfig:
     together they pass sim.run_error, so a run of them can start.
     """
 
-    given: dict[str, object] = field(compare=False)
-    topology: Topology
-    protocol: ProtocolConfig
-    mrf: MrfConfig | None
-    delay: DelayModel
-    fault: LinkFaultModel
-    drift: ClockDriftModel
-    churn: tuple[ChurnEvent, ...]
-    horizon: int
-    seed: int
-    payload_rate: float
-    sweep: SweepSpec | None
+    __slots__ = ("given", "topology", "protocol", "mrf", "delay", "fault", "drift", "churn",
+                 "horizon", "seed", "payload_rate", "sweep")
+
+    def __init__(self, given: dict[str, object], topology: Topology, protocol: ProtocolConfig,
+                 mrf: MrfConfig | None, delay: DelayModel, fault: LinkFaultModel,
+                 drift: ClockDriftModel, churn: tuple[ChurnEvent, ...], horizon: int,
+                 seed: int, payload_rate: float, sweep: SweepSpec | None) -> None:
+        for name, value in zip(self.__slots__, (given, topology, protocol, mrf, delay, fault,
+                                                drift, churn, horizon, seed, payload_rate, sweep)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ScenarioConfig")
+
+    def __reduce__(self):  # unpickled through the constructor: __setattr__ refuses
+        return ScenarioConfig, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        fields = self.__slots__[1:]  # all but given
+        return ([getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+                if type(other) is ScenarioConfig else NotImplemented)
+
+    def __repr__(self) -> str:
+        return f"ScenarioConfig({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
 
 
 # each topology kind: the name of its builder here (looked up per call, so a

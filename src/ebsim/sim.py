@@ -20,8 +20,8 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import protocol
 from .core import advance_remaining_ticks, avg_phase_difference
@@ -58,8 +58,7 @@ _INIT, _SYNC, _STEADY, _RECOVERY = (Mode.INITIALIZATION, Mode.SYNCHRONIZATION,
                                     Mode.STEADY, Mode.RECOVERY)
 
 
-@dataclass(frozen=True)
-class DelayModel:
+class DelayModel(NamedTuple):
     """Propagation delay in ticks: per-message jitter (``kind``) plus,
     when link_hi is set, a fixed offset per directed link drawn once from
     [link_lo, link_hi]; the offsets model stable propagation/processing
@@ -95,8 +94,7 @@ class DelayModel:
         return base + max(self.link_table(topology).values(), default=0)
 
 
-@dataclass(frozen=True)
-class LinkFaultModel:
+class LinkFaultModel(NamedTuple):
     """Independent per-(message, receiver) loss plus optional collisions.
 
     With collisions enabled, two receptions at one node whose airtime
@@ -109,8 +107,7 @@ class LinkFaultModel:
     airtime_beta: int = 4
 
 
-@dataclass(frozen=True)
-class ClockDriftModel:
+class ClockDriftModel(NamedTuple):
     """Per-node rate skew, uniform in [skew_ppm_min, skew_ppm_max]; run_error judges it."""
 
     skew_ppm_min: float = 0.0
@@ -122,8 +119,7 @@ class ClockDriftModel:
         return rng.uniform(self.skew_ppm_min, self.skew_ppm_max)
 
 
-@dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(NamedTuple):
     """A node leaving, or joining with edges, at the start of a period.  A
     plain record: run_error replays the schedule on the network."""
 
@@ -133,8 +129,7 @@ class ChurnEvent:
     edges: tuple[int, ...] = ()
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     series: list[MetricsRow]                     # one row per period
     flap_events: list[tuple[int, int]]           # (tick, node id)
     fire_times: dict[int, list[int]]
@@ -439,15 +434,9 @@ class Engine:
         # past the horizon: queued arrivals, and receptions whose commit waits
         stats["in_flight"] = (popped_past + sum(entry[1] == _ARRIVAL for entry in heap)
                               + sum(node.rx_pending is not None for node in nodes.values()))
-        return RunResult(
-            series=self.series,
-            flap_events=self.flap_events,
-            fire_times={nid: list(node.fires) for nid, node in sorted(self.nodes.items())},
-            final_nodes=self.nodes,
-            warnings=self.warnings,
-            stats=stats,
-            trace=self.trace,
-        )
+        fire_times = {nid: list(node.fires) for nid, node in sorted(nodes.items())}
+        return RunResult(series=self.series, flap_events=flap_events, fire_times=fire_times,
+                         final_nodes=nodes, warnings=warnings, stats=stats, trace=trace)
 
     def _handle_churn(self, now: int, ev: ChurnEvent) -> int:
         """A leave drops the node's links from _fanout; a join adds links
@@ -486,8 +475,7 @@ class Engine:
             dplus = sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * awake / (n * self.T)
             thr = 100.0 * received / (self.avg_degree * n)
-            steady = 100.0 * sum(
-                1 for nd in self.nodes.values() if nd.mode is _STEADY) / n
+            steady = 100.0 * sum(nd.mode is _STEADY for nd in self.nodes.values()) / n
         else:
             dplus = duty = thr = steady = 0.0
         self.series.append(MetricsRow(period_index, dphi_lit, dphi_circ, dplus,

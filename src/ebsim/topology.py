@@ -3,35 +3,40 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 
 class TopologyError(ValueError):
     pass
 
 
-@dataclass
 class Topology:
     """Graph with per-node neighbour sets, an immutable value.
 
     Undirected: adjacency must be symmetric.  Node ids are non-negative
     integers.  The simulator reads it once; churn edits the engine's own
-    link table, never the topology.
+    link table, never the topology.  Equal by adjacency, and unhashable.
     """
 
-    adjacency: dict[int, set[int]]
+    __slots__ = ("adjacency",)
 
-    def __post_init__(self) -> None:
-        if not self.adjacency:
+    def __init__(self, adjacency: dict[int, set[int]]) -> None:
+        self.adjacency = adjacency
+        if not adjacency:
             raise TopologyError("topology must contain at least one node")
-        for u, neigh in self.adjacency.items():
+        for u, neigh in adjacency.items():
             if u in neigh:
                 raise TopologyError(f"self-loop at node {u}")
             for v in neigh:
-                if v not in self.adjacency:
+                if v not in adjacency:
                     raise TopologyError(f"edge {u}-{v} references unknown node {v}")
-                if u not in self.adjacency[v]:
+                if u not in adjacency[v]:
                     raise TopologyError(f"asymmetric edge {u}-{v}")
+
+    def __eq__(self, other: object) -> bool:
+        return self.adjacency == other.adjacency if type(other) is Topology else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Topology(adjacency={self.adjacency!r})"
 
     @property
     def node_ids(self) -> list[int]:
@@ -123,9 +128,12 @@ def load_topology(path: str) -> Topology:
             if parts[0] == "nodes":
                 if adjacency:
                     raise TopologyError(f"{path}:{lineno}: 'nodes' directive must precede edges")
-                if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+                try:
+                    declared = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+                except ValueError:  # more digits than int() converts
+                    declared = 0
+                if declared < 1:
                     raise TopologyError(f"{path}:{lineno}: malformed 'nodes' directive")
-                declared = int(parts[1])
                 adjacency = {i: set() for i in range(declared)}
                 continue
             if len(parts) != 2:

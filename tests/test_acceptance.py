@@ -9,6 +9,7 @@ import heapq
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebsim.metrics import export_csv
 from ebsim.protocol import MrfConfig, ProtocolConfig
@@ -347,3 +348,40 @@ def test_c10_oracle_equivalence_under_strong_coupling(monkeypatch):
         f"the engine matches the tick oracle at sigma 0.3 / epsilon 0.05 and sigma 0.6 / "
         f"epsilon 0.02, 5 seeds each on {', '.join(ORACLE_GRAPHS)}; FIRE stacks reached "
         f"depth {deepest}" + ("" if not mismatches else "; " + "; ".join(mismatches)))
+
+
+@st.composite
+def _connected_graphs(draw) -> dict[int, set[int]]:
+    """A connected graph of 3-8 nodes: a random tree plus random extra edges."""
+    n = draw(st.integers(3, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= set(draw(st.lists(st.sampled_from([(u, v) for v in range(n) for u in range(v)]),
+                               max_size=n)))
+    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_connected_graphs(), st.integers(-2 ** 63, 2 ** 63 - 1),
+       # whole ticks of T = 1000 too, where a phase can meet a window edge
+       st.integers(1, 500).map(lambda k: k / 1000) | st.floats(0.0, 0.5, exclude_min=True),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.none() | st.integers(-2 ** 63, 2 ** 63 - 1))
+def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma, link_seed):
+    # C10 beyond its five graphs: any connected graph of 3-8 nodes and any
+    # seed, epsilon and sigma run_error admits, with or without the fixed
+    # 5..25-tick delay per link (drawn from link_seed)
+    cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
+                         init_listen_periods=0)
+    topo = Topology(adjacency)
+    delay = link_seed is not None and DelayModel(kind="deterministic", nu=5, link_hi=20,
+                                                 link_seed=link_seed) or None
+    table = delay and {link: 5 + offset for link, offset in delay.link_table(topo).items()}
+    res = run(topo, cfg, delay=delay, horizon=10, seed=seed)
+    fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
+                             horizon=10, seed=seed, delays=table)
+    assert _oracle_difference(res, fires, rows) is None

@@ -8,7 +8,6 @@ themselves accept any value.
 """
 
 import contextlib
-import dataclasses
 import importlib
 import io
 import os
@@ -43,7 +42,7 @@ def _drift(low, high=None):
 
 
 def _protocol(**fields):
-    return {"cfg": dataclasses.replace(CFG, **fields)}
+    return {"cfg": CFG._replace(**fields)}
 
 
 HUGE = 10 ** 400  # overflows a float, and a file name as digits
@@ -392,10 +391,28 @@ def test_the_engine_runs_or_refuses_any_record(fields, baseline):
         assert len(engine.run().series) == 2
 
 
+# field values that a value rule would refuse, whatever the field
+_REFUSED = (None, -1, 0, float("nan"), HUGE, "", object())
+
+
 def test_only_the_topology_checks_in_its_constructor():
-    # a value rule belongs in run_error, where the parser can name its key
+    # a value rule belongs in run_error, where the parser can name its key:
+    # every record (a class with __slots__ of its own: each NamedTuple and
+    # each slotted class, fields in slot order) but Topology takes any value
     modules = [importlib.import_module(f"ebsim.{info.name}")
                for info in pkgutil.iter_modules(ebsim.__path__)]
-    checked = {obj.__name__ for module in modules for obj in vars(module).values()
-               if dataclasses.is_dataclass(obj) and "__post_init__" in vars(obj)}
+    records = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__
+               and "__slots__" in vars(obj)}
+    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "LinkFaultModel", "ClockDriftModel",
+            "ChurnEvent", "SweepSpec", "ScenarioConfig", "NodeState",
+            "Topology"} <= {record.__name__ for record in records}
+    checked = set()
+    for record in records:
+        fields = getattr(record, "_fields", record.__slots__)
+        for value in _REFUSED:
+            try:
+                record(*[value] * len(fields))
+            except Exception:
+                checked.add(record.__name__)
     assert checked == {"Topology"}

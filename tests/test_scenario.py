@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import os
 import re
@@ -201,6 +200,16 @@ def test_a_bad_topology_file_is_refused_at_the_kind_line(tmp_path):
     assert str(err.value) == f"<string>:1: topology: {edges}:2: node ids must be integers"
 
 
+def test_a_node_count_too_long_to_read_is_refused_at_the_kind_line(tmp_path):
+    # int() refuses more than 4,300 digits; that is a malformed directive
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"nodes {'9' * 5000}\n0 1\n")
+    text = f"topology.kind = file\ntopology.path = {edges}\n" + WITHOUT_TOPOLOGY
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert str(err.value) == f"<string>:1: topology: {edges}:1: malformed 'nodes' directive"
+
+
 def test_link_delay_parsing_and_override():
     cfg = parse_scenario_text(MINIMAL + "delay.link_hi = 150\n"
                                         "delay.link_seed = 1000\n")
@@ -282,8 +291,7 @@ def test_key_defaults_match_the_library():
     # the key sets must be the same value, of the same type
     library = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
                "fault": LinkFaultModel, "drift": ClockDriftModel}
-    defaults = {name: {f.name: f.default for f in dataclasses.fields(cls)}
-                for name, cls in library.items()}
+    defaults = {name: dict(cls._field_defaults) for name, cls in library.items()}
     defaults[""] = {name: p.default
                     for name, p in inspect.signature(Engine.__init__).parameters.items()}
     compared = []
@@ -434,6 +442,18 @@ def test_cli_import_leaves_the_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout == "False\n"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every run, check and sweep child pays the import: dataclasses brings
+    # inspect, ast, dis and tokenize, and its decorations exec source that
+    # no .pyc keeps
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ebsim, ebsim.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 def test_runtime_imports_only_the_standard_library():

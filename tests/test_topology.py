@@ -92,8 +92,11 @@ def test_load_topology_errors(tmp_path):
     ("0 1 2\n", "1: expected 'u v', got '0 1 2'"),
     ("0 x\n", "1: node ids must be integers"),
     ("0 -1\n", "1: node ids must be non-negative"),
+    # more digits than int() converts (sys.get_int_max_str_digits)
+    (f"nodes {'9' * 5000}\n", "1: malformed 'nodes' directive"),
+    (f"0 {'9' * 5000}\n", "1: node ids must be integers"),
 ], ids=["nodes_after_edge", "nodes_malformed", "nodes_superscript", "not_a_pair",
-     "not_an_integer", "negative"])
+     "not_an_integer", "negative", "nodes_too_long", "id_too_long"])
 def test_load_topology_names_the_bad_line(tmp_path, text, message):
     p = tmp_path / "bad.txt"
     p.write_text(text, encoding="utf-8")
