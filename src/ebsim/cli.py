@@ -44,7 +44,8 @@ def _execute(jobs: int, tasks: list[tuple]) -> list[dict]:
         return [_run_one(*t) for t in tasks]
     # imported here: the pool machinery costs every single-process run
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the first submit starts every worker, so start no more than there are runs
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(_run_one, *t) for t in tasks]
         return [f.result() for f in futures]
 

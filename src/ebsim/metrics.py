@@ -1,7 +1,5 @@
 """Per-period measurement rows, their steady-state summary and CSV export."""
 
-from __future__ import annotations
-
 import csv
 from typing import NamedTuple
 

@@ -4,8 +4,6 @@ build_report is pure; durations are integer ticks (1 tick = 1 ms of model
 time by default) and phase quantities are fractions of the period.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .protocol import ProtocolConfig, adaptive_c, effective_epsilon
@@ -58,7 +56,7 @@ def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamRepor
     if nu < 0:
         raise ValueError("delay nu must be >= 0")
     t = cfg.period_t
-    degrees = [topology.degree(nid) for nid in topology.node_ids]
+    degrees = [len(topology.adjacency[nid]) for nid in topology.node_ids]
     windows = [effective_epsilon(cfg, d) for d in degrees if d > 0] or [cfg.epsilon]
     epsilon = min(windows)
     delta = nu / t

@@ -13,8 +13,6 @@ event loop, the reception step on an arrival and the period end, mode
 step included, on a fire.  Time is integer ticks.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -67,6 +65,7 @@ class MrfConfig(NamedTuple):
 class NodeState:
     """One node's protocol and timing state.
 
+    The constructor takes the fields a caller sets; the rest start fresh.
     next_fire is the tick at which the phase reaches 1; the phase at any
     time is 1 - (next_fire - now) / period_ticks.  heard_this_period tracks
     senders heard while inside the wake window (what synchronicity counts);
@@ -81,29 +80,22 @@ class NodeState:
 
     def __init__(self, id: int, period_ticks: int, next_fire: int, epsilon_eff: float,
                  mode: Mode = Mode.INITIALIZATION, period_start: int = 0,
-                 neighbor_count_estimate: int = 0, heard_this_period: set[int] | None = None,
-                 heard_any: set[int] | None = None, init_heard: set[int] | None = None,
-                 init_periods_left: int = 0, synchronicity: float = 0.0,
-                 pending_payload: bool = False, armed: list[tuple[int, int]] | None = None,
-                 advance_accum: float = 0.0, rx_busy_until: int = -1,
-                 rx_pending: tuple[int, int] | None = None,
-                 fires: list[int] | None = None) -> None:
-        # a set or list left None starts empty
+                 neighbor_count_estimate: int = 0, init_periods_left: int = 0) -> None:
         self.id, self.period_ticks, self.next_fire = id, period_ticks, next_fire
         self.epsilon_eff, self.mode, self.period_start = epsilon_eff, mode, period_start
         self.neighbor_count_estimate = neighbor_count_estimate
-        self.heard_this_period = set() if heard_this_period is None else heard_this_period
-        self.heard_any = set() if heard_any is None else heard_any
-        self.init_heard = set() if init_heard is None else init_heard
-        self.init_periods_left, self.synchronicity = init_periods_left, synchronicity
-        self.pending_payload = pending_payload
+        self.heard_this_period = set()
+        self.heard_any = set()
+        self.init_heard = set()
+        self.init_periods_left, self.synchronicity = init_periods_left, 0.0
+        self.pending_payload = False
         # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last
-        self.armed = [] if armed is None else armed
-        self.advance_accum, self.rx_busy_until = advance_accum, rx_busy_until
+        self.armed = []
+        self.advance_accum, self.rx_busy_until = 0.0, -1
         # the reception in flight as (sender, arrival tick): its commit waits in
         # the engine's FIFO, and a collision clears it, so at most one
-        self.rx_pending = rx_pending
-        self.fires = [] if fires is None else fires
+        self.rx_pending = None
+        self.fires = []
 
     def __repr__(self) -> str:
         return f"NodeState({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"

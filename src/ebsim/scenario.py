@@ -14,8 +14,6 @@ keys:
     churn.2 = join 25 at 60 edges 7,11,13,17
 """
 
-from __future__ import annotations
-
 import os
 from typing import Callable, NamedTuple
 

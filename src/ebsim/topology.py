@@ -12,9 +12,10 @@ class TopologyError(ValueError):
 class Topology:
     """Graph with per-node neighbour sets, an immutable value.
 
-    Undirected: adjacency must be symmetric.  Node ids are non-negative
-    integers.  The simulator reads it once; churn edits the engine's own
-    link table, never the topology.  Equal by adjacency, and unhashable.
+    Undirected: adjacency, read directly, must be symmetric.  Node ids are
+    non-negative integers, node_ids in ascending order.  The simulator reads
+    it once; churn edits the engine's own link table, never the topology.
+    Equal by adjacency, and unhashable.
     """
 
     __slots__ = ("adjacency",)
@@ -45,12 +46,6 @@ class Topology:
     @property
     def n(self) -> int:
         return len(self.adjacency)
-
-    def neighbors(self, nid: int) -> set[int]:
-        return self.adjacency[nid]
-
-    def degree(self, nid: int) -> int:
-        return len(self.adjacency[nid])
 
     @property
     def average_degree(self) -> float:

@@ -370,18 +370,21 @@ def _connected_graphs(draw) -> dict[int, set[int]]:
        # whole ticks of T = 1000 too, where a phase can meet a window edge
        st.integers(1, 500).map(lambda k: k / 1000) | st.floats(0.0, 0.5, exclude_min=True),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       st.none() | st.integers(-2 ** 63, 2 ** 63 - 1))
-def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma, link_seed):
+       st.none() | st.integers(-2 ** 63, 2 ** 63 - 1), st.none() | st.integers(1, 30))
+def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma, link_seed,
+                                                 beta):
     # C10 beyond its five graphs: any connected graph of 3-8 nodes and any
     # seed, epsilon and sigma run_error admits, with or without the fixed
-    # 5..25-tick delay per link (drawn from link_seed)
+    # 5..25-tick delay per link (drawn from link_seed), with or without
+    # collisions at an airtime of beta ticks
     cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
                          init_listen_periods=0)
     topo = Topology(adjacency)
     delay = link_seed is not None and DelayModel(kind="deterministic", nu=5, link_hi=20,
                                                  link_seed=link_seed) or None
     table = delay and {link: 5 + offset for link, offset in delay.link_table(topo).items()}
-    res = run(topo, cfg, delay=delay, horizon=10, seed=seed)
+    fault = beta and LinkFaultModel(collisions_enabled=True, airtime_beta=beta) or None
+    res = run(topo, cfg, delay=delay, fault=fault, horizon=10, seed=seed)
     fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
-                             horizon=10, seed=seed, delays=table)
+                             horizon=10, seed=seed, delays=table, beta=beta)
     assert _oracle_difference(res, fires, rows) is None

@@ -397,8 +397,9 @@ _REFUSED = (None, -1, 0, float("nan"), HUGE, "", object())
 
 def test_only_the_topology_checks_in_its_constructor():
     # a value rule belongs in run_error, where the parser can name its key:
-    # every record (a class with __slots__ of its own: each NamedTuple and
-    # each slotted class, fields in slot order) but Topology takes any value
+    # every record (a class with __slots__ of its own: each NamedTuple, built
+    # with every field, and each slotted class, with every constructor
+    # parameter) but Topology takes any value
     modules = [importlib.import_module(f"ebsim.{info.name}")
                for info in pkgutil.iter_modules(ebsim.__path__)]
     records = {obj for module in modules for obj in vars(module).values()
@@ -409,10 +410,11 @@ def test_only_the_topology_checks_in_its_constructor():
             "Topology"} <= {record.__name__ for record in records}
     checked = set()
     for record in records:
-        fields = getattr(record, "_fields", record.__slots__)
+        count = (len(record._fields) if hasattr(record, "_fields")
+                 else record.__init__.__code__.co_argcount - 1)  # all but self
         for value in _REFUSED:
             try:
-                record(*[value] * len(fields))
+                record(*[value] * count)
             except Exception:
                 checked.add(record.__name__)
     assert checked == {"Topology"}

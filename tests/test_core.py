@@ -13,7 +13,8 @@ T = 1000
 
 def neighbour_table(topo):
     # the engine's sampler table: each linked node, in id order, with its sorted neighbours
-    return tuple((u, tuple(sorted(topo.neighbors(u)))) for u in topo.node_ids if topo.neighbors(u))
+    return tuple((u, tuple(sorted(topo.adjacency[u]))) for u in topo.node_ids
+                 if topo.adjacency[u])
 
 
 def _engine(eps, sigma, mrf=False, period=T):
@@ -168,7 +169,7 @@ def test_avg_phase_difference_torus_against_double_loop():
     # independent brute-force over all (i, j in N_i) pairs
     literal = circular = 0.0
     for i in topo.node_ids:
-        neigh = topo.neighbors(i)
+        neigh = topo.adjacency[i]
         lit = circ = 0.0
         for j in neigh:
             d = abs(phases[i] - phases[j])

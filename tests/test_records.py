@@ -3,10 +3,14 @@ Name(field=value, ...) repr, read-only config records that copy with
 _replace, and the equality of ScenarioConfig and Topology.  Sweep workers
 receive configs by pickle."""
 
+import importlib
 import pickle
+import pkgutil
+import typing
 
 import pytest
 
+import ebsim
 from ebsim.params import ParamReport
 from ebsim.protocol import Mode, MrfConfig, NodeState, ProtocolConfig
 from ebsim.scenario import ScenarioConfig, SweepSpec, parse_scenario_text
@@ -133,3 +137,19 @@ def test_the_topology_checks_in_its_constructor(adjacency, message):
     with pytest.raises(TopologyError) as err:
         Topology(adjacency)
     assert str(err.value) == message
+
+
+def test_named_tuple_field_annotations_are_evaluated_types():
+    # a string annotation (as under `from __future__ import annotations`)
+    # makes typing compile a ForwardRef for the field at every import
+    modules = [importlib.import_module(f"ebsim.{info.name}")
+               for info in pkgutil.iter_modules(ebsim.__path__)]
+    tuples = {obj for module in modules for obj in vars(module).values()
+              if isinstance(obj, type) and obj.__module__ == module.__name__
+              and issubclass(obj, tuple) and hasattr(obj, "_fields")}
+    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "RunResult", "SweepSpec",
+            "ParamReport", "MetricsRow"} <= {cls.__name__ for cls in tuples}
+    deferred = [f"{cls.__name__}.{name}" for cls in tuples
+                for name, annotation in cls.__annotations__.items()
+                if isinstance(annotation, (str, typing.ForwardRef))]
+    assert not deferred

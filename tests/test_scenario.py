@@ -434,6 +434,42 @@ def test_cli_sweep_pool_writes_the_same_bytes(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_sweep_pool_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
+    # --jobs 64 on a two-run sweep sizes the pool at 2; the stand-in pool
+    # records its size and runs each task inline, so no process starts
+    import concurrent.futures
+    sizes = []
+
+    class _InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    path = _write(tmp_path, MINIMAL + "run.horizon = 5\n"
+                  "sweep.parameter = run.seed\n"
+                  "sweep.values = [0, 1]\n")
+    outputs = []
+    for jobs in ("1", "64"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", path, "--out", str(out), "--jobs", jobs]) == 0
+        files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        outputs.append((files, capsys.readouterr().out))
+    assert sizes == [2]
+    assert len(outputs[0][0]) == 4  # two CSVs, summary.csv, resolved-config.txt
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_the_pool_unloaded():
     # only --jobs > 1 loads the worker pool
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

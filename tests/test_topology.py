@@ -12,7 +12,7 @@ def is_connected(topo):
     start = topo.node_ids[0]
     seen, frontier = {start}, [start]
     while frontier:
-        frontier = [v for u in frontier for v in topo.neighbors(u) if v not in seen]
+        frontier = [v for u in frontier for v in topo.adjacency[u] if v not in seen]
         seen.update(frontier)
     return len(seen) == topo.n
 
@@ -20,7 +20,7 @@ def is_connected(topo):
 def test_torus_5x5():
     topo = make_regular_grid(5, 5, wraparound=True)
     assert topo.n == 25
-    assert all(topo.degree(i) == 4 for i in topo.node_ids)
+    assert all(len(topo.adjacency[i]) == 4 for i in topo.node_ids)
     assert is_connected(topo)
 
 
@@ -35,14 +35,14 @@ def test_neighbour_table_leaves_out_isolated_nodes():
 def test_open_grid_2x2():
     topo = make_regular_grid(2, 2, wraparound=False)
     assert topo.n == 4
-    assert all(topo.degree(i) == 2 for i in topo.node_ids)
+    assert all(len(topo.adjacency[i]) == 2 for i in topo.node_ids)
 
 
 def test_torus_3x3_degree_histogram():
     topo = make_regular_grid(3, 3, wraparound=True)
     hist = {}
-    for i in topo.node_ids:
-        hist[topo.degree(i)] = hist.get(topo.degree(i), 0) + 1
+    for neigh in topo.adjacency.values():
+        hist[len(neigh)] = hist.get(len(neigh), 0) + 1
     assert hist == {4: 9}
 
 
@@ -53,7 +53,7 @@ def test_grid_too_small():
 
 def test_complete():
     topo = make_complete(3)
-    assert all(topo.degree(i) == 2 for i in topo.node_ids)
+    assert all(len(topo.adjacency[i]) == 2 for i in topo.node_ids)
 
 
 def test_load_topology_path_graph(tmp_path):
@@ -61,8 +61,8 @@ def test_load_topology_path_graph(tmp_path):
     p.write_text("0 1\n1 2\n")
     topo = load_topology(str(p))
     assert topo.node_ids == [0, 1, 2]
-    assert topo.neighbors(1) == {0, 2}
-    assert topo.degree(0) == 1
+    assert topo.adjacency[1] == {0, 2}
+    assert len(topo.adjacency[0]) == 1
 
 
 def test_load_topology_nodes_directive(tmp_path):

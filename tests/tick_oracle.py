@@ -1,10 +1,11 @@
 """Brute-force step-by-step reference simulator.
 
 Advances every node one tick at a time and applies the coupling rule
-directly on arrivals, with none of the event-queue machinery: no heap, no
-lazy invalidation, no airtime bookkeeping.  Only supports the lossless
-configuration without collisions, with a fixed delay per directed link
-given as data, which is what the equivalence check needs.
+directly on receptions, with none of the event-queue machinery: no heap,
+no lazy invalidation, no commit queue.  Only supports the lossless
+configuration, with a fixed delay per directed link given as data and,
+optionally, collisions with an airtime of beta ticks, which is what the
+equivalence check needs.
 
 Kept deliberately flat and independent so it can serve as an oracle for
 the event-driven engine: same seeded initial phases in, fire times and
@@ -27,15 +28,22 @@ class _ONode:
         self.recovering = False
         self.heard_setw: set[int] = set()
         self.heard_any: set[int] = set()
+        self.busy_until = 0  # the radio is busy before this tick
+        self.pending: tuple[int, int] | None = None  # in flight: (sender, commit tick)
 
 
 def run_oracle(topology, period: int, epsilon: float, sigma: float,
                s_th: float, horizon: int, seed: int,
-               delays: dict[tuple[int, int], int] | None = None):
+               delays: dict[tuple[int, int], int] | None = None,
+               beta: int | None = None):
     """Run the tick loop; returns (fire_times, dphi_rows).
 
     delays maps (sender, receiver) to the ticks a fire takes to arrive
-    (absent: 0).  fire_times maps node id -> list of absolute fire ticks;
+    (absent: 0).  With beta set, an arrival at tick t claims the radio for
+    [t, t + beta); one that overlaps a claim destroys itself and the
+    reception in flight, and extends the claim.  A reception commits at
+    t + beta, after that tick's fires and before its arrivals, in node
+    order, and takes the phase at its commit.  fire_times maps node id -> list of absolute fire ticks;
     dphi_rows is a list of (literal, circular) network-average phase
     differences sampled at every period boundary k*T for k = 1..horizon.
     """
@@ -45,10 +53,11 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     nodes: dict[int, _ONode] = {}
     for nid in ids:
         first = rng.randint(1, period)
-        nodes[nid] = _ONode(nid, first, topology.degree(nid), epsilon)
+        nodes[nid] = _ONode(nid, first, len(topology.adjacency[nid]), epsilon)
     fire_times: dict[int, list[int]] = {nid: [] for nid in ids}
     rows: list[tuple[float, float]] = []
-    inbox: dict[int, list[tuple[int, int]]] = {}  # tick -> (receiver, sender)
+    # tick -> (0 commit | 1 arrival, receiver, sender): commits sort first
+    inbox: dict[int, list[tuple[int, int, int]]] = {}
 
     for t in range(0, horizon * period + 1):
         for nid in ids:
@@ -75,16 +84,29 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
                     node.steady = True
             node.heard_setw = set()
             node.heard_any = set()
-            for recv in topology.neighbors(nid):
+            for recv in topology.adjacency[nid]:
                 at = t + delays.get((nid, recv), 0)
-                inbox.setdefault(at, []).append((recv, nid))
-        for recv, sender in sorted(inbox.pop(t, ())):
+                inbox.setdefault(at, []).append((1, recv, nid))
+        for kind, recv, sender in sorted(inbox.pop(t, ())):
             node = nodes[recv]
             remaining = node.next_fire - t
             phi = 1.0 - remaining / period
             setw = phi <= node.epsilon or phi >= 1.0 - node.epsilon
-            if node.steady and not node.recovering and not setw:
+            if kind == 0:
+                if node.pending != (sender, t):
+                    continue  # a collision destroyed it
+                node.pending = None
+            elif node.steady and not node.recovering and not setw:
                 continue  # asleep
+            elif beta is not None:
+                if t < node.busy_until:  # overlapping airtime: both are lost
+                    node.pending = None
+                    node.busy_until = max(node.busy_until, t + beta)
+                else:
+                    node.pending = (sender, t + beta)
+                    node.busy_until = t + beta
+                    inbox.setdefault(t + beta, []).append((0, recv, sender))
+                continue
             node.heard_any.add(sender)
             if setw:
                 node.heard_setw.add(sender)
@@ -95,7 +117,7 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
         if t > 0 and t % period == 0:
             lit = circ = 0.0
             for nid in ids:
-                neigh = sorted(topology.neighbors(nid))
+                neigh = sorted(topology.adjacency[nid])
                 phi_i = 1.0 - (nodes[nid].next_fire - t) / period
                 dl = dc = 0.0
                 for j in neigh:
