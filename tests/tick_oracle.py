@@ -43,9 +43,10 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     [t, t + beta); one that overlaps a claim destroys itself and the
     reception in flight, and extends the claim.  A reception commits at
     t + beta, after that tick's fires and before its arrivals, in node
-    order, and takes the phase at its commit.  fire_times maps node id -> list of absolute fire ticks;
-    dphi_rows is a list of (literal, circular) network-average phase
-    differences sampled at every period boundary k*T for k = 1..horizon.
+    order, and takes the phase at its commit.  fire_times maps node id ->
+    list of absolute fire ticks; dphi_rows is a list of (literal, circular)
+    network-average phase differences sampled at every period boundary k*T
+    for k = 1..horizon.
     """
     delays = delays or {}
     rng = random.Random(seed)
