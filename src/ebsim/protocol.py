@@ -66,29 +66,27 @@ class NodeState:
     """One node's protocol and timing state.
 
     The constructor takes the fields a caller sets; the rest start fresh.
+    A node holds no id: the engine's tables key each node by its id.
     next_fire is the tick at which the phase reaches 1; the phase at any
     time is 1 - (next_fire - now) / period_ticks.  heard_this_period tracks
     senders heard while inside the wake window (what synchronicity counts);
-    heard_any tracks every sender processed this period and feeds neighbour
-    estimates during initialization and recovery.
+    heard_any tracks every sender processed this period (all of
+    Initialization, while in it), whose count the neighbour estimate
+    takes when Initialization, recovery or a synchronizing period ends.
     """
 
-    __slots__ = ("id", "period_ticks", "next_fire", "epsilon_eff", "mode", "period_start",
-                 "neighbor_count_estimate", "heard_this_period", "heard_any", "init_heard",
+    __slots__ = ("period_ticks", "next_fire", "epsilon_eff", "mode", "period_start",
+                 "neighbor_count_estimate", "heard_this_period", "heard_any",
                  "init_periods_left", "synchronicity", "pending_payload", "armed",
                  "advance_accum", "rx_busy_until", "rx_pending", "fires")
 
-    def __init__(self, id: int, period_ticks: int, next_fire: int, epsilon_eff: float,
+    def __init__(self, period_ticks: int, next_fire: int, epsilon_eff: float,
                  mode: Mode = Mode.INITIALIZATION, period_start: int = 0,
                  neighbor_count_estimate: int = 0, init_periods_left: int = 0) -> None:
-        self.id, self.period_ticks, self.next_fire = id, period_ticks, next_fire
-        self.epsilon_eff, self.mode, self.period_start = epsilon_eff, mode, period_start
-        self.neighbor_count_estimate = neighbor_count_estimate
-        self.heard_this_period = set()
-        self.heard_any = set()
-        self.init_heard = set()
-        self.init_periods_left, self.synchronicity = init_periods_left, 0.0
-        self.pending_payload = False
+        self.period_ticks, self.next_fire, self.epsilon_eff = period_ticks, next_fire, epsilon_eff
+        self.mode, self.period_start, self.init_periods_left = mode, period_start, init_periods_left
+        self.neighbor_count_estimate, self.synchronicity = neighbor_count_estimate, 0.0
+        self.heard_this_period, self.heard_any, self.pending_payload = set(), set(), False
         # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last
         self.armed = []
         self.advance_accum, self.rx_busy_until = 0.0, -1

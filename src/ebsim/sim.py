@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulation engine.
 
-Time is integer ticks (1 tick = 1 ms of model time by default).  Events are
-ordered lexicographically by (time, event-type priority, node id, sender
-id, insertion counter), so a run is bitwise reproducible for a given
-(scenario, seed).  Event-type priority at one tick: churn, then fires (and
-the period-boundary processing they imply), then reception commits, then
+Time is integer ticks (1 tick = 1 ms of model time by default).  Every
+queued event is a (time, kind, node, datum) tuple, ordered as such (see
+EventKind), so a run is bitwise reproducible for a given (scenario,
+seed).  Kind priority at one tick: churn, then fires (and the
+period-boundary processing they imply), then reception commits, then
 message arrivals, then the metrics sample.  Commits wait in a FIFO, the
 rest in a binary heap; the event loop merges the two by that key.  A
 node's queued FIRE entries are a stack (NodeState.armed), earliest on top:
@@ -33,10 +33,14 @@ class SimulationError(RuntimeError):
 
 
 class EventKind(IntEnum):
-    """Priority order for simultaneous events.
+    """The kind of a queued (time, kind, node, datum) entry, in priority order.
 
-    A reception whose airtime interval [arrival, arrival + beta) closes at
-    tick t commits before a fresh arrival at t may claim the radio, so
+    The datum is an ARRIVAL's sender, a FIRE entry's seq (the only numbers
+    the engine's counter draws), an RX_COMMIT's pending (sender, arrival
+    tick), a CHURN's (schedule index, event) and the SAMPLE's None (node
+    -1).  Tied ARRIVAL entries are identical, so the datum ends every tie.  A
+    reception whose airtime [arrival, arrival + beta) closes at tick t
+    commits before a fresh arrival at t may claim the radio, so
     back-to-back receptions do not collide.  Each commit is made beta after
     the ARRIVAL being handled, at most one per (tick, node), so they come
     in key order and Engine.run queues them in a FIFO, not the heap.
@@ -190,15 +194,15 @@ class Engine:
 
         for nid in topology.node_ids:
             self._spawn_node(nid, 0)
-        for ev in churn:
-            self._push(ev.at_period * self.T, _CHURN, ev.node_id, -1, ev)
+        for i, ev in enumerate(churn):
+            self._push(ev.at_period * self.T, _CHURN, ev.node_id, (i, ev))
         # each handled sample queues the next one
-        self._push(self.T, _SAMPLE, -1, -1, None)
+        self._push(self.T, _SAMPLE, -1, None)
 
     # -- plumbing ------------------------------------------------------
 
-    def _push(self, time: int, kind: int, node: int, sender: int, payload) -> None:
-        heapq.heappush(self._heap, (time, kind, node, sender, next(self._counter), payload))
+    def _push(self, time: int, kind: int, node: int, datum) -> None:
+        heapq.heappush(self._heap, (time, kind, node, datum))
 
     def _relink(self) -> None:
         # what the sampler averages over: each linked node, in id order,
@@ -210,25 +214,22 @@ class Engine:
         period = skewed_period(self.T, self.drift.sample(self.rng))
         r0 = self.rng.randint(1, period)
         node = NodeState(
-            id=nid, period_ticks=period, next_fire=now + r0,
-            epsilon_eff=self.cfg.epsilon, period_start=now,
-            init_periods_left=self.cfg.init_listen_periods)
+            period_ticks=period, next_fire=now + r0, epsilon_eff=self.cfg.epsilon,
+            period_start=now, init_periods_left=self.cfg.init_listen_periods)
         if self.mrf is not None:
             node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
-            # pre-initialized start: coupling active from the first tick,
-            # neighbour count taken from the network
+            # pre-initialized: coupling from the first tick, the estimate from the network
             node.mode = Mode.SYNCHRONIZATION
             node.neighbor_count_estimate = len(self._fanout[nid])
-            node.epsilon_eff = protocol.effective_epsilon(
-                self.cfg, node.neighbor_count_estimate)
+            node.epsilon_eff = protocol.effective_epsilon(self.cfg, node.neighbor_count_estimate)
         # no draw at the certain rates, so they leave the RNG stream alone
         rate = self.payload_rate
         node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
         self.nodes[nid] = node
         seq = next(self._counter)  # fresh: a predecessor's entries are foreign
         node.armed.append((node.next_fire, seq))
-        heapq.heappush(self._heap, (node.next_fire, _FIRE, nid, -1, seq, seq))
+        self._push(node.next_fire, _FIRE, nid, seq)
 
     # -- event handlers --------------------------------------------------
 
@@ -270,18 +271,19 @@ class Engine:
         commits = deque()  # RX_COMMITs, made in key order (see EventKind)
         while heap or commits:
             if commits and (not heap or commits[0] < heap[0]):
-                time, kind, nid, sender, _, payload = commits.popleft()
+                time, kind, nid, datum = commits.popleft()
             else:
-                time, kind, nid, sender, _, payload = pop(heap)
+                time, kind, nid, datum = pop(heap)
             if time > end:
                 popped_past = kind == arrival
                 break
             if kind == arrival or kind == commit:
-                node = nodes.get(nid)
+                node, sender = nodes.get(nid), datum
                 if kind == commit:
-                    if node is None or payload != node.rx_pending:
+                    if node is None or datum != node.rx_pending:
                         continue  # counted when a collision or a leave ended it
                     node.rx_pending = None
+                    sender = datum[0]
                 elif node is None:
                     departed += 1
                     continue
@@ -308,8 +310,7 @@ class Engine:
                         else:
                             node.rx_busy_until = time + beta
                             node.rx_pending = pending = (sender, time)
-                            commits.append((time + beta, _RX_COMMIT, nid, sender,
-                                            next(counter), pending))
+                            commits.append((time + beta, commit, nid, pending))
                         continue
                 received += 1
                 node.heard_any.add(sender)
@@ -330,7 +331,7 @@ class Engine:
                 node.advance_accum += jump
             elif kind == fire:
                 node = nodes.get(nid)
-                if node is None or payload != node.armed[-1][1]:
+                if node is None or datum != node.armed[-1][1]:
                     continue  # foreign
                 node.armed.pop()
                 if time == node.next_fire:  # else a wake-up: re-arm only
@@ -347,17 +348,16 @@ class Engine:
                     if ebs:
                         emit = every or node.pending_payload
                         # the mode step: initialization counts the neighbours heard
-                        # over its listening periods; synchronization promotes to
-                        # steady at S >= s_th; a steady node below s_th flaps into
-                        # recovery, which refreshes the neighbour estimate from one
-                        # fully awake period and returns to synchronization
+                        # over its listening periods, in one heard_any kept across
+                        # them; synchronization promotes to steady at S >= s_th; a
+                        # steady node below s_th flaps into recovery, which refreshes
+                        # the estimate from one fully awake period, then synchronizes
                         mode = node.mode
                         if mode is init:
-                            node.init_heard |= node.heard_any
                             node.init_periods_left -= 1
                             if node.init_periods_left <= 0:
                                 node.mode = sync
-                                node.neighbor_count_estimate = len(node.init_heard)
+                                node.neighbor_count_estimate = len(node.heard_any)
                         elif mode is recovery:
                             node.mode = sync
                             node.neighbor_count_estimate = known = len(node.heard_any)
@@ -389,7 +389,8 @@ class Engine:
                                     if trace is not None:
                                         trace.append(f"{time}\tflap\tnode={nid}")
                         node.heard_this_period.clear()
-                        node.heard_any.clear()
+                        if node.mode is not init:
+                            node.heard_any.clear()
                         estimate = node.neighbor_count_estimate
                         node.epsilon_eff = (protocol.effective_epsilon(cfg, estimate)
                                             if adaptive else cfg.epsilon)
@@ -405,9 +406,9 @@ class Engine:
                                 lost += 1
                                 continue
                             at = time + offset + (rng.randint(lo, hi) if jitter is None else jitter)
-                            push(heap, (at, arrival, recv, nid, next(counter), None))
+                            push(heap, (at, arrival, recv, nid))
             elif kind == _CHURN:
-                departed += self._handle_churn(time, payload)
+                departed += self._handle_churn(time, datum[1])
                 continue
             else:  # the sample at horizon * T is the last event handled
                 self._handle_sample(time, received - sampled, awake)
@@ -418,7 +419,7 @@ class Engine:
             if not armed or due < armed[-1][0]:
                 seq = next(counter)
                 armed.append((due, seq))
-                push(heap, (due, fire, nid, -1, seq, seq))
+                push(heap, (due, fire, nid, seq))
         stats = self.stats
         for key, count in zip(_LEDGER, (broadcasts, attempts, lost, collisions, dropped,
                                         received, collided, departed)):  # all but in_flight
@@ -475,7 +476,7 @@ class Engine:
         for node in self.nodes.values():
             node.advance_accum = 0.0
         if now < self.horizon * self.T:
-            self._push(now + self.T, _SAMPLE, -1, -1, None)
+            self._push(now + self.T, _SAMPLE, -1, None)
 
 
 def skewed_period(period_t: int, skew_ppm: float) -> int:

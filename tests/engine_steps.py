@@ -18,8 +18,8 @@ def deliver(eng, end, *arrivals, events=()):
 
     The rest of the queue is dropped first, the nodes' FIRE entries with
     it, and, as in every run, a SAMPLE at end closes it and the run adds
-    its counts to eng.stats; events holds further (tick, kind, node,
-    payload) entries to queue.  A FIRE among them, its payload a seq,
+    its counts to eng.stats; events holds further whole (tick, kind, node,
+    datum) entries, queued as given.  A FIRE among them, its datum a seq,
     becomes the node's one queued entry, due at its tick.  What the
     arrivals queue past end is not processed, so a coupled node keeps the
     next_fire its jump gave it and a reception past end stays in flight.
@@ -29,14 +29,15 @@ def deliver(eng, end, *arrivals, events=()):
     eng._heap.clear()
     for node in eng.nodes.values():
         node.armed.clear()
-    eng._push(end, EventKind.SAMPLE, -1, -1, None)
+    eng._push(end, EventKind.SAMPLE, -1, None)
     for at, recv, sender in arrivals:
-        eng._push(at, EventKind.ARRIVAL, recv, sender, None)
-    for at, kind, nid, payload in events:
+        eng._push(at, EventKind.ARRIVAL, recv, sender)
+    for entry in events:
+        at, kind, nid, datum = entry
         if kind == EventKind.FIRE:
             node = eng.nodes[nid]
-            node.next_fire, node.armed[:] = at, [(at, payload)]
-        eng._push(at, kind, nid, -1, payload)
+            node.next_fire, node.armed[:] = at, [(at, datum)]
+        eng._push(*entry)
     eng.horizon = periods
     return eng.run()
 

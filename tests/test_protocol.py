@@ -18,7 +18,7 @@ def make_cfg(**kw):
 
 
 def make_node(mode=Mode.SYNCHRONIZATION, estimate=4, next_fire=2 * T, **kw):
-    node = NodeState(id=0, period_ticks=T, next_fire=next_fire,
+    node = NodeState(period_ticks=T, next_fire=next_fire,
                      epsilon_eff=0.01, mode=mode,
                      neighbor_count_estimate=estimate, **kw)
     return node
@@ -84,10 +84,12 @@ def test_initialization_counts_across_periods():
     cfg = make_cfg()
     node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T,
                      init_periods_left=2)
-    node.heard_any = {1, 2}
+    # the senders heard join the node's set, as a reception adds them; the
+    # set spans both listening periods
+    node.heard_any.update({1, 2})
     end_period(node, T, cfg)
-    assert node.mode is Mode.INITIALIZATION
-    node.heard_any = {3}
+    assert node.mode is Mode.INITIALIZATION and node.heard_any == {1, 2}
+    node.heard_any.update({2, 3})
     end_period(node, 2 * T, cfg)
     assert node.mode is Mode.SYNCHRONIZATION
     assert node.neighbor_count_estimate == 3

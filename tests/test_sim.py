@@ -1,7 +1,7 @@
 import heapq
 import os
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -277,13 +277,13 @@ def test_fanout_follows_churn():
     table = delay.link_table(topo)
 
     def broadcast(now, sender):
-        # (receiver, delay) of the arrivals one broadcast pushes, in push
-        # order, and how far arrival_attempts grew
+        # (receiver, delay) of the arrivals one broadcast pushes, in receiver
+        # order (the order it pushes them in), and how far arrival_attempts grew
         attempts = eng.stats["arrival_attempts"]
         eng._heap.clear()
         assert fire(eng, sender, now)
         arrivals = sorted((ev for ev in eng._heap if ev[1] == EventKind.ARRIVAL),
-                          key=lambda ev: ev[4])
+                          key=lambda ev: ev[2])
         return ([(ev[2], ev[0] - now) for ev in arrivals],
                 eng.stats["arrival_attempts"] - attempts)
 
@@ -476,6 +476,56 @@ def test_heap_is_looked_up_through_the_module(monkeypatch):
                                                      - res.stats["lost"]) > 0
         fires = sum(len(ts) for ts in res.fire_times.values())
         assert counting.pops[EventKind.FIRE] - counting.stale_fire_pops == fires > 0
+
+
+def test_every_queued_entry_is_time_kind_node_datum(monkeypatch):
+    # the heap and the commit FIFO hold (time, kind, node, datum) entries, the
+    # layout a profiler bound as ebsim.sim.heapq reads: a FIRE entry's datum
+    # is the seq its node's stack holds for it when it is pushed, and the
+    # engine's counter draws no other number
+    pushed, appended, unmatched = [], [], []
+
+    class _RecordingHeap:
+        engine = None  # while the first nodes spawn
+        heappop = staticmethod(heapq.heappop)
+
+        def heappush(self, heap, entry) -> None:
+            if entry[1] == EventKind.FIRE and self.engine is not None:
+                if self.engine.nodes[entry[2]].armed[-1] != (entry[0], entry[-1]):
+                    unmatched.append(entry)
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+    class _RecordingDeque(deque):
+        def append(self, entry) -> None:
+            appended.append(entry)
+            super().append(entry)
+
+    recording = _RecordingHeap()
+    monkeypatch.setattr(sim, "heapq", recording)
+    monkeypatch.setattr(sim, "deque", _RecordingDeque)
+    churn = (ChurnEvent(2, "leave", 4), ChurnEvent(2, "leave", 7),
+             ChurnEvent(3, "join", 4, (1, 3, 5)))
+    eng = Engine(make_regular_grid(5, 5, True), make_cfg(sigma=0.3), horizon=6, seed=0,
+                 delay=DelayModel(kind="uniform", lo=0, hi=30), churn=churn,
+                 fault=LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
+                                      airtime_beta=3))
+    assert all(type(entry) is tuple and len(entry) == 4 for entry in pushed)
+    assert all(eng.nodes[nid].armed == [(at, seq)]
+               for at, kind, nid, seq in pushed if kind == EventKind.FIRE)
+    recording.engine = eng
+    res = eng.run()
+    assert res.stats["collisions"] > 0 and not unmatched
+    assert all(type(entry) is tuple and len(entry) == 4 for entry in pushed + appended)
+    by_kind = {kind: [entry for entry in pushed if entry[1] == kind] for kind in EventKind}
+    assert appended and all(kind == EventKind.RX_COMMIT and at - 3 == datum[1]
+                            and type(datum[0]) is int for at, kind, _, datum in appended)
+    assert not by_kind[EventKind.RX_COMMIT]
+    assert all(type(sender) is int for *_, sender in by_kind[EventKind.ARRIVAL])
+    assert [datum for *_, datum in by_kind[EventKind.CHURN]] == list(enumerate(churn))
+    assert {(nid, datum) for _, _, nid, datum in by_kind[EventKind.SAMPLE]} == {(-1, None)}
+    seqs = sorted(seq for *_, seq in by_kind[EventKind.FIRE])
+    assert seqs == list(range(1, next(eng._counter)))
 
 
 def test_a_second_run_handles_nothing():

@@ -4,8 +4,9 @@ Advances every node one tick at a time and applies the coupling rule
 directly on receptions, with none of the event-queue machinery: no heap,
 no lazy invalidation, no commit queue.  Only supports the lossless
 configuration, with a fixed delay per directed link given as data and,
-optionally, collisions with an airtime of beta ticks, which is what the
-equivalence check needs.
+optionally, collisions with an airtime of beta ticks and an
+Initialization of a few listening periods, which is what the equivalence
+check needs.
 
 Kept deliberately flat and independent so it can serve as an oracle for
 the event-driven engine: same seeded initial phases in, fire times and
@@ -19,11 +20,13 @@ import random
 
 
 class _ONode:
-    def __init__(self, nid: int, first_fire: int, degree: int, epsilon: float):
+    def __init__(self, nid: int, first_fire: int, estimate: int, epsilon: float,
+                 listening: int):
         self.id = nid
         self.next_fire = first_fire
-        self.estimate = degree
+        self.estimate = estimate
         self.epsilon = epsilon
+        self.listening = listening  # Initialization periods (fires) still to come
         self.steady = False
         self.recovering = False
         self.heard_setw: set[int] = set()
@@ -35,7 +38,7 @@ class _ONode:
 def run_oracle(topology, period: int, epsilon: float, sigma: float,
                s_th: float, horizon: int, seed: int,
                delays: dict[tuple[int, int], int] | None = None,
-               beta: int | None = None):
+               beta: int | None = None, init_listen_periods: int = 0):
     """Run the tick loop; returns (fire_times, dphi_rows).
 
     delays maps (sender, receiver) to the ticks a fire takes to arrive
@@ -43,10 +46,13 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     [t, t + beta); one that overlaps a claim destroys itself and the
     reception in flight, and extends the claim.  A reception commits at
     t + beta, after that tick's fires and before its arrivals, in node
-    order, and takes the phase at its commit.  fire_times maps node id ->
-    list of absolute fire ticks; dphi_rows is a list of (literal, circular)
-    network-average phase differences sampled at every period boundary k*T
-    for k = 1..horizon.
+    order, and takes the phase at its commit.  With init_listen_periods
+    k > 0 every node starts with an estimate of 0 and no coupling, collects
+    every sender it hears over its first k periods (fires), and then
+    synchronizes with that count, with no S test at that fire.  fire_times
+    maps node id -> list of absolute fire ticks; dphi_rows is a list of
+    (literal, circular) network-average phase differences sampled at every
+    period boundary k*T for k = 1..horizon.
     """
     delays = delays or {}
     rng = random.Random(seed)
@@ -54,7 +60,8 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     nodes: dict[int, _ONode] = {}
     for nid in ids:
         first = rng.randint(1, period)
-        nodes[nid] = _ONode(nid, first, len(topology.adjacency[nid]), epsilon)
+        estimate = 0 if init_listen_periods else len(topology.adjacency[nid])
+        nodes[nid] = _ONode(nid, first, estimate, epsilon, init_listen_periods)
     fire_times: dict[int, list[int]] = {nid: [] for nid in ids}
     rows: list[tuple[float, float]] = []
     # tick -> (0 commit | 1 arrival, receiver, sender): commits sort first
@@ -68,7 +75,11 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             fire_times[nid].append(t)
             node.next_fire = t + period
             # end-of-period bookkeeping, then a fresh period
-            if node.recovering:
+            if node.listening:
+                node.listening -= 1
+                if not node.listening:
+                    node.estimate = len(node.heard_any)
+            elif node.recovering:
                 node.estimate = len(node.heard_any)
                 node.recovering = False
                 node.steady = False
@@ -84,7 +95,8 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
                 elif not node.steady and s >= s_th:
                     node.steady = True
             node.heard_setw = set()
-            node.heard_any = set()
+            if not node.listening:
+                node.heard_any = set()
             for recv in topology.adjacency[nid]:
                 at = t + delays.get((nid, recv), 0)
                 inbox.setdefault(at, []).append((1, recv, nid))
@@ -111,7 +123,7 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             node.heard_any.add(sender)
             if setw:
                 node.heard_setw.add(sender)
-            if node.epsilon < phi < 1.0 - node.epsilon:
+            if node.epsilon < phi < 1.0 - node.epsilon and not node.listening:
                 if remaining > 1:
                     jumped = int(math.floor(sigma * remaining + 0.5))
                     node.next_fire = t + min(remaining, max(1, jumped))
