@@ -97,13 +97,18 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def _sweep_points(cfg: ScenarioConfig) -> list[tuple[str, dict, ScenarioConfig]]:
-    """Each (file tag, columns, point) of cfg's sweep, the point built."""
-    param = cfg.sweep.parameter
+def _sweep_points(cfg: ScenarioConfig, source: str) -> list[tuple[str, dict, ScenarioConfig]]:
+    """Each (file tag, columns, point) of cfg's sweep, the point built; two
+    values that build one point would run it twice, and fail."""
+    param, values, first = cfg.sweep.parameter, cfg.sweep.values, {}
     short = param.split(".")[-1]
+    points = [apply_override(cfg, param, value) for value in values]
+    for i, point in enumerate(points):  # they share cfg's network, so compare the rest
+        if (j := first.setdefault(tuple(getattr(point, f) for f in point.__slots__[2:]), i)) < i:
+            raise ScenarioError(f"{source}: sweep value {i + 1} ({values[i]}) runs the same "
+                                f"point as value {j + 1} ({values[j]})")
     return [(f"{short}={value}_", {"label": f"{short}={value}", "parameter": param,
-                                   "value": value}, apply_override(cfg, param, value))
-            for value in cfg.sweep.values]
+                                   "value": value}, point) for value, point in zip(values, points)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -117,13 +122,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
     if args.seed is not None and cfg.sweep.parameter == "run.seed":
         raise ScenarioError(f"{args.scenario}: --seed does not apply to a run.seed sweep")
-    return _execute_points(args, cfg, _sweep_points(cfg))
+    return _execute_points(args, cfg, _sweep_points(cfg, args.scenario))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     if cfg.sweep is not None:
-        _sweep_points(cfg)  # a bad point fails here as it fails sweep
+        _sweep_points(cfg, args.scenario)  # a bad point fails here as it fails sweep
     report = build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
     for line in report.lines():
         print(line)

@@ -73,18 +73,19 @@ class NodeState:
     heard_any tracks every sender processed this period (all of
     Initialization, while in it), whose count the neighbour estimate
     takes when Initialization, recovery or a synchronizing period ends.
+    fires lists the node's own fire ticks, so Initialization ends at its
+    init_listen_periods-th entry (a joining node starts with none).
     """
 
     __slots__ = ("period_ticks", "next_fire", "epsilon_eff", "mode", "period_start",
-                 "neighbor_count_estimate", "heard_this_period", "heard_any",
-                 "init_periods_left", "synchronicity", "pending_payload", "armed",
-                 "advance_accum", "rx_busy_until", "rx_pending", "fires")
+                 "neighbor_count_estimate", "heard_this_period", "heard_any", "synchronicity",
+                 "pending_payload", "armed", "advance_accum", "rx_busy_until", "rx_pending", "fires")
 
     def __init__(self, period_ticks: int, next_fire: int, epsilon_eff: float,
                  mode: Mode = Mode.INITIALIZATION, period_start: int = 0,
-                 neighbor_count_estimate: int = 0, init_periods_left: int = 0) -> None:
+                 neighbor_count_estimate: int = 0) -> None:
         self.period_ticks, self.next_fire, self.epsilon_eff = period_ticks, next_fire, epsilon_eff
-        self.mode, self.period_start, self.init_periods_left = mode, period_start, init_periods_left
+        self.mode, self.period_start = mode, period_start
         self.neighbor_count_estimate, self.synchronicity = neighbor_count_estimate, 0.0
         self.heard_this_period, self.heard_any, self.pending_payload = set(), set(), False
         # simulator bookkeeping; armed: (tick, seq) of queued FIRE entries, earliest last

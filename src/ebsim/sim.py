@@ -179,13 +179,13 @@ class Engine:
 
         self._heap: list = []
         self._counter = itertools.count(1)
-        # the live network, read once from the caller's topology: per
-        # sender, (receiver, link offset) in receiver order.  Churn edits
-        # it; offsets are drawn against the initial links only
+        # the live network, the engine's only one, read once from the
+        # caller's topology: per sender, (receiver, link offset) in receiver
+        # order.  Churn edits it, the sampler reads it each period; offsets
+        # are drawn against the initial links only
         offsets = self.delay.link_table(topology)
         self._fanout = {u: tuple((v, offsets.get((u, v), 0)) for v in sorted(topology.adjacency[u]))
                         for u in topology.node_ids}
-        self._relink()
         self.nodes: dict[int, NodeState] = {}
         self.warnings: list[str] = []
         self.flap_events: list[tuple[int, int]] = []
@@ -195,27 +195,17 @@ class Engine:
         for nid in topology.node_ids:
             self._spawn_node(nid, 0)
         for i, ev in enumerate(churn):
-            self._push(ev.at_period * self.T, _CHURN, ev.node_id, (i, ev))
+            heapq.heappush(self._heap, (ev.at_period * self.T, _CHURN, ev.node_id, (i, ev)))
         # each handled sample queues the next one
-        self._push(self.T, _SAMPLE, -1, None)
+        heapq.heappush(self._heap, (self.T, _SAMPLE, -1, None))
 
     # -- plumbing ------------------------------------------------------
-
-    def _push(self, time: int, kind: int, node: int, datum) -> None:
-        heapq.heappush(self._heap, (time, kind, node, datum))
-
-    def _relink(self) -> None:
-        # what the sampler averages over: each linked node, in id order,
-        # with its neighbours in ascending order
-        self._linked = tuple((u, tuple(v for v, _ in fan))
-                             for u, fan in sorted(self._fanout.items()) if fan)
 
     def _spawn_node(self, nid: int, now: int) -> None:
         period = skewed_period(self.T, self.drift.sample(self.rng))
         r0 = self.rng.randint(1, period)
-        node = NodeState(
-            period_ticks=period, next_fire=now + r0, epsilon_eff=self.cfg.epsilon,
-            period_start=now, init_periods_left=self.cfg.init_listen_periods)
+        node = NodeState(period_ticks=period, next_fire=now + r0,
+                         epsilon_eff=self.cfg.epsilon, period_start=now)
         if self.mrf is not None:
             node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
         elif self.cfg.init_listen_periods == 0:
@@ -229,7 +219,7 @@ class Engine:
         self.nodes[nid] = node
         seq = next(self._counter)  # fresh: a predecessor's entries are foreign
         node.armed.append((node.next_fire, seq))
-        self._push(node.next_fire, _FIRE, nid, seq)
+        heapq.heappush(self._heap, (node.next_fire, _FIRE, nid, seq))
 
     # -- event handlers --------------------------------------------------
 
@@ -354,8 +344,7 @@ class Engine:
                         # the estimate from one fully awake period, then synchronizes
                         mode = node.mode
                         if mode is init:
-                            node.init_periods_left -= 1
-                            if node.init_periods_left <= 0:
+                            if len(node.fires) >= cfg.init_listen_periods:
                                 node.mode = sync
                                 node.neighbor_count_estimate = len(node.heard_any)
                         elif mode is recovery:
@@ -449,7 +438,6 @@ class Engine:
             self._spawn_node(nid, now)
             if self.trace is not None:
                 self.trace.append(f"{now}\tjoin\tnode={nid}\tedges={len(ev.edges)}")
-        self._relink()
         return cut
 
     def _handle_sample(self, now: int, received: int, awake: int) -> None:
@@ -458,7 +446,9 @@ class Engine:
         n = len(self.nodes)
         dphi_lit = dphi_circ = 0.0
         if n > 0:
-            linked = self._linked
+            # what the phase metrics average over: each linked node, in id
+            # order, with its receivers in ascending order
+            linked = [(u, [v for v, _ in fan]) for u, fan in sorted(self._fanout.items()) if fan]
             isolated = "isolated nodes excluded from phase metrics"
             if len(linked) < n and isolated not in self.warnings:
                 self.warnings.append(isolated)
@@ -476,7 +466,7 @@ class Engine:
         for node in self.nodes.values():
             node.advance_accum = 0.0
         if now < self.horizon * self.T:
-            self._push(now + self.T, _SAMPLE, -1, None)
+            heapq.heappush(self._heap, (now + self.T, _SAMPLE, -1, None))
 
 
 def skewed_period(period_t: int, skew_ppm: float) -> int:

@@ -29,15 +29,15 @@ def deliver(eng, end, *arrivals, events=()):
     eng._heap.clear()
     for node in eng.nodes.values():
         node.armed.clear()
-    eng._push(end, EventKind.SAMPLE, -1, None)
+    heapq.heappush(eng._heap, (end, EventKind.SAMPLE, -1, None))
     for at, recv, sender in arrivals:
-        eng._push(at, EventKind.ARRIVAL, recv, sender)
+        heapq.heappush(eng._heap, (at, EventKind.ARRIVAL, recv, sender))
     for entry in events:
         at, kind, nid, datum = entry
         if kind == EventKind.FIRE:
             node = eng.nodes[nid]
             node.next_fire, node.armed[:] = at, [(at, datum)]
-        eng._push(*entry)
+        heapq.heappush(eng._heap, entry)
     eng.horizon = periods
     return eng.run()
 

@@ -220,6 +220,24 @@ def test_cli_sweep_of_the_seed_refuses_a_seed_option(tmp_path, capsys):
     assert "run.seed = 0\n" in (out / "resolved-config.txt").read_text()
 
 
+@pytest.mark.parametrize("parameter, values, message", [
+    ("protocol.epsilon", "0.1, 0.10, 1e-1", "value 2 (0.1) runs the same point as value 1 (0.1)"),
+    ("protocol.s_th", "70, 1, 1.0", "value 3 (1.0) runs the same point as value 2 (1)"),
+    ("run.seed", "4, 5, 4", "value 3 (4) runs the same point as value 1 (4)"),
+], ids=["epsilon", "int_and_float", "seed"])
+def test_a_sweep_refuses_values_that_run_one_point(tmp_path, capsys, parameter, values, message):
+    # equal points would write one CSV several times (at once under --jobs)
+    # and list it in summary.csv as often
+    path = tmp_path / "scenario.txt"
+    path.write_text(BASE + f"run.horizon = 2\nsweep.parameter = {parameter}\n"
+                           f"sweep.values = [{values}]\n")
+    out = tmp_path / "out"
+    for argv in (["check", str(path)], ["sweep", str(path), "--out", str(out), "--jobs", "2"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: sweep {message}\n")
+    assert not out.exists()
+
+
 # --- the scenario surface, fuzzed -------------------------------------------
 
 _BOUNDARY = ("0", "-1", "nan", "inf", "-inf", str(2 ** 63), str(HUGE), "1e300", "")

@@ -70,9 +70,8 @@ def test_phase_at():
 
 
 def test_initialization_promotes_with_neighbor_count():
-    cfg = make_cfg()
-    node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T,
-                     init_periods_left=1)
+    cfg = make_cfg(init_listen_periods=1)
+    node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T)
     node.heard_any = {1, 2, 3}
     end_period(node, T, cfg)
     assert node.mode is Mode.SYNCHRONIZATION
@@ -81,9 +80,8 @@ def test_initialization_promotes_with_neighbor_count():
 
 
 def test_initialization_counts_across_periods():
-    cfg = make_cfg()
-    node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T,
-                     init_periods_left=2)
+    cfg = make_cfg(init_listen_periods=2)
+    node = make_node(mode=Mode.INITIALIZATION, estimate=0, next_fire=2 * T)
     # the senders heard join the node's set, as a reception adds them; the
     # set spans both listening periods
     node.heard_any.update({1, 2})

@@ -81,11 +81,11 @@ def test_the_results_construct_by_keyword():
 def test_a_node_state_starts_with_its_defaults_and_fresh_containers():
     a = NodeState(period_ticks=1000, next_fire=40, epsilon_eff=0.05)
     b = NodeState(period_ticks=1000, next_fire=40, epsilon_eff=0.05,
-                  mode=Mode.STEADY, init_periods_left=2)
-    assert (a.mode, a.period_start, a.neighbor_count_estimate, a.init_periods_left,
+                  mode=Mode.STEADY, neighbor_count_estimate=2)
+    assert (a.mode, a.period_start, a.neighbor_count_estimate,
             a.synchronicity, a.pending_payload, a.advance_accum, a.rx_busy_until,
-            a.rx_pending) == (Mode.INITIALIZATION, 0, 0, 0, 0.0, False, 0.0, -1, None)
-    assert (b.mode, b.init_periods_left) == (Mode.STEADY, 2)
+            a.rx_pending) == (Mode.INITIALIZATION, 0, 0, 0.0, False, 0.0, -1, None)
+    assert (b.mode, b.neighbor_count_estimate) == (Mode.STEADY, 2)
     for name in ("heard_this_period", "heard_any", "armed", "fires"):
         assert not getattr(a, name) and getattr(a, name) is not getattr(b, name), name
     a.armed.append((40, 1))
@@ -93,8 +93,8 @@ def test_a_node_state_starts_with_its_defaults_and_fresh_containers():
     assert (a.fire_seq, a.phase_at(41)) == (-1, 1.0)
     assert repr(b) == ("NodeState(period_ticks=1000, next_fire=40, epsilon_eff=0.05, "
                        "mode=<Mode.STEADY: 'steady'>, period_start=0, "
-                       "neighbor_count_estimate=0, heard_this_period=set(), heard_any=set(), "
-                       "init_periods_left=2, synchronicity=0.0, "
+                       "neighbor_count_estimate=2, heard_this_period=set(), heard_any=set(), "
+                       "synchronicity=0.0, "
                        "pending_payload=False, armed=[], advance_accum=0.0, "
                        "rx_busy_until=-1, rx_pending=None, fires=[])")
 

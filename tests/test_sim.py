@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebsim import sim
+from ebsim.core import avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.scenario import apply_override, parse_scenario, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
@@ -343,7 +344,8 @@ def test_rejoined_node_ignores_its_predecessors_fire_entries(seed, monkeypatch):
 def test_tables_follow_churn_exactly(schedule):
     # a 3x3 torus with ids 2..10; after each event _fanout lists every
     # neighbour once, in receiver order, with its drawn offset or 0 for a
-    # link made by a join, and _linked equals the table built from scratch
+    # link made by a join, and the sampler averages over the table built
+    # from scratch
     torus = make_regular_grid(3, 3, True)
     topo = Topology({u + 2: {v + 2 for v in nb} for u, nb in torus.adjacency.items()})
     delay = DelayModel(link_lo=1, link_hi=9, link_seed=3)
@@ -363,8 +365,27 @@ def test_tables_follow_churn_exactly(schedule):
         assert eng._fanout == {u: tuple((v, 0 if (u, v) in joined else offsets[u, v])
                                         for v in sorted(nb))
                                for u, nb in adjacency.items()}
-        assert eng._linked == tuple((u, tuple(sorted(adjacency[u])))
-                                    for u in sorted(adjacency) if adjacency[u])
+        phases = {u: eng.nodes[u].phase_at(100 * t) for u in adjacency}
+        eng._handle_sample(100 * t, 0, 0)
+        assert eng.series[-1][1:3] == avg_phase_difference(
+            phases, tuple((u, tuple(sorted(adjacency[u])))
+                          for u in sorted(adjacency) if adjacency[u]))
+
+
+def test_a_rejoining_node_listens_its_own_initialization_periods():
+    # node 2 ends Initialization, departs at period 3 and rejoins at period
+    # 4 under the same id; it listens init_listen_periods = 2 of its own
+    # periods again, whatever its predecessor fired: still initializing
+    # after its first fire, synchronizing from its second with both
+    # neighbours counted
+    cfg = make_cfg(init_listen_periods=2)
+    before = run(make_complete(3), cfg, horizon=3, seed=1).final_nodes[2]
+    assert len(before.fires) >= 2 and before.mode is not Mode.INITIALIZATION
+    churn = (ChurnEvent(3, "leave", 2), ChurnEvent(4, "join", 2, (0, 1)))
+    after = [run(make_complete(3), cfg, churn=churn, horizon=horizon, seed=1).final_nodes[2]
+             for horizon in (5, 6)]
+    assert [(len(node.fires), node.mode, node.neighbor_count_estimate) for node in after] == [
+        (1, Mode.INITIALIZATION, 0), (2, Mode.SYNCHRONIZATION, 2)]
 
 
 @pytest.mark.parametrize("topology", [make_complete(1), make_random_geometric(5, 0.0, 0)],

@@ -1,5 +1,6 @@
 import pytest
 
+from ebsim.core import avg_phase_difference
 from ebsim.protocol import ProtocolConfig
 from ebsim.sim import Engine
 from ebsim.topology import (Topology, TopologyError, load_topology,
@@ -25,11 +26,17 @@ def test_torus_5x5():
 
 
 def test_neighbour_table_leaves_out_isolated_nodes():
-    # the engine's sampler table: linked nodes in id order, each with its
-    # sorted neighbours
+    # the sampler averages over the linked nodes in id order, each with its
+    # sorted neighbours, and warns once that it left the isolated node out
     topo = Topology({0: {2, 1}, 1: {0}, 2: {0}, 3: set()})
     cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
-    assert Engine(topo, cfg)._linked == ((0, (1, 2)), (1, (0,)), (2, (0,)))
+    eng = Engine(topo, cfg)
+    for now in (1000, 2000):
+        phases = {nid: eng.nodes[nid].phase_at(now) for nid in (0, 1, 2)}
+        eng._handle_sample(now, 0, 0)
+        assert eng.series[-1][1:3] == avg_phase_difference(
+            phases, ((0, (1, 2)), (1, (0,)), (2, (0,))))
+    assert eng.warnings == ["isolated nodes excluded from phase metrics"]
 
 
 def test_open_grid_2x2():
