@@ -14,15 +14,17 @@ which keeps the suite fast.
 """
 
 import hashlib
+import heapq
 import os
+from collections import Counter
 
 import pytest
 
-from ebsim import cli
+from ebsim import cli, sim
 from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
 from ebsim.scenario import apply_override, parse_scenario_text, run_config
-from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                       RunResult, run)
+from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, EventKind,
+                       LinkFaultModel, RunResult, run)
 from ebsim.topology import make_random_geometric, make_regular_grid
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -113,7 +115,7 @@ def test_check_report_is_pinned(name, capsys):
 # --- library runs through the engine's random paths ------------------------
 #
 # No shipped scenario draws loss, uniform jitter, link offsets, collisions,
-# drift or payloads with partial reach-back, so these two configurations pin
+# drift or payloads with partial reach-back, so these configurations pin
 # those paths: each digest covers the trace, the series rows, fire times,
 # stats, flap events and warnings of one library run.
 
@@ -137,6 +139,44 @@ def _rng_mrf(seed: int) -> RunResult:
                fault=LinkFaultModel(loss_probability=0.05), trace=True)
 
 
+# The engine decides some things once per run: whether it draws loss, draws
+# a payload or takes it as certain, and adapts the window; the runs above
+# all draw loss or collide.  These three pin the lossless paths without
+# collisions: adaptive C with drawn jitter and a payload rate inside (0, 1);
+# the no-reachback protocol at payload rate 0, whose nodes fire regardless;
+# and the always-listening baseline at rate 0.
+
+def _rng_adaptive(seed: int) -> RunResult:
+    cfg = ProtocolConfig(period_t=2000, epsilon=0.05, sigma=0.01, s_th=80.0, c0=200,
+                         variant=Variant.PARTIAL_REACHBACK, adaptive_c=True,
+                         init_listen_periods=2)
+    churn = (ChurnEvent(8, "leave", 4), ChurnEvent(12, "join", 30, (1, 2, 3)))
+    return run(make_random_geometric(30, 0.35, 2), cfg, horizon=30, seed=seed,
+               delay=DelayModel(kind="uniform", lo=0, hi=20),
+               drift=ClockDriftModel(-50, 50), churn=churn, payload_rate=0.3, trace=True)
+
+
+def _rng_silent(seed: int) -> RunResult:
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0,
+                         init_listen_periods=1)
+    return run(make_regular_grid(5, 5, True), cfg, horizon=30, seed=seed,
+               delay=DelayModel(kind="uniform", lo=0, hi=30),
+               churn=(ChurnEvent(10, "join", 25, (0, 6, 12)),), payload_rate=0.0, trace=True)
+
+
+def _rng_listening(seed: int) -> RunResult:
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
+    return run(make_regular_grid(5, 5, True), cfg,
+               mrf=MrfConfig(400, sleep_during_refractory=False), horizon=30, seed=seed,
+               delay=DelayModel(kind="uniform", lo=0, hi=10, link_lo=0, link_hi=40,
+                                link_seed=5),
+               churn=(ChurnEvent(10, "join", 25, (0, 6, 12)),), payload_rate=0.0, trace=True)
+
+
+_RNG_RUNS = {"torus": _rng_torus, "mrf": _rng_mrf, "adaptive": _rng_adaptive,
+             "silent": _rng_silent, "listening": _rng_listening}
+
+
 # stats keys added after the digests were pinned: the message ledger's
 # outcomes, which tests/test_sim.py checks sum to arrival_attempts; LEDGER
 # pins them per run
@@ -148,6 +188,12 @@ LEDGER = {
     ("torus", 1): (112, 0, 0),
     ("mrf", 0): (0, 0, 0),
     ("mrf", 1): (0, 0, 0),
+    ("adaptive", 0): (0, 0, 5),
+    ("adaptive", 1): (0, 0, 2),
+    ("silent", 0): (0, 0, 0),
+    ("silent", 1): (0, 0, 0),
+    ("listening", 0): (0, 0, 0),
+    ("listening", 1): (0, 0, 0),
     ("testbed-collide", "ebs", 0): (661, 0, 0),
     ("testbed-collide", "ebs", 1): (840, 0, 0),
     ("testbed-collide", "mrf", 0): (863, 0, 0),
@@ -184,12 +230,24 @@ RNG_GOLDEN = {
         "5bd3c2167dc3b07a802ffaef8ba1d9e421c642b9ea770605192268e4a499e986",
     ("mrf", 1):
         "1ab6d32497a3272b3cf5b30e30544927ecbe99b2c70f8baaa87288d7b01edba8",
+    ("adaptive", 0):
+        "a7620e48b1161f148703cd2c1925fc341a6f7794e5a35219003bf2f38fef1ec7",
+    ("adaptive", 1):
+        "28f34982bd784fd1921abb5c13363eb7a9a72a4346ce179a7bfbaf059cbcbeb8",
+    ("silent", 0):
+        "da7d991daa27f8a76b126a10a1e25efdfb882d9de3f4b00723495729e7a3a224",
+    ("silent", 1):
+        "38243e3dba8821db3c49bb3b9ddba9cb732f44bbdb4f13e9948c154761fe70b5",
+    ("listening", 0):
+        "e44a7695fa9ce082c040ba00f37b74d46aa3ef42a268e232767d05c228a3cd73",
+    ("listening", 1):
+        "d0b6578f9f2c4c795635fa69e45a2d075e4c6211bdb58d980606d50408e583da",
 }
 
 
 @pytest.mark.parametrize("config,seed", sorted(RNG_GOLDEN))
 def test_rng_path_outputs_are_pinned(config, seed):
-    result = {"torus": _rng_torus, "mrf": _rng_mrf}[config](seed)
+    result = _RNG_RUNS[config](seed)
     assert _run_digest(result) == RNG_GOLDEN[config, seed]
     assert _ledger(result) == LEDGER[config, seed]
 
@@ -271,3 +329,84 @@ def test_bench_configurations_are_pinned(workload, scheme, seed):
     result = run_config(cfg, scheme=scheme, trace=True)
     assert _run_digest(result) == BENCH_GOLDEN[workload, scheme, seed]
     assert _ledger(result) == LEDGER[workload, scheme, seed]
+
+
+# --- the heap traffic of those runs -----------------------------------------
+#
+# bench/run.py --trace 1 rebinds ebsim.sim.heapq to a counting heap and
+# reconciles its counts with the run's outputs, so an engine change that
+# means to keep the heap traffic keeps every count below: pushes and pops by
+# event kind, stale FIRE pops (entries that fire nothing: the node left,
+# another entry is due at its next_fire, or the entry lies past the horizon)
+# and the heap's high-water mark.
+
+class _TrafficHeap:
+    """Stand-in for heapq bound as ebsim.sim.heapq, counting one engine's traffic."""
+
+    def __init__(self) -> None:
+        self.engine = None
+        self.pushes, self.pops = Counter(), Counter()
+        self.stale_fire_pops = self.peak = 0
+
+    def heappush(self, heap, entry) -> None:
+        heapq.heappush(heap, entry)
+        self.pushes[EventKind(entry[1]).name] += 1
+        self.peak = max(self.peak, len(heap))
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        self.pops[EventKind(entry[1]).name] += 1
+        eng = self.engine
+        if entry[1] == EventKind.FIRE:
+            node = eng.nodes.get(entry[2])
+            if entry[0] > eng.horizon * eng.T or node is None or entry[3] != node.fire_seq:
+                self.stale_fire_pops += 1
+        return entry
+
+    def counts(self) -> dict:
+        return {"pushes": dict(sorted(self.pushes.items())),
+                "pops": dict(sorted(self.pops.items())),
+                "stale_fire_pops": self.stale_fire_pops, "heap_peak": self.peak}
+
+
+HEAP_TRAFFIC = {
+    ("testbed-collide", "ebs", 0): {
+        "pushes": {"ARRIVAL": 10440, "FIRE": 714, "SAMPLE": 5},
+        "pops": {"ARRIVAL": 10440, "FIRE": 628, "SAMPLE": 5},
+        "stale_fire_pops": 102, "heap_peak": 1044},
+    ("testbed-collide", "ebs", 1): {
+        "pushes": {"ARRIVAL": 8660, "FIRE": 607, "SAMPLE": 5},
+        "pops": {"ARRIVAL": 8660, "FIRE": 521, "SAMPLE": 5},
+        "stale_fire_pops": 86, "heap_peak": 1052},
+    ("testbed-collide", "mrf", 0): {
+        "pushes": {"ARRIVAL": 9387, "FIRE": 676, "SAMPLE": 5},
+        "pops": {"ARRIVAL": 9387, "FIRE": 590, "SAMPLE": 5},
+        "stale_fire_pops": 119, "heap_peak": 1116},
+    ("testbed-collide", "mrf", 1): {
+        "pushes": {"ARRIVAL": 9515, "FIRE": 688, "SAMPLE": 5},
+        "pops": {"ARRIVAL": 9515, "FIRE": 602, "SAMPLE": 5},
+        "stale_fire_pops": 126, "heap_peak": 1090},
+    ("torus-delay", "ebs", 0): {
+        "pushes": {"ARRIVAL": 14528, "FIRE": 4098, "SAMPLE": 20},
+        "pops": {"ARRIVAL": 14493, "FIRE": 4073, "SAMPLE": 20},
+        "stale_fire_pops": 441, "heap_peak": 86},
+    ("torus-delay", "ebs", 1): {
+        "pushes": {"ARRIVAL": 15176, "FIRE": 4282, "SAMPLE": 20},
+        "pops": {"ARRIVAL": 15129, "FIRE": 4257, "SAMPLE": 20},
+        "stale_fire_pops": 463, "heap_peak": 78},
+}
+
+
+@pytest.mark.parametrize("workload,scheme,seed", sorted(BENCH_GOLDEN))
+def test_bench_configurations_keep_their_heap_traffic(workload, scheme, seed, monkeypatch):
+    counting = _TrafficHeap()
+    monkeypatch.setattr(sim, "heapq", counting)
+    init = sim.Engine.__init__
+
+    def engine_init(engine, *args, **kwargs):
+        counting.engine = engine
+        init(engine, *args, **kwargs)
+    monkeypatch.setattr(sim.Engine, "__init__", engine_init)
+    text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
+    run_config(apply_override(parse_scenario_text(text), "run.seed", seed), scheme=scheme)
+    assert counting.counts() == HEAP_TRAFFIC[workload, scheme, seed]
