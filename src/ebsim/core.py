@@ -1,29 +1,14 @@
-"""Phase arithmetic and convergence metrics for pulse-coupled wake-up slots.
+"""The phase metric the sampler reports each period.
 
 A node's phase lives in [0, 1]: it fires (broadcasts) when the phase reaches
-1 and resets to 0.  The remaining phase is 1 - phi.  Everything in this
-module is a pure function over floats or integer tick counts; nodes, radios
-and event queues live elsewhere.
+1 and resets to 0.  avg_phase_difference is a pure function over phases;
+nodes, radios and event queues live elsewhere, and so does the coupling
+jump, which sim.Engine.run applies in its reception step, on integer ticks.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
-
-
-def advance_remaining_ticks(remaining: int, sigma: float) -> int:
-    """Tick-domain advancement: new tick count until the node's next fire.
-
-    Hearing a fire at phase phi advances it to 1 - sigma * (1 - phi), so
-    the new remaining is sigma * remaining, rounded half-up, floored at 1
-    tick so a reaction never fires within the same tick, and capped at the
-    old remaining so phases only move forward.
-    """
-    if remaining <= 1:
-        return remaining
-    jumped = int(math.floor(sigma * remaining + 0.5))
-    return min(remaining, max(1, jumped))
 
 
 def avg_phase_difference(phases: Mapping[int, float],

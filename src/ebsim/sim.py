@@ -22,7 +22,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from . import protocol
-from .core import advance_remaining_ticks, avg_phase_difference
+from .core import avg_phase_difference
 from .metrics import MetricsRow
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
 from .topology import Topology
@@ -230,8 +230,9 @@ class Engine:
         beta ticks (collisions on; its RX_COMMIT ends the airtime) or is
         received at once.  Both ways end in the one reception step: it
         records the sender and, strictly between the window edges, applies
-        the coupling jump (Mirollo & Strogatz 1990) on integer ticks.  A
-        FIRE entry is checked against its node's stack; one due at
+        the coupling jump (Mirollo & Strogatz 1990): the remaining ticks
+        become sigma * remaining, rounded half-up and at least 1, if fewer.
+        A FIRE entry is checked against its node's stack; one due at
         next_fire ends the node's period: it counts the ticks the node was
         awake (all, except asleep in a sleeping baseline's refractory
         stretch or outside a steady node's window) and, for EBS, takes the
@@ -245,11 +246,14 @@ class Engine:
         warnings, flap_events = self.warnings, self.flap_events
         pop, push, counter, fanouts = heapq.heappop, heapq.heappush, self._counter, self._fanout
         sigma, s_th, adaptive, rate = cfg.sigma, cfg.s_th, cfg.adaptive_c, self.payload_rate
-        every = cfg.variant is Variant.NO_REACHBACK
+        # decided once per run: the payload draw per fire (a certain payload
+        # is set at spawn), the loss and jitter draws per receiver
+        ebs, drawn = self.mrf is None, rate < 1.0
+        every = not ebs or cfg.variant is Variant.NO_REACHBACK
         collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
         loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
-        jitter = self.delay.constant()  # None: draw per message
-        ebs = self.mrf is None
+        lossy, fixed = loss > 0, self.delay.constant()
+        uniform, fixed = fixed is None, fixed or 0
         # the baseline is uncoupled, and asleep and deaf if it sleeps, for
         # the refractory stretch after each own fire; its window stays epsilon
         refractory = 0 if ebs else self.mrf.refractory
@@ -267,58 +271,41 @@ class Engine:
             if time > end:
                 popped_past = kind == arrival
                 break
-            if kind == arrival or kind == commit:
-                node, sender = nodes.get(nid), datum
-                if kind == commit:
-                    if node is None or datum != node.rx_pending:
-                        continue  # counted when a collision or a leave ended it
-                    node.rx_pending = None
-                    sender = datum[0]
-                elif node is None:
+            if kind == arrival:
+                node = nodes.get(nid)
+                if node is None:
                     departed += 1
                     continue
-                remaining = node.next_fire - time
-                period = node.period_ticks
+                remaining, period, eps = node.next_fire - time, node.period_ticks, node.epsilon_eff
                 phi = 1.0 - remaining / period
-                eps = node.epsilon_eff
                 in_window = phi <= eps or phi >= 1.0 - eps
-                refr = refractory and phi * period < refractory
-                if kind == arrival:
-                    if (sleep and refr) or (not in_window and node.mode is steady):
-                        dropped += 1
-                        continue
-                    if collide:
-                        busy = node.rx_busy_until
-                        if time < busy:
-                            # overlapping airtime destroys both the in-flight and the new one
-                            collided += 1 if node.rx_pending is None else 2
-                            collisions += 1
-                            node.rx_pending = None
-                            node.rx_busy_until = max(busy, time + beta)
-                            if trace is not None:
-                                trace.append(f"{time}\tcollision\tnode={nid}\tsender={sender}")
-                        else:
-                            node.rx_busy_until = time + beta
-                            node.rx_pending = pending = (sender, time)
-                            commits.append((time + beta, commit, nid, pending))
-                        continue
-                received += 1
-                node.heard_any.add(sender)
-                jump = 0.0
-                if in_window:
-                    if ebs:
-                        node.heard_this_period.add(sender)
-                elif not refr and node.mode is not init:
-                    # the advanced node does not fire at once: its shortened
-                    # remaining time staggers the neighbours' replies
-                    jumped = advance_remaining_ticks(remaining, sigma)
-                    node.next_fire = time + jumped
-                    jump = (remaining - jumped) / period
-                if trace is not None:
-                    trace.append(f"{time}\trx\tnode={nid}\tsender={sender}\tjump={jump}")
-                if jump <= 0.0:
+                if (sleep and phi * period < sleep) or (not in_window and node.mode is steady):
+                    dropped += 1
                     continue
-                node.advance_accum += jump
+                if collide:
+                    busy = node.rx_busy_until
+                    if time < busy:
+                        # overlapping airtime destroys both the in-flight and the new one
+                        collided += 1 if node.rx_pending is None else 2
+                        collisions += 1
+                        node.rx_pending = None
+                        node.rx_busy_until = max(busy, time + beta)
+                        if trace is not None:
+                            trace.append(f"{time}\tcollision\tnode={nid}\tsender={datum}")
+                    else:
+                        node.rx_busy_until = time + beta
+                        node.rx_pending = pending = (datum, time)
+                        commits.append((time + beta, commit, nid, pending))
+                    continue
+                sender = datum
+            elif kind == commit:
+                node = nodes.get(nid)
+                if node is None or datum != node.rx_pending:
+                    continue  # counted when a collision or a leave ended it
+                node.rx_pending, sender = None, datum[0]
+                remaining, period, eps = node.next_fire - time, node.period_ticks, node.epsilon_eff
+                phi = 1.0 - remaining / period
+                in_window = phi <= eps or phi >= 1.0 - eps
             elif kind == fire:
                 node = nodes.get(nid)
                 if node is None or datum != node.armed[-1][1]:
@@ -327,16 +314,16 @@ class Engine:
                 if time == node.next_fire:  # else a wake-up: re-arm only
                     ticks = time - node.period_start
                     if sleep:
-                        ticks = max(0, ticks - sleep)
-                    elif node.mode is steady:  # baseline nodes are never steady
-                        ticks = min(ticks, int(2 * node.epsilon_eff * node.period_ticks + 0.5))
+                        ticks = ticks - sleep if ticks > sleep else 0
+                    elif node.mode is steady and ticks > (  # baseline nodes are never steady
+                            cap := int(2 * node.epsilon_eff * node.period_ticks + 0.5)):
+                        ticks = cap
                     awake += ticks
                     node.fires.append(time)
                     node.next_fire = time + node.period_ticks
                     node.period_start = time
-                    emit = True
+                    emit = every or node.pending_payload
                     if ebs:
-                        emit = every or node.pending_payload
                         # the mode step: initialization counts the neighbours heard
                         # over its listening periods, in one heard_any kept across
                         # them; synchronization promotes to steady at S >= s_th; a
@@ -369,7 +356,8 @@ class Engine:
                             else:
                                 if heard > known:  # S above 100 only refreshes the estimate
                                     node.neighbor_count_estimate = heard
-                                node.synchronicity = s = min(100.0, 100.0 * heard / known)
+                                s = 100.0 * heard / known if heard < known else 100.0
+                                node.synchronicity = s
                                 if mode is sync and s >= s_th:
                                     node.mode = steady
                                 elif mode is steady and s < s_th:
@@ -380,22 +368,32 @@ class Engine:
                         node.heard_this_period.clear()
                         if node.mode is not init:
                             node.heard_any.clear()
-                        estimate = node.neighbor_count_estimate
-                        node.epsilon_eff = (protocol.effective_epsilon(cfg, estimate)
-                                            if adaptive else cfg.epsilon)
-                        node.pending_payload = rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
+                        if adaptive:
+                            node.epsilon_eff = protocol.effective_epsilon(
+                                cfg, node.neighbor_count_estimate)
+                        if drawn:  # no draw at rate 0, so it leaves the RNG stream alone
+                            node.pending_payload = rate > 0.0 and rng.random() < rate
                     if trace is not None:
                         trace.append(f"{time}\tfire\tnode={nid}\temit={emit}")
                     if emit:
                         fanout = fanouts[nid]
                         broadcasts += 1
                         attempts += len(fanout)
+                        at = time + fixed
                         for recv, offset in fanout:
-                            if loss > 0 and rng.random() < loss:
+                            if lossy and rng.random() < loss:
                                 lost += 1
                                 continue
-                            at = time + offset + (rng.randint(lo, hi) if jitter is None else jitter)
-                            push(heap, (at, arrival, recv, nid))
+                            if uniform:
+                                offset += rng.randint(lo, hi)
+                            push(heap, (at + offset, arrival, recv, nid))
+                # re-arm: queue an entry at next_fire unless an earlier one is queued
+                armed, due = node.armed, node.next_fire
+                if not armed or due < armed[-1][0]:
+                    seq = next(counter)
+                    armed.append((due, seq))
+                    push(heap, (due, fire, nid, seq))
+                continue
             elif kind == _CHURN:
                 departed += self._handle_churn(time, datum[1])
                 continue
@@ -403,12 +401,28 @@ class Engine:
                 self._handle_sample(time, received - sampled, awake)
                 sampled, awake = received, 0
                 continue
-            # re-arm: queue an entry at next_fire unless an earlier one is queued
-            armed, due = node.armed, node.next_fire
-            if not armed or due < armed[-1][0]:
-                seq = next(counter)
-                armed.append((due, seq))
-                push(heap, (due, fire, nid, seq))
+            # the reception step
+            received += 1
+            node.heard_any.add(sender)
+            if in_window:
+                if ebs:
+                    node.heard_this_period.add(sender)
+            elif (not (refractory and phi * period < refractory) and node.mode is not init
+                  and (jumped := int(sigma * remaining + 0.5) or 1) < remaining):
+                # the advanced node does not fire at once: its shortened
+                # remaining time staggers the neighbours' replies
+                node.next_fire = due = time + jumped
+                node.advance_accum += (jump := (remaining - jumped) / period)
+                if trace is not None:
+                    trace.append(f"{time}\trx\tnode={nid}\tsender={sender}\tjump={jump}")
+                armed = node.armed  # re-arm, as after a fire
+                if not armed or due < armed[-1][0]:
+                    seq = next(counter)
+                    armed.append((due, seq))
+                    push(heap, (due, fire, nid, seq))
+                continue
+            if trace is not None:
+                trace.append(f"{time}\trx\tnode={nid}\tsender={sender}\tjump=0.0")
         stats = self.stats
         for key, count in zip(_LEDGER, (broadcasts, attempts, lost, collisions, dropped,
                                         received, collided, departed)):  # all but in_flight

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ebsim.core import advance_remaining_ticks, avg_phase_difference
+from ebsim.core import avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.sim import Engine, SimulationError, run
 from ebsim.topology import make_regular_grid, make_complete
 
 from engine_steps import deliver
+from tick_oracle import advanced_remaining
 
 T = 1000
 
@@ -66,8 +67,8 @@ def test_phase_advance_wide_window_edge():
 
 def test_jump_remaining():
     # remaining after reacting is sigma * (1 - phi) of the period
-    assert advance_remaining_ticks(500, 0.01) == 5    # phi = 0.5
-    assert advance_remaining_ticks(100, 0.1) == 10    # phi = 0.9
+    assert _hear(500, 0.01, 0.01) == 5    # phi = 0.5
+    assert _hear(100, 0.01, 0.1) == 10    # phi = 0.9
 
 
 def test_in_setw():
@@ -91,22 +92,28 @@ def test_in_setw():
     assert not in_setw(0.874, 0.125)
 
 
+# the jump through the reception step, at phases between the window edges
+
 def test_advance_remaining_ticks_basic():
-    assert advance_remaining_ticks(500, 0.01) == 5
-    assert advance_remaining_ticks(1000, 0.01) == 10
+    assert _hear(500, 0.01, 0.01) == 5
+    assert _hear(1000, 0.01, 0.01, period=2000) == 10
+    assert _hear(250, 0.01, 0.01, mrf=True) == 3   # 2.5 rounds half-up
 
 
 def test_advance_remaining_ticks_floors_at_one():
     # tiny sigma would round to zero ticks; a reaction never fires
     # within the same tick
-    assert advance_remaining_ticks(1000, 0.0004) == 1
+    assert _hear(1000, 0.01, 0.0004, period=2000) == 1
+    assert _hear(1000, 0.01, 0.0004, mrf=True, period=2000) == 1
 
 
 def test_advance_remaining_ticks_never_increases():
-    # rounding half-up could exceed the old remaining for sigma near 1
-    assert advance_remaining_ticks(10, 0.95) == 10
-    assert advance_remaining_ticks(1, 0.5) == 1
-    assert advance_remaining_ticks(0, 0.5) == 0
+    # rounding half-up could exceed the old remaining for sigma near 1; a
+    # jump that would not shorten the remaining time leaves it
+    assert _hear(10, 0.005, 0.95) == 10             # phi = 0.99
+    assert _hear(1, 0.0005, 0.5) == 1               # phi = 0.999
+    assert _hear(1, 0.05, 0.99, period=10) == 1     # phi = 0.9
+    assert _hear(1, 0.05, 0.99, mrf=True, period=10) == 1
 
 
 _coupling = (st.integers(1, T), st.floats(0.001, 0.5), st.floats(0.001, 0.999),
@@ -133,16 +140,17 @@ def test_phase_advance_lands_near_fire(remaining, eps, sigma, mrf):
     phi = 1.0 - remaining / T
     if eps < phi < 1.0 - eps:
         new = _hear(remaining, eps, sigma, mrf)
-        assert new == advance_remaining_ticks(remaining, sigma)
+        assert new == advanced_remaining(remaining, sigma)
         assert new <= max(1, sigma * (1.0 - eps) * T + 0.5)
 
 
-@given(st.integers(0, 10**6), st.floats(0.0001, 0.999))
-def test_advance_remaining_ticks_bounds(remaining, sigma):
-    new = advance_remaining_ticks(remaining, sigma)
-    assert new <= remaining
-    if remaining >= 1:
-        assert new >= 1
+@given(st.integers(1, 10**6), st.floats(0.0001, 0.999), st.booleans())
+def test_advance_remaining_ticks_bounds(remaining, sigma, mrf):
+    # a period of 2 * 10**6 ticks and a window of 1e-7 put every remaining
+    # time up to 10**6 between the window edges
+    new = _hear(remaining, 1e-7, sigma, mrf, period=2 * 10**6)
+    assert 1 <= new <= remaining
+    assert new == advanced_remaining(remaining, sigma)
 
 
 def test_circular_distance():

@@ -35,6 +35,16 @@ class _ONode:
         self.pending: tuple[int, int] | None = None  # in flight: (sender, commit tick)
 
 
+def advanced_remaining(remaining: int, sigma: float) -> int:
+    """The ticks left to a node's fire after a coupling jump from
+    `remaining`: sigma * remaining, rounded half-up, floored at 1 tick so a
+    reaction never fires within the same tick, and capped at the old
+    remaining so phases only move forward."""
+    if remaining <= 1:
+        return remaining
+    return min(remaining, max(1, int(math.floor(sigma * remaining + 0.5))))
+
+
 def run_oracle(topology, period: int, epsilon: float, sigma: float,
                s_th: float, horizon: int, seed: int,
                delays: dict[tuple[int, int], int] | None = None,
@@ -124,9 +134,7 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             if setw:
                 node.heard_setw.add(sender)
             if node.epsilon < phi < 1.0 - node.epsilon and not node.listening:
-                if remaining > 1:
-                    jumped = int(math.floor(sigma * remaining + 0.5))
-                    node.next_fire = t + min(remaining, max(1, jumped))
+                node.next_fire = t + advanced_remaining(remaining, sigma)
         if t > 0 and t % period == 0:
             lit = circ = 0.0
             for nid in ids:
