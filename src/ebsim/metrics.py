@@ -1,6 +1,8 @@
 """Per-period measurement rows, their steady-state summary and CSV export."""
 
 import csv
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 
@@ -24,13 +26,19 @@ COLUMNS = MetricsRow._fields
 STEADY_TAIL = 0.25
 
 
+def left_sum(values) -> float:
+    """The floats added one by one, left to right, from 0.0: the same bits on
+    every CPython, where sum() compensates its rounding since 3.12."""
+    return reduce(add, values, 0.0)
+
+
 def steady_state(rows: list[MetricsRow]) -> dict[str, float]:
     """Mean of each column over the trailing rows (flaps: final value)."""
     if not rows:
         raise ValueError("empty series")
     tail = rows[-max(1, int(len(rows) * STEADY_TAIL)):]
     # every column but the period index and the cumulative flaps
-    out = {name: sum(getattr(r, name) for r in tail) / len(tail)
+    out = {name: left_sum(getattr(r, name) for r in tail) / len(tail)
            for name in COLUMNS[1:-1]}
     out["flaps"] = rows[-1].flaps
     return out

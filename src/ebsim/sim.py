@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import protocol
 from .core import avg_phase_difference
-from .metrics import MetricsRow
+from .metrics import MetricsRow, left_sum
 from .protocol import Mode, MrfConfig, NodeState, ProtocolConfig, Variant
 from .topology import Topology
 
@@ -469,7 +469,7 @@ class Engine:
             if linked:
                 phases = {nid: self.nodes[nid].phase_at(now) for nid, _ in linked}
                 dphi_lit, dphi_circ = avg_phase_difference(phases, linked)
-            dplus = sum(node.advance_accum for node in self.nodes.values()) / n
+            dplus = left_sum(node.advance_accum for node in self.nodes.values()) / n
             duty = 100.0 * awake / (n * self.T)
             thr = 100.0 * received / (self.avg_degree * n)
             steady = 100.0 * [nd.mode for nd in self.nodes.values()].count(Mode.STEADY) / n
@@ -573,6 +573,8 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
         elif ev.action == "leave":
             problem = None if nid in live else f"node {_shown(nid)} does not exist"
             live.discard(nid)
+        elif not nid >= 0:
+            problem = "node ids must be non-negative"
         elif nid in live:
             problem = f"node {_shown(nid)} already exists"
         else:

@@ -16,6 +16,9 @@ which keeps the suite fast.
 import hashlib
 import heapq
 import os
+import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -85,6 +88,48 @@ def _digest(name: str, tmp_path, monkeypatch) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert _digest(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+# the CPython versions the package supports
+INTERPRETERS = ("python3.10", "python3.11", "python3.12", "python3.13")
+
+
+def _other_interpreters() -> list[str]:
+    """Each supported CPython on PATH that starts and is not this one's version."""
+    other = ("import sys; print(sys.implementation.name == 'cpython' "
+             f"and sys.version_info[:2] != {tuple(sys.version_info[:2])})")
+    found = []
+    for name in INTERPRETERS:
+        if (path := shutil.which(name)) is None:
+            continue
+        try:  # a pyenv shim without that version installed exits non-zero
+            probe = subprocess.run([path, "-c", other], capture_output=True, text=True,
+                                   timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == "True":
+            found.append(path)
+    return found
+
+
+def _cli_outputs(python: str, out) -> dict[str, bytes]:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([python, "-m", "ebsim.cli", "run", os.path.join(SCENARIO_DIR, "churn.txt"),
+                    "--out", str(out)], env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                   capture_output=True, check=True, timeout=120)
+    return {entry: (out / entry).read_bytes() for entry in sorted(os.listdir(out))}
+
+
+def test_other_interpreters_write_the_same_bytes(tmp_path):
+    others = _other_interpreters()
+    if not others:
+        pytest.skip("no other supported CPython starts from PATH")
+    expected = _cli_outputs(sys.executable, tmp_path / "this")
+    for i, python in enumerate(others):
+        outputs = _cli_outputs(python, tmp_path / f"other{i}")
+        assert sorted(outputs) == sorted(expected), python
+        for entry, data in expected.items():
+            assert outputs[entry] == data, f"{python} wrote other bytes to {entry}"
 
 
 def test_every_shipped_scenario_is_pinned():

@@ -85,6 +85,23 @@ def test_series_steady_state_tail():
         steady_state([])
 
 
+# 1e16 + 1.0 rounds back to 1e16, so these add up to 0.0 left to right;
+# a compensated sum (sum() of floats since CPython 3.12) gives 1.0
+UNEVEN = (1e16, 1.0, -1e16)
+
+
+def test_averages_add_left_to_right():
+    # the outputs are the same bytes on every CPython
+    rows = [_row(k) for k in range(9)] + [_row(9 + k, dplus=x) for k, x in enumerate(UNEVEN)]
+    assert steady_state(rows)["dplus"] == 0.0  # the mean of the last 3 rows
+    cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
+    eng = Engine(make_complete(3), cfg, horizon=1, seed=0)
+    for node, accum in zip(eng.nodes.values(), UNEVEN):
+        node.advance_accum = accum
+    eng._handle_sample(1000, 0, 0)
+    assert eng.series[-1].dplus == 0.0
+
+
 def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv([], str(path))

@@ -76,6 +76,8 @@ def test_comments_and_blank_lines():
      "<string>:9: churn leave of node 4 at period 7: node 4 does not exist"),
     ("churn.1 = join 4 at 2 edges 1",
      "<string>:9: churn join of node 4 at period 2: node 4 already exists"),
+    ("churn.1 = join -1 at 2 edges 3,4",
+     "^<string>:9: churn join of node -1 at period 2: node ids must be non-negative$"),
     ("churn.1 = join 30 at 2 edges 30",
      "<string>:9: churn join of node 30 at period 2: self-loop at node 30"),
     ("churn.1 = join 30 at 2 edges 1,99",

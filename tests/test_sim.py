@@ -406,6 +406,10 @@ def test_churn_validation():
     with pytest.raises(SimulationError):
         run(pair(), make_cfg(), horizon=5,
             churn=(ChurnEvent(2, "leave", 55),))
+    # ids are non-negative, as in a topology file
+    with pytest.raises(SimulationError, match="^churn join of node -1 at period 2: "
+                                              "node ids must be non-negative$"):
+        run(pair(), make_cfg(), horizon=5, churn=(ChurnEvent(2, "join", -1, (0, 1)),))
 
 
 def test_clock_drift_skews_period():
