@@ -252,8 +252,8 @@ class Engine:
         every = not ebs or cfg.variant is Variant.NO_REACHBACK
         collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
         loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
-        lossy, fixed = loss > 0, self.delay.constant()
-        uniform, fixed = fixed is None, fixed or 0
+        jitter = self.delay.constant()  # None: one uniform draw per message
+        lossy, uniform, fixed = loss > 0, jitter is None, jitter or 0
         # the baseline is uncoupled, and asleep and deaf if it sleeps, for
         # the refractory stretch after each own fire; its window stays epsilon
         refractory = 0 if ebs else self.mrf.refractory
