@@ -7,6 +7,7 @@ alone and running the loop.
 """
 
 import heapq
+from collections import Counter
 
 from ebsim import sim
 from ebsim.sim import EventKind
@@ -73,3 +74,31 @@ def fire(eng, nid, now):
     for entry in hold.held:
         heapq.heappush(eng._heap, entry)
     return eng.stats["broadcasts"] > before
+
+
+class CountingHeap:
+    """Stand-in for heapq that tallies entries by kind, as a profiler
+    rebinding ebsim.sim.heapq would: pushes and pops by kind, the heap's
+    high-water mark and stale FIRE pops, which fire nothing because the
+    node left, the entry is not its node's fire_seq or it lies past the
+    horizon.  Set engine before the run."""
+
+    def __init__(self) -> None:
+        self.engine = None
+        self.pushes, self.pops = Counter(), Counter()
+        self.stale_fire_pops = self.peak = 0
+
+    def heappush(self, heap, entry) -> None:
+        self.pushes[entry[1]] += 1
+        heapq.heappush(heap, entry)
+        self.peak = max(self.peak, len(heap))
+
+    def heappop(self, heap):
+        entry = heapq.heappop(heap)
+        self.pops[entry[1]] += 1
+        eng = self.engine
+        if entry[1] == EventKind.FIRE:
+            node = eng.nodes.get(entry[2])
+            if entry[0] > eng.horizon * eng.T or node is None or entry[-1] != node.fire_seq:
+                self.stale_fire_pops += 1
+        return entry

@@ -14,12 +14,10 @@ which keeps the suite fast.
 """
 
 import hashlib
-import heapq
 import os
 import shutil
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -29,6 +27,8 @@ from ebsim.scenario import apply_override, parse_scenario_text, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, EventKind,
                        LinkFaultModel, RunResult, run)
 from ebsim.topology import make_random_geometric, make_regular_grid
+
+from engine_steps import CountingHeap
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -385,35 +385,6 @@ def test_bench_configurations_are_pinned(workload, scheme, seed):
 # another entry is due at its next_fire, or the entry lies past the horizon)
 # and the heap's high-water mark.
 
-class _TrafficHeap:
-    """Stand-in for heapq bound as ebsim.sim.heapq, counting one engine's traffic."""
-
-    def __init__(self) -> None:
-        self.engine = None
-        self.pushes, self.pops = Counter(), Counter()
-        self.stale_fire_pops = self.peak = 0
-
-    def heappush(self, heap, entry) -> None:
-        heapq.heappush(heap, entry)
-        self.pushes[EventKind(entry[1]).name] += 1
-        self.peak = max(self.peak, len(heap))
-
-    def heappop(self, heap):
-        entry = heapq.heappop(heap)
-        self.pops[EventKind(entry[1]).name] += 1
-        eng = self.engine
-        if entry[1] == EventKind.FIRE:
-            node = eng.nodes.get(entry[2])
-            if entry[0] > eng.horizon * eng.T or node is None or entry[3] != node.fire_seq:
-                self.stale_fire_pops += 1
-        return entry
-
-    def counts(self) -> dict:
-        return {"pushes": dict(sorted(self.pushes.items())),
-                "pops": dict(sorted(self.pops.items())),
-                "stale_fire_pops": self.stale_fire_pops, "heap_peak": self.peak}
-
-
 HEAP_TRAFFIC = {
     ("testbed-collide", "ebs", 0): {
         "pushes": {"ARRIVAL": 10440, "FIRE": 714, "SAMPLE": 5},
@@ -444,7 +415,7 @@ HEAP_TRAFFIC = {
 
 @pytest.mark.parametrize("workload,scheme,seed", sorted(BENCH_GOLDEN))
 def test_bench_configurations_keep_their_heap_traffic(workload, scheme, seed, monkeypatch):
-    counting = _TrafficHeap()
+    counting = CountingHeap()
     monkeypatch.setattr(sim, "heapq", counting)
     init = sim.Engine.__init__
 
@@ -454,4 +425,8 @@ def test_bench_configurations_keep_their_heap_traffic(workload, scheme, seed, mo
     monkeypatch.setattr(sim.Engine, "__init__", engine_init)
     text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
     run_config(apply_override(parse_scenario_text(text), "run.seed", seed), scheme=scheme)
-    assert counting.counts() == HEAP_TRAFFIC[workload, scheme, seed]
+    def by_kind(counts):
+        return {EventKind(kind).name: n for kind, n in sorted(counts.items())}
+    assert {"pushes": by_kind(counting.pushes), "pops": by_kind(counting.pops),
+            "stale_fire_pops": counting.stale_fire_pops,
+            "heap_peak": counting.peak} == HEAP_TRAFFIC[workload, scheme, seed]

@@ -1,7 +1,7 @@
 import heapq
 import os
 import random
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,7 +15,7 @@ from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
 from ebsim.topology import (Topology, make_complete, make_random_geometric,
                             make_regular_grid)
 
-from engine_steps import deliver, fire
+from engine_steps import CountingHeap, deliver, fire
 
 
 def make_cfg(**kw):
@@ -322,7 +322,7 @@ def test_rejoined_node_ignores_its_predecessors_fire_entries(seed, monkeypatch):
     # node's own entry due at next_fire, never one the node that left made
     cfg = make_cfg(period_t=10000, sigma=0.3)
     churn = (ChurnEvent(0, "leave", 3), ChurnEvent(1, "join", 3, (2, 4, 8, 23)))
-    counting = _CountingHeap()
+    counting = CountingHeap()
     monkeypatch.setattr(sim, "heapq", counting)
     eng = Engine(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
                  churn=churn, horizon=6, seed=seed)
@@ -456,30 +456,6 @@ def test_metrics_sample_resets_buckets():
     assert res.series[-1].dplus == 0.0
 
 
-class _CountingHeap:
-    """Stand-in for heapq that tallies entries by kind, as a profiler
-    rebinding ebsim.sim.heapq would."""
-
-    def __init__(self) -> None:
-        self.engine = None
-        self.pushes, self.pops = Counter(), Counter()
-        self.stale_fire_pops = 0
-
-    def heappush(self, heap, entry) -> None:
-        self.pushes[entry[1]] += 1
-        heapq.heappush(heap, entry)
-
-    def heappop(self, heap):
-        entry = heapq.heappop(heap)
-        self.pops[entry[1]] += 1
-        eng = self.engine
-        if entry[1] == EventKind.FIRE:
-            node = eng.nodes.get(entry[2])
-            if entry[0] > eng.horizon * eng.T or node is None or entry[-1] != node.fire_seq:
-                self.stale_fire_pops += 1
-        return entry
-
-
 def test_heap_is_looked_up_through_the_module(monkeypatch):
     # every push and pop goes through ebsim.sim.heapq at call time, so a
     # stand-in bound there sees the whole run and reconciles with the
@@ -487,7 +463,7 @@ def test_heap_is_looked_up_through_the_module(monkeypatch):
     for fault in (LinkFaultModel(loss_probability=0.1),
                   LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
                                  airtime_beta=3)):
-        counting = _CountingHeap()
+        counting = CountingHeap()
         monkeypatch.setattr(sim, "heapq", counting)
         eng = Engine(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
                      delay=DelayModel(kind="uniform", lo=0, hi=30), fault=fault)
@@ -566,7 +542,7 @@ def test_a_jump_queues_no_fire_entry_behind_an_earlier_one(monkeypatch):
     # the torus-delay benchmark's network at 20 periods: coupling jumps
     # every period, and a node re-armed from the FIRE entries it already
     # has queued leaves few of them stale (one entry per jump left ~1/2)
-    counting = _CountingHeap()
+    counting = CountingHeap()
     monkeypatch.setattr(sim, "heapq", counting)
     eng = Engine(make_regular_grid(5, 5, True), make_cfg(period_t=10000, epsilon=0.1),
                  delay=DelayModel(kind="deterministic", nu=500), horizon=20, seed=0)
