@@ -381,8 +381,8 @@ def test_bench_configurations_are_pinned(workload, scheme, seed):
 # bench/run.py --trace 1 rebinds ebsim.sim.heapq to a counting heap and
 # reconciles its counts with the run's outputs, so an engine change that
 # means to keep the heap traffic keeps every count below: pushes and pops by
-# event kind, stale FIRE pops (entries that fire nothing: the node left,
-# another entry is due at its next_fire, or the entry lies past the horizon)
+# event kind, stale FIRE pops (entries that fire nothing: the node left, the
+# entry is not the one due at its next_fire, or it lies past the horizon)
 # and the heap's high-water mark.
 
 HEAP_TRAFFIC = {
@@ -425,6 +425,7 @@ def test_bench_configurations_keep_their_heap_traffic(workload, scheme, seed, mo
     monkeypatch.setattr(sim.Engine, "__init__", engine_init)
     text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
     run_config(apply_override(parse_scenario_text(text), "run.seed", seed), scheme=scheme)
+
     def by_kind(counts):
         return {EventKind(kind).name: n for kind, n in sorted(counts.items())}
     assert {"pushes": by_kind(counting.pushes), "pops": by_kind(counting.pops),
