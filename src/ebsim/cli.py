@@ -104,7 +104,7 @@ def _sweep_points(cfg: ScenarioConfig, source: str) -> list[tuple[str, dict, Sce
     short = param.split(".")[-1]
     points = [apply_override(cfg, param, value) for value in values]
     for i, point in enumerate(points):  # they share cfg's network, so compare the rest
-        if (j := first.setdefault(tuple(getattr(point, f) for f in point.__slots__[2:]), i)) < i:
+        if (j := first.setdefault(point.spec[1:], i)) < i:
             raise ScenarioError(f"{source}: sweep value {i + 1} ({values[i]}) runs the same "
                                 f"point as value {j + 1} ({values[j]})")
     return [(f"{short}={value}_", {"label": f"{short}={value}", "parameter": param,

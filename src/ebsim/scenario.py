@@ -7,8 +7,9 @@ Grammar (one entry per line):
 
 Durations are integer ticks (1 tick = 1 ms).  KEYS is the one registry of
 keys: parsing, sweep overrides and the resolved-config echo are all derived
-from it (the README's key table mirrors it).  Churn entries use indexed
-keys:
+from it (the README's key table mirrors it).  A parsed scenario is a
+ScenarioConfig: the keys as given, the sim.RunSpec they build, and the
+sweep.  Churn entries use indexed keys:
 
     churn.1 = leave 12 at 30
     churn.2 = join 25 at 60 edges 7,11,13,17
@@ -18,8 +19,8 @@ import os
 from typing import Callable, NamedTuple
 
 from .protocol import MrfConfig, ProtocolConfig, Variant
-from .sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                  RunResult, run, run_error)
+from .sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine, LinkFaultModel,
+                  RunResult, RunSpec, run_error)
 from .topology import (Topology, load_topology, make_complete,
                        make_random_geometric, make_regular_grid)
 
@@ -33,40 +34,28 @@ class SweepSpec(NamedTuple):
     values: tuple
 
 
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A parsed scenario, or one of its sweep points; read-only.
 
     given holds the keys as written (a point's override included), outside
     equality; resolved_text and apply_override resolve it again, so a
-    default tied to another key (mrf.t_ref = T/2) follows that key.  The
-    other fields are built from it, topology being the network, and
-    together they pass sim.run_error, so a run of them can start.
+    default tied to another key (mrf.t_ref = T/2) follows that key.  spec,
+    the run, is built from it and passes sim.run_error, so a run of it can
+    start; its fields read through (cfg.seed is cfg.spec.seed).
     """
 
-    __slots__ = ("given", "topology", "protocol", "mrf", "delay", "fault", "drift", "churn",
-                 "horizon", "seed", "payload_rate", "sweep")
+    given: dict[str, object]
+    spec: RunSpec
+    sweep: SweepSpec | None
 
-    def __init__(self, given: dict[str, object], topology: Topology, protocol: ProtocolConfig,
-                 mrf: MrfConfig | None, delay: DelayModel, fault: LinkFaultModel,
-                 drift: ClockDriftModel, churn: tuple[ChurnEvent, ...], horizon: int,
-                 seed: int, payload_rate: float, sweep: SweepSpec | None) -> None:
-        for name, value in zip(self.__slots__, (given, topology, protocol, mrf, delay, fault,
-                                                drift, churn, horizon, seed, payload_rate, sweep)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a ScenarioConfig")
-
-    def __reduce__(self):  # unpickled through the constructor: __setattr__ refuses
-        return ScenarioConfig, tuple(getattr(self, name) for name in self.__slots__)
+    def __getattr__(self, name: str):
+        return getattr(self.spec, name)
 
     def __eq__(self, other: object) -> bool:
-        fields = self.__slots__[1:]  # all but given
-        return ([getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
-                if type(other) is ScenarioConfig else NotImplemented)
+        return self[1:] == other[1:] if type(other) is ScenarioConfig else NotImplemented
 
-    def __repr__(self) -> str:
-        return f"ScenarioConfig({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
+    __hash__ = None
 
 
 # each topology kind: the name of its builder here (looked up per call, so a
@@ -93,11 +82,7 @@ def run_config(cfg: ScenarioConfig, scheme: str = "ebs",
         raise ScenarioError(f"unknown scheme {scheme!r}; expected 'ebs' or 'mrf'")
     if scheme == "mrf" and cfg.mrf is None:
         raise ScenarioError("scheme 'mrf' needs mrf.enabled = true")
-    return run(cfg.topology, cfg.protocol,
-               mrf=cfg.mrf if scheme == "mrf" else None, delay=cfg.delay,
-               fault=cfg.fault, drift=cfg.drift, churn=cfg.churn,
-               horizon=cfg.horizon, seed=cfg.seed,
-               payload_rate=cfg.payload_rate, trace=trace)
+    return Engine(cfg.spec if scheme == "mrf" else cfg.spec._replace(mrf=None), trace).run()
 
 
 # --- the key registry -------------------------------------------------------
@@ -167,8 +152,8 @@ _BOOL = _Type("bool", _bool, lambda v: str(v).lower())
 
 class Key(NamedTuple):
     """One scenario key: how its value is read and echoed, its default and
-    the ScenarioConfig field it sets ("section.attribute", or a top-level
-    attribute).  A key without a field only switches other keys on.
+    the field it sets: a sim.RunSpec field, or "section.attribute" of a
+    RunSpec record or of the sweep.  A key without one only switches others on.
     applies(given) says whether the key takes part at all; a key that does
     not is neither required, built nor echoed, and an error when given.
     An indexed key is written key.N, N a positive integer and each N once;
@@ -259,7 +244,7 @@ SWEEPABLE = tuple(key for key, spec in KEYS.items()
 # the key behind each input sim.run_error can name; a churn entry names itself
 _KEY_OF = {spec.field: key for key, spec in KEYS.items() if spec.field} | {"topology": "topology.kind"}
 
-# ScenarioConfig records built from the keys' "section.attribute" fields
+# the records built from the keys' "section.attribute" fields
 _SECTIONS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
              "fault": LinkFaultModel, "drift": ClockDriftModel, "sweep": SweepSpec}
 
@@ -297,8 +282,8 @@ def _resolve(given: dict[str, object], where: Callable[[str | None], str]) -> di
 def _build(given: dict[str, object], where: Callable[[str | None], str],
            topology: Topology | None = None) -> ScenarioConfig:
     """The config that runs the given keys, on the given topology if any,
-    else on one built from the keys; where is _resolve's.  It passes the
-    engine's sim.run_error, or fails at the key behind the input at fault."""
+    else on one built from the keys; where is _resolve's.  Its RunSpec
+    passes sim.run_error, or it fails at the key behind the input at fault."""
     kwargs: dict[str, dict] = {name: {} for name in ("topology", *_SECTIONS)}
     top: dict[str, object] = {}
     for key, value in _resolve(given, where).items():
@@ -312,12 +297,11 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
             raise ScenarioError(f"{where('topology.kind')}: topology: {exc}") from None
     records = {name: make(**kwargs[name]) if kwargs[name] else None
                for name, make in _SECTIONS.items()}
-    cfg = ScenarioConfig(given=given, topology=topology, **records, **top)
-    if bad := run_error(cfg.topology, cfg.protocol, mrf=cfg.mrf, delay=cfg.delay,
-                        fault=cfg.fault, drift=cfg.drift, churn=cfg.churn,
-                        horizon=cfg.horizon, seed=cfg.seed, payload_rate=cfg.payload_rate):
+    sweep = records.pop("sweep")
+    spec = RunSpec(topology, **records, **top)
+    if bad := run_error(spec):
         raise ScenarioError(f"{where(_KEY_OF.get(bad[0], bad[0]))}: {bad[1]}")
-    return cfg
+    return ScenarioConfig(given, spec, sweep)
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:

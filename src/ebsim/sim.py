@@ -1,17 +1,19 @@
 """Deterministic discrete-event simulation engine.
 
-Time is integer ticks (1 tick = 1 ms of model time by default).  Every
-queued event is a (time, kind, node, datum) tuple, ordered as such (see
-EventKind), so a run is bitwise reproducible for a given (scenario,
-seed).  Kind priority at one tick: churn, then fires (and the
-period-boundary processing they imply), then reception commits, then
-message arrivals, then the metrics sample.  Commits wait in a FIFO, the
-rest in a binary heap; the event loop merges the two by that key.  A
-node's queued FIRE entries are a stack (NodeState.armed), earliest on top:
-a jump queues one only before the top, a top due at next_fire fires the
-node and an earlier one wakes it to re-arm; any other is a predecessor's.
-Engine.run handles every arrival, commit and fire inline, and counts in
-locals that it adds to the run's stats once the loop ends.
+A run's inputs are one RunSpec: run_error judges it, Engine(spec) runs
+it, and run(topology, protocol, **fields) builds one.  Time is integer
+ticks (1 tick = 1 ms of model time by default).  Every queued event is a
+(time, kind, node, datum) tuple, ordered as such (see EventKind), so a
+run is bitwise reproducible for a given (scenario, seed).  Kind priority
+at one tick: churn, then fires (and the period-boundary processing they
+imply), then reception commits, then message arrivals, then the metrics
+sample.  Commits wait in a FIFO, the rest in a binary heap; the event
+loop merges the two by that key.  A node's queued FIRE entries are a
+stack (NodeState.armed), earliest on top: a jump queues one only before
+the top, a top due at next_fire fires the node and an earlier one wakes
+it to re-arm; any other is a predecessor's.  Engine.run handles every
+arrival, commit and fire inline, and counts in locals that it adds to
+the run's stats once the loop ends.
 """
 
 import heapq
@@ -130,6 +132,22 @@ class ChurnEvent(NamedTuple):
     edges: tuple[int, ...] = ()
 
 
+class RunSpec(NamedTuple):
+    """A run's inputs, each stated once (horizon in periods, payload_rate
+    the chance that a fire carries a payload); run_error judges them."""
+
+    topology: Topology
+    protocol: ProtocolConfig
+    mrf: MrfConfig | None = None
+    delay: DelayModel = DelayModel()
+    fault: LinkFaultModel = LinkFaultModel()
+    drift: ClockDriftModel = ClockDriftModel()
+    churn: tuple[ChurnEvent, ...] = ()
+    horizon: int = 50
+    seed: int = 0
+    payload_rate: float = 1.0
+
+
 class RunResult(NamedTuple):
     series: list[MetricsRow]                     # one row per period
     flap_events: list[tuple[int, int]]           # (tick, node id)
@@ -151,30 +169,15 @@ class Engine:
     event.
     """
 
-    def __init__(self, topology: Topology, cfg: ProtocolConfig, *,
-                 mrf: MrfConfig | None = None,
-                 delay: DelayModel | None = None,
-                 fault: LinkFaultModel | None = None,
-                 drift: ClockDriftModel | None = None,
-                 churn: tuple[ChurnEvent, ...] = (),
-                 horizon: int = 50, seed: int = 0,
-                 payload_rate: float = 1.0, trace: bool = False) -> None:
-        self.cfg = cfg
-        self.mrf = mrf
-        self.delay = delay or DelayModel()
-        self.fault = fault or LinkFaultModel()
-        self.drift = drift or ClockDriftModel()
-        self.horizon = horizon
-        self.payload_rate = payload_rate
-        self.T = cfg.period_t
-        self.rng = random.Random(seed)
-        self.trace: list[str] | None = [] if trace else None
-
-        if bad := run_error(topology, cfg, mrf=mrf, delay=self.delay, fault=self.fault,
-                            drift=self.drift, churn=churn, horizon=horizon, seed=seed,
-                            payload_rate=payload_rate):
+    def __init__(self, spec: RunSpec, trace: bool = False) -> None:
+        if bad := run_error(spec):
             raise SimulationError(bad[1])
+        self.spec = spec
+        self.horizon, self.T = spec.horizon, spec.protocol.period_t
+        self.rng = random.Random(spec.seed)
+        self.trace: list[str] | None = [] if trace else None
         # lossless all-awake ceiling of receptions per node and period
+        topology = spec.topology
         self.avg_degree = topology.average_degree
 
         self._heap: list = []
@@ -183,7 +186,7 @@ class Engine:
         # caller's topology: per sender, (receiver, link offset) in receiver
         # order.  Churn edits it, the sampler reads it each period; offsets
         # are drawn against the initial links only
-        offsets = self.delay.link_table(topology)
+        offsets = spec.delay.link_table(topology)
         self._fanout = {u: tuple((v, offsets.get((u, v), 0)) for v in sorted(topology.adjacency[u]))
                         for u in topology.node_ids}
         self.nodes: dict[int, NodeState] = {}
@@ -194,7 +197,7 @@ class Engine:
 
         for nid in topology.node_ids:
             self._spawn_node(nid, 0)
-        for i, ev in enumerate(churn):
+        for i, ev in enumerate(spec.churn):
             heapq.heappush(self._heap, (ev.at_period * self.T, _CHURN, ev.node_id, (i, ev)))
         # each handled sample queues the next one
         heapq.heappush(self._heap, (self.T, _SAMPLE, -1, None))
@@ -202,19 +205,20 @@ class Engine:
     # -- plumbing ------------------------------------------------------
 
     def _spawn_node(self, nid: int, now: int) -> None:
-        period = skewed_period(self.T, self.drift.sample(self.rng))
+        spec, cfg = self.spec, self.spec.protocol
+        period = skewed_period(self.T, spec.drift.sample(self.rng))
         r0 = self.rng.randint(1, period)
         node = NodeState(period_ticks=period, next_fire=now + r0,
-                         epsilon_eff=self.cfg.epsilon, period_start=now)
-        if self.mrf is not None:
+                         epsilon_eff=cfg.epsilon, period_start=now)
+        if spec.mrf is not None:
             node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
-        elif self.cfg.init_listen_periods == 0:
+        elif cfg.init_listen_periods == 0:
             # pre-initialized: coupling from the first tick, the estimate from the network
             node.mode = Mode.SYNCHRONIZATION
             node.neighbor_count_estimate = len(self._fanout[nid])
-            node.epsilon_eff = protocol.effective_epsilon(self.cfg, node.neighbor_count_estimate)
+            node.epsilon_eff = protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
         # no draw at the certain rates, so they leave the RNG stream alone
-        rate = self.payload_rate
+        rate = spec.payload_rate
         node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
         self.nodes[nid] = node
         seq = next(self._counter)  # fresh: a predecessor's entries are foreign
@@ -241,23 +245,23 @@ class Engine:
         and with partial reach-back only when it carries a pending payload.
         A broadcast draws loss, then jitter, per receiver.
         """
-        end = self.horizon * self.T
-        cfg, rng, heap, nodes, trace = self.cfg, self.rng, self._heap, self.nodes, self.trace
+        spec, end = self.spec, self.horizon * self.T
+        cfg, rng, heap, nodes, trace = spec.protocol, self.rng, self._heap, self.nodes, self.trace
         warnings, flap_events = self.warnings, self.flap_events
         pop, push, counter, fanouts = heapq.heappop, heapq.heappush, self._counter, self._fanout
-        sigma, s_th, adaptive, rate = cfg.sigma, cfg.s_th, cfg.adaptive_c, self.payload_rate
+        sigma, s_th, adaptive, rate = cfg.sigma, cfg.s_th, cfg.adaptive_c, spec.payload_rate
         # decided once per run: the payload draw per fire (a certain payload
         # is set at spawn), the loss and jitter draws per receiver
-        ebs, drawn = self.mrf is None, rate < 1.0
+        ebs, drawn = spec.mrf is None, rate < 1.0
         every = not ebs or cfg.variant is Variant.NO_REACHBACK
-        collide, beta = self.fault.collisions_enabled, self.fault.airtime_beta
-        loss, lo, hi = self.fault.loss_probability, self.delay.lo, self.delay.hi
-        jitter = self.delay.constant()  # None: one uniform draw per message
+        collide, beta = spec.fault.collisions_enabled, spec.fault.airtime_beta
+        loss, lo, hi = spec.fault.loss_probability, spec.delay.lo, spec.delay.hi
+        jitter = spec.delay.constant()  # None: one uniform draw per message
         lossy, uniform, fixed = loss > 0, jitter is None, jitter or 0
         # the baseline is uncoupled, and asleep and deaf if it sleeps, for
         # the refractory stretch after each own fire; its window stays epsilon
-        refractory = 0 if ebs else self.mrf.refractory
-        sleep = refractory if not ebs and self.mrf.sleep_during_refractory else 0
+        refractory = 0 if ebs else spec.mrf.refractory
+        sleep = refractory if not ebs and spec.mrf.sleep_during_refractory else 0
         init, sync, steady, recovery = Mode  # locals: a Mode.STEADY read costs ~0.1 us
         arrival, commit, fire = _ARRIVAL, _RX_COMMIT, _FIRE
         received = dropped = collided = departed = popped_past = 0
@@ -500,13 +504,11 @@ def _shown(value) -> str:
         return f"<{sign} integer of about {int(value.bit_length() * 0.30103) + 1} digits>"
 
 
-def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
-              delay: DelayModel, fault: LinkFaultModel, drift: ClockDriftModel,
-              churn: tuple[ChurnEvent, ...], horizon: int, seed: int,
-              payload_rate: float) -> tuple[str, str] | None:
-    """None if a run of these inputs can start, else (the input at fault: a
-    parameter, "<record>.<field>" as named on ScenarioConfig, or
-    "churn.<i>", the message).  NaN fails every comparison here."""
+def run_error(spec: RunSpec) -> tuple[str, str] | None:
+    """None if a run of spec can start, else (the input at fault: a RunSpec
+    field, "<field>.<attribute>" of one of its records, or "churn.<i>",
+    the message).  NaN fails every comparison here."""
+    cfg, mrf, delay, fault, drift = spec.protocol, spec.mrf, spec.delay, spec.fault, spec.drift
     for name, low in (("period_t", 1), ("c0", 1), ("init_listen_periods", 0)):
         if not low <= (value := getattr(cfg, name)) <= _MAX_TICKS:
             return f"protocol.{name}", f"protocol {name} {_shown(value)} must be in [{low}, 2^53]"
@@ -552,16 +554,16 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
     if (shortest := skewed_period(cfg.period_t, drift.skew_ppm_min)) < 1:
         return "drift.skew_ppm_min", (f"drift skew_ppm_min {drift.skew_ppm_min} shortens the "
                                       f"period {cfg.period_t} to {shortest} ticks, below 1")
-    if not horizon >= 1:
+    if not (horizon := spec.horizon) >= 1:
         return "horizon", "horizon must be >= 1 period"
-    if not -2 ** 63 <= seed < 2 ** 63:
-        return "seed", f"seed {_shown(seed)} must be in [-2^63, 2^63)"
-    if not 0.0 <= payload_rate <= 1.0:
+    if not -2 ** 63 <= spec.seed < 2 ** 63:
+        return "seed", f"seed {_shown(spec.seed)} must be in [-2^63, 2^63)"
+    if not 0.0 <= spec.payload_rate <= 1.0:
         return "payload_rate", ("payload_rate must be a probability in [0, 1], "
-                                f"got {_shown(payload_rate)}")
-    if not any(topology.adjacency.values()):
+                                f"got {_shown(spec.payload_rate)}")
+    if not any(spec.topology.adjacency.values()):
         return "topology", "topology: the network has no links: no node can hear another"
-    live = set(topology.adjacency)  # the churn replay, in the engine's order
+    live, churn = set(spec.topology.adjacency), spec.churn  # replayed in the engine's order
     for i in sorted(range(len(churn)), key=lambda i: (churn[i].at_period, churn[i].node_id)):
         ev, nid = churn[i], churn[i].node_id
         if ev.action not in ("join", "leave"):
@@ -588,6 +590,7 @@ def run_error(topology: Topology, cfg: ProtocolConfig, *, mrf: MrfConfig | None,
     return None
 
 
-def run(topology: Topology, cfg: ProtocolConfig, **kwargs) -> RunResult:
-    """Build an Engine and run it to the horizon."""
-    return Engine(topology, cfg, **kwargs).run()
+def run(topology: Topology, protocol: ProtocolConfig, *, trace: bool = False,
+        **fields) -> RunResult:
+    """Run the RunSpec of these inputs (the other fields by keyword) to the horizon."""
+    return Engine(RunSpec(topology, protocol, **fields), trace).run()

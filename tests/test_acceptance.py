@@ -280,12 +280,11 @@ def test_c10_oracle_equivalence():
     for name, adj in ORACLE_GRAPHS.items():
         for seed in range(10):
             # delayed: each directed link takes a fixed 5 ticks plus its own 0..20
-            for delay in (None, DelayModel(kind="deterministic", nu=5, link_hi=20,
-                                           link_seed=seed)):
+            for delay in (DelayModel(), DelayModel(kind="deterministic", nu=5, link_hi=20,
+                                                   link_seed=seed)):
                 topo = Topology({k: set(v) for k, v in adj.items()})
-                table = delay and {link: 5 + offset
-                                   for link, offset in delay.link_table(topo).items()}
-                label = f"{name} seed {seed}{' delayed' if delay else ''}"
+                table = {link: 5 + offset for link, offset in delay.link_table(topo).items()}
+                label = f"{name} seed {seed}{' delayed' if table else ''}"
                 res = run(topo, cfg, delay=delay, horizon=20, seed=seed)
                 fires, rows = run_oracle(topo, period=1000, epsilon=0.05, sigma=0.01,
                                          s_th=80.0, horizon=20, seed=seed, delays=table)
@@ -328,13 +327,13 @@ def test_c10_oracle_equivalence_under_strong_coupling(monkeypatch):
             for seed in range(5):
                 # odd seeds: the fixed 5..25-tick delay per link of C10
                 delay = seed % 2 and DelayModel(kind="deterministic", nu=5, link_hi=20,
-                                                link_seed=seed) or None
+                                                link_seed=seed) or DelayModel()
                 topo = Topology({k: set(v) for k, v in adj.items()})
                 table = delay and {link: 5 + offset
                                    for link, offset in delay.link_table(topo).items()}
                 depth_heap.engine = None  # while the nodes spawn
-                depth_heap.engine = engine = sim.Engine(topo, cfg, delay=delay, horizon=20,
-                                                        seed=seed)
+                spec = sim.RunSpec(topo, cfg, delay=delay, horizon=20, seed=seed)
+                depth_heap.engine = engine = sim.Engine(spec)
                 res = engine.run()
                 fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma,
                                          s_th=80.0, horizon=20, seed=seed, delays=table)
@@ -382,9 +381,9 @@ def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma
                          init_listen_periods=listen)
     topo = Topology(adjacency)
     delay = link_seed is not None and DelayModel(kind="deterministic", nu=5, link_hi=20,
-                                                 link_seed=link_seed) or None
+                                                 link_seed=link_seed) or DelayModel()
     table = delay and {link: 5 + offset for link, offset in delay.link_table(topo).items()}
-    fault = beta and LinkFaultModel(collisions_enabled=True, airtime_beta=beta) or None
+    fault = beta and LinkFaultModel(collisions_enabled=True, airtime_beta=beta) or LinkFaultModel()
     res = run(topo, cfg, delay=delay, fault=fault, horizon=10, seed=seed)
     fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
                              horizon=10, seed=seed, delays=table, beta=beta,

@@ -23,7 +23,7 @@ from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import (KEYS, SWEEPABLE, ScenarioError, apply_override,
                             parse_scenario, parse_scenario_text)
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
-                       LinkFaultModel, SimulationError, run_error)
+                       LinkFaultModel, RunSpec, SimulationError, run_error)
 from ebsim.topology import make_complete, make_regular_grid
 
 GRID = ("topology.kind = grid\ntopology.rows = 3\ntopology.cols = 3\n"
@@ -42,7 +42,7 @@ def _drift(low, high=None):
 
 
 def _protocol(**fields):
-    return {"cfg": CFG._replace(**fields)}
+    return {"protocol": CFG._replace(**fields)}
 
 
 HUGE = 10 ** 400  # overflows a float, and a file name as digits
@@ -121,7 +121,7 @@ RULES = {
 @pytest.mark.parametrize("engine,lines,offset,message", RULES.values(), ids=RULES)
 def test_each_rule_holds_in_the_engine_and_at_its_key(engine, lines, offset, message):
     with pytest.raises(SimulationError) as err:
-        Engine(make_regular_grid(3, 3, False), **{"cfg": CFG, **engine})
+        Engine(RunSpec(make_regular_grid(3, 3, False), **{"protocol": CFG, **engine}))
     assert str(err.value) == message
     keys = {line.split(" = ")[0] for line in lines.splitlines()}
     base = "".join(line for line in BASE.splitlines(keepends=True)
@@ -154,14 +154,14 @@ def test_a_value_too_long_to_print_is_shown_by_its_size(engine, message):
     # a library caller's int of more than 4,300 digits: str() refuses it,
     # so the message gives its size and the Engine still raises its error
     with pytest.raises(SimulationError) as err:
-        Engine(make_regular_grid(3, 3, False), **{"cfg": CFG, **engine})
+        Engine(RunSpec(make_regular_grid(3, 3, False), **{"protocol": CFG, **engine}))
     assert str(err.value) == message
 
 
 def test_a_network_without_links_is_refused_at_the_topology_line():
     message = "topology: the network has no links: no node can hear another"
     with pytest.raises(SimulationError) as err:
-        Engine(make_complete(1), CFG)
+        Engine(RunSpec(make_complete(1), CFG))
     assert str(err.value) == message
     text = "topology.kind = complete\ntopology.n = 1\n" + BASE[len(GRID):]
     with pytest.raises(ScenarioError) as err:
@@ -344,8 +344,8 @@ def test_check_passes_exactly_what_runs(lines):
 _ODD = (0, -1, float("nan"), float("inf"), float("-inf"), 2 ** 53 + 1, HUGE, LONG)
 # each (record, field) the fuzzer may set to an odd value, with those values
 _FIELDS = [
-    *[("cfg", name, _ODD) for name in ("period_t", "epsilon", "sigma", "s_th", "c0",
-                                        "init_listen_periods")],
+    *[("protocol", name, _ODD) for name in ("period_t", "epsilon", "sigma", "s_th", "c0",
+                                             "init_listen_periods")],
     ("mrf", "refractory", _ODD), ("delay", "kind", ("gaussian",)),
     *[("delay", name, _ODD) for name in ("nu", "lo", "hi", "link_lo", "link_hi", "link_seed")],
     ("fault", "loss_probability", _ODD), ("fault", "airtime_beta", _ODD),
@@ -353,7 +353,7 @@ _FIELDS = [
     ("churn", "action", ("explode",)), ("churn", "at_period", _ODD),
     ("run", "seed", _ODD), ("run", "payload_rate", _ODD),
 ]
-_RECORDS = {"cfg": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
+_RECORDS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
             "fault": LinkFaultModel, "drift": ClockDriftModel, "churn": ChurnEvent}
 
 
@@ -362,8 +362,8 @@ def _runnable(kind="none", adaptive_c=False, init_listen_periods=0, link_hi=None
     """Field values of records that run, by delay kind and switch, with
     each (record, field, value) of odd set."""
     fields = {
-        "cfg": {"period_t": 1000, "epsilon": 0.05, "sigma": 0.01, "s_th": 80.0,
-                "adaptive_c": adaptive_c, "init_listen_periods": init_listen_periods},
+        "protocol": {"period_t": 1000, "epsilon": 0.05, "sigma": 0.01, "s_th": 80.0,
+                     "adaptive_c": adaptive_c, "init_listen_periods": init_listen_periods},
         "mrf": {"refractory": 500},
         "delay": {"kind": kind, "nu": 30 * (kind == "deterministic"),
                   "lo": 1 * (kind == "uniform"), "hi": 20 * (kind == "uniform"),
@@ -392,8 +392,8 @@ def _records(draw) -> dict[str, dict]:
           suppress_health_check=[HealthCheck.too_slow])
 @given(_records(), st.booleans())
 # no float holds these: they overflowed in the engine
-@example(_runnable(odd=[("cfg", "period_t", HUGE)]), False)
-@example(_runnable(adaptive_c=True, odd=[("cfg", "c0", HUGE)]), False)
+@example(_runnable(odd=[("protocol", "period_t", HUGE)]), False)
+@example(_runnable(adaptive_c=True, odd=[("protocol", "c0", HUGE)]), False)
 def test_the_engine_runs_or_refuses_any_record(fields, baseline):
     # the records take any value; the Engine refuses with run_error's
     # message, or the run of two periods completes
@@ -402,9 +402,9 @@ def test_the_engine_runs_or_refuses_any_record(fields, baseline):
                 horizon=2, **fields["run"])
     topology = make_regular_grid(3, 3, False)
     try:
-        engine = Engine(topology, **args)
+        engine = Engine(RunSpec(topology, **args))
     except SimulationError as exc:
-        assert str(exc) == run_error(topology, **args)[1]
+        assert str(exc) == run_error(RunSpec(topology, **args))[1]
     else:
         assert len(engine.run().series) == 2
 
@@ -424,7 +424,7 @@ def test_only_the_topology_checks_in_its_constructor():
                if isinstance(obj, type) and obj.__module__ == module.__name__
                and "__slots__" in vars(obj)}
     assert {"ProtocolConfig", "MrfConfig", "DelayModel", "LinkFaultModel", "ClockDriftModel",
-            "ChurnEvent", "SweepSpec", "ScenarioConfig", "NodeState",
+            "ChurnEvent", "RunSpec", "SweepSpec", "ScenarioConfig", "NodeState",
             "Topology"} <= {record.__name__ for record in records}
     checked = set()
     for record in records:

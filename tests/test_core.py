@@ -3,7 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from ebsim.core import avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
-from ebsim.sim import Engine, SimulationError, run
+from ebsim.sim import Engine, RunSpec, SimulationError, run
 from ebsim.topology import make_regular_grid, make_complete
 
 from engine_steps import deliver
@@ -23,8 +23,8 @@ def _engine(eps, sigma, mrf=False, period=T):
     # refractory gates only phase 0, which every window holds
     cfg = ProtocolConfig(period_t=period, epsilon=eps, sigma=sigma, s_th=80.0,
                          init_listen_periods=0)
-    return Engine(make_complete(2), cfg,
-                  mrf=MrfConfig(1, sleep_during_refractory=False) if mrf else None)
+    return Engine(RunSpec(make_complete(2), cfg,
+                          mrf=MrfConfig(1, sleep_during_refractory=False) if mrf else None))
 
 
 def _hear(remaining, eps, sigma, mrf=False, period=T):

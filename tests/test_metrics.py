@@ -2,7 +2,7 @@ import pytest
 
 from ebsim.metrics import COLUMNS, MetricsRow, export_csv, steady_state
 from ebsim.protocol import Mode, ProtocolConfig
-from ebsim.sim import ChurnEvent, Engine, EventKind, run
+from ebsim.sim import ChurnEvent, Engine, EventKind, RunSpec, run
 from ebsim.topology import Topology, make_complete, make_regular_grid
 
 from engine_steps import deliver
@@ -39,7 +39,7 @@ def test_duty_cycle_mixed():
     # one steady node awake 2 * 0.025 of the period, one synchronizing and
     # one recovering node listening all of it
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
-    eng = Engine(make_complete(3), cfg, horizon=1, seed=0)
+    eng = Engine(RunSpec(make_complete(3), cfg, horizon=1, seed=0))
     steady, awake, recovering = eng.nodes[0], eng.nodes[1], eng.nodes[2]
     steady.mode, awake.mode = Mode.STEADY, Mode.SYNCHRONIZATION
     recovering.mode = Mode.RECOVERY
@@ -62,7 +62,7 @@ def _thr(received):
     # 25 nodes of degree 4: one period's receptions against the ceiling of
     # one broadcast per node heard by every neighbour
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
-    eng = Engine(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0)
+    eng = Engine(RunSpec(make_regular_grid(5, 5, True), cfg, horizon=1, seed=0))
     eng._handle_sample(1000, received, 0)
     return eng.series[-1].thr_pct
 
@@ -95,7 +95,7 @@ def test_averages_add_left_to_right():
     rows = [_row(k) for k in range(9)] + [_row(9 + k, dplus=x) for k, x in enumerate(UNEVEN)]
     assert steady_state(rows)["dplus"] == 0.0  # the mean of the last 3 rows
     cfg = ProtocolConfig(period_t=1000, epsilon=0.025, sigma=0.01, s_th=80.0)
-    eng = Engine(make_complete(3), cfg, horizon=1, seed=0)
+    eng = Engine(RunSpec(make_complete(3), cfg, horizon=1, seed=0))
     for node, accum in zip(eng.nodes.values(), UNEVEN):
         node.advance_accum = accum
     eng._handle_sample(1000, 0, 0)

@@ -2,7 +2,7 @@ import pytest
 
 from ebsim.protocol import (Mode, MrfConfig, NodeState, ProtocolConfig,
                             Variant, effective_epsilon)
-from ebsim.sim import Engine, SimulationError
+from ebsim.sim import Engine, RunSpec, SimulationError
 from ebsim.topology import make_complete
 
 from engine_steps import deliver, fire
@@ -26,8 +26,8 @@ def make_node(mode=Mode.SYNCHRONIZATION, estimate=4, next_fire=2 * T, **kw):
 
 def _engine(node, cfg, mrf, payload_rate=1.0):
     # a pair whose node 0 is the given node
-    eng = Engine(make_complete(2), cfg or make_cfg(), mrf=mrf,
-                 payload_rate=payload_rate)
+    eng = Engine(RunSpec(make_complete(2), cfg or make_cfg(), mrf=mrf,
+                         payload_rate=payload_rate))
     eng.nodes[0] = node
     return eng
 
@@ -60,7 +60,7 @@ def test_config_validation():
     for field, value in (("period_t", 0), ("epsilon", 0.7), ("sigma", 1.0), ("s_th", 120.0),
                          ("c0", 0), ("init_listen_periods", -1)):
         with pytest.raises(SimulationError, match=f"^protocol {field} {value} must be"):
-            Engine(make_complete(2), make_cfg(**{field: value}))
+            Engine(RunSpec(make_complete(2), make_cfg(**{field: value})))
 
 
 def test_phase_at():
@@ -263,7 +263,7 @@ def test_mrf_config_validation():
     # the engine checks the refractory, 0 < refractory < period_t
     for refractory in (0, -T, T):
         with pytest.raises(SimulationError, match=f"mrf refractory {refractory} must be"):
-            Engine(make_complete(2), make_cfg(), mrf=MrfConfig(refractory))
+            Engine(RunSpec(make_complete(2), make_cfg(), mrf=MrfConfig(refractory)))
 
 
 def test_mrf_refractory_blocks_coupling():

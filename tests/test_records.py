@@ -15,7 +15,7 @@ from ebsim.params import ParamReport
 from ebsim.protocol import Mode, MrfConfig, NodeState, ProtocolConfig
 from ebsim.scenario import ScenarioConfig, SweepSpec, parse_scenario_text
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
-                       RunResult)
+                       RunResult, RunSpec)
 from ebsim.topology import Topology, TopologyError
 
 CONFIGS = {
@@ -37,6 +37,13 @@ CONFIGS = {
     "SweepSpec": (SweepSpec(parameter="run.seed", values=(1, 2)),
                   "SweepSpec(parameter='run.seed', values=(1, 2))"),
 }
+# the record of a run, its defaults written out
+CONFIGS["RunSpec"] = (RunSpec(Topology({0: {1}, 1: {0}}), CONFIGS["ProtocolConfig"][0]),
+                      "RunSpec(topology=Topology(adjacency={0: {1}, 1: {0}}), "
+                      f"protocol={CONFIGS['ProtocolConfig'][1]}, mrf=None, "
+                      f"delay={CONFIGS['DelayModel'][1]}, fault={CONFIGS['LinkFaultModel'][1]}, "
+                      f"drift={CONFIGS['ClockDriftModel'][1]}, churn=(), horizon=50, seed=0, "
+                      "payload_rate=1.0)")
 
 SCENARIO = """
 topology.kind = grid
@@ -101,15 +108,22 @@ def test_a_node_state_starts_with_its_defaults_and_fresh_containers():
 
 def test_a_scenario_config_is_read_only_and_equal_without_given():
     cfg = parse_scenario_text(SCENARIO)
-    fields = {name: getattr(cfg, name) for name in ScenarioConfig.__slots__}
-    assert ScenarioConfig(**fields) == cfg
-    assert ScenarioConfig(**{**fields, "given": {}}) == cfg
-    assert ScenarioConfig(**{**fields, "seed": 1}) != cfg
-    assert repr(cfg).startswith(f"ScenarioConfig(given={cfg.given!r}, topology=Topology(")
-    assert repr(cfg).endswith(", horizon=50, seed=0, payload_rate=1.0, "
+    assert ScenarioConfig(**cfg._asdict()) == cfg
+    assert cfg._replace(given={}) == cfg and not cfg._replace(given={}) != cfg
+    assert cfg._replace(spec=cfg.spec._replace(seed=1)) != cfg
+    assert not cfg._replace(spec=cfg.spec._replace(seed=1)) == cfg
+    # the run's fields read through
+    assert (cfg.seed, cfg.mrf, cfg.topology) == (0, MrfConfig(500), cfg.spec.topology)
+    assert repr(cfg).startswith(f"ScenarioConfig(given={cfg.given!r}, "
+                                "spec=RunSpec(topology=Topology(")
+    assert repr(cfg).endswith(", horizon=50, seed=0, payload_rate=1.0), "
                               "sweep=SweepSpec(parameter='run.seed', values=(1, 2)))")
+    assert all(f"{name}=" in repr(cfg) for name in (*ScenarioConfig._fields, *RunSpec._fields))
+    for name in ("seed", "spec", "given"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, None)
     with pytest.raises(AttributeError):
-        cfg.seed = 1
+        cfg.no_such_field
     with pytest.raises(TypeError):
         hash(cfg)
     copy = pickle.loads(pickle.dumps(cfg))
@@ -147,8 +161,8 @@ def test_named_tuple_field_annotations_are_evaluated_types():
     tuples = {obj for module in modules for obj in vars(module).values()
               if isinstance(obj, type) and obj.__module__ == module.__name__
               and issubclass(obj, tuple) and hasattr(obj, "_fields")}
-    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "RunResult", "SweepSpec",
-            "ParamReport", "MetricsRow"} <= {cls.__name__ for cls in tuples}
+    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "RunResult", "RunSpec", "SweepSpec",
+            "ScenarioConfig", "ParamReport", "MetricsRow"} <= {cls.__name__ for cls in tuples}
     deferred = [f"{cls.__name__}.{name}" for cls in tuples
                 for name, annotation in cls.__annotations__.items()
                 if isinstance(annotation, (str, typing.ForwardRef))]

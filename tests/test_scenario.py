@@ -1,4 +1,3 @@
-import inspect
 import os
 import re
 import subprocess
@@ -9,7 +8,7 @@ import pytest
 from ebsim import cli, scenario
 from ebsim.cli import main
 from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
-from ebsim.sim import (ClockDriftModel, DelayModel, Engine, LinkFaultModel,
+from ebsim.sim import (ClockDriftModel, DelayModel, LinkFaultModel, RunSpec,
                        SimulationError)
 from ebsim.topology import make_regular_grid
 from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
@@ -289,13 +288,12 @@ def test_period_override_below_refractory_is_an_error():
 
 
 def test_key_defaults_match_the_library():
-    # a default written both in KEYS and on the field or Engine parameter
-    # the key sets must be the same value, of the same type
+    # a default written both in KEYS and on the RunSpec field, or field of
+    # a RunSpec record, that the key sets must be the same value, of the same type
     library = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
                "fault": LinkFaultModel, "drift": ClockDriftModel}
     defaults = {name: dict(cls._field_defaults) for name, cls in library.items()}
-    defaults[""] = {name: p.default
-                    for name, p in inspect.signature(Engine.__init__).parameters.items()}
+    defaults[""] = RunSpec._field_defaults
     compared = []
     for key, spec in KEYS.items():
         section, _, attr = (spec.field or "").rpartition(".")

@@ -11,7 +11,7 @@ from ebsim.core import avg_phase_difference
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.scenario import apply_override, parse_scenario, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
-                       EventKind, LinkFaultModel, SimulationError, run)
+                       EventKind, LinkFaultModel, RunSpec, SimulationError, run)
 from ebsim.topology import (Topology, make_complete, make_random_geometric,
                             make_regular_grid)
 
@@ -103,8 +103,8 @@ def test_total_loss_receives_nothing():
 
 
 def test_deterministic_delay_shifts_arrivals():
-    eng = Engine(path3(), make_cfg(), horizon=3, seed=0,
-                 delay=DelayModel(kind="deterministic", nu=10))
+    eng = Engine(RunSpec(path3(), make_cfg(), horizon=3, seed=0,
+                         delay=DelayModel(kind="deterministic", nu=10)))
     fire(eng, 1, 100)
     arrivals = sorted(ev for ev in eng._heap if ev[1] == 3)  # ARRIVAL kind
     assert [ev[0] for ev in arrivals[-2:]] == [110, 110]
@@ -121,7 +121,7 @@ def test_link_delay_table_is_deterministic_and_additive():
     assert table == model.link_table(topo)
     assert model.worst_case(topo) == 3 + max(table.values())
     assert DelayModel(kind="deterministic", nu=3).link_table(topo) == {}
-    eng = Engine(topo, make_cfg(), horizon=3, seed=0, delay=model)
+    eng = Engine(RunSpec(topo, make_cfg(), horizon=3, seed=0, delay=model))
     assert eng._fanout == {0: ((1, table[(0, 1)]),),
                            1: ((0, table[(1, 0)]), (2, table[(1, 2)])),
                            2: ((1, table[(2, 1)]),)}
@@ -138,7 +138,7 @@ def test_delay_constant_and_draw_split():
     assert DelayModel(kind="uniform", lo=2, hi=9).constant() is None
 
     def arrivals(delay):
-        eng = Engine(make_complete(4), make_cfg(), delay=delay)
+        eng = Engine(RunSpec(make_complete(4), make_cfg(), delay=delay))
         eng.rng = random.Random(4)
         fire(eng, 1, 100)
         return eng.rng, sorted((e[2], e[0]) for e in eng._heap if e[1] == EventKind.ARRIVAL)
@@ -156,7 +156,7 @@ def test_delay_model_validation():
     # the models are plain records; the engine refuses what no run can use
     def refused(match, **models):
         with pytest.raises(SimulationError, match=match):
-            Engine(pair(), make_cfg(), **models)
+            Engine(RunSpec(pair(), make_cfg(), **models))
     refused("unknown delay kind 'gaussian'", delay=DelayModel(kind="gaussian"))
     refused("delay hi 2 must be >= lo 5", delay=DelayModel(kind="uniform", lo=5, hi=2))
     refused("link_lo <= link_hi", delay=DelayModel(link_lo=-3, link_hi=5))
@@ -177,8 +177,8 @@ def test_delay_model_validation():
 def test_collision_overlapping_airtimes_destroy_both():
     # two arrivals 3 ticks apart with beta = 5 overlap: neither is received
     def engine():
-        return Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
-                      fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
+        return Engine(RunSpec(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                              fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5)))
     eng = engine()
     deliver(eng, 1000, (1000, 1, 0))
     assert eng.nodes[1].rx_pending == (0, 1000)
@@ -194,8 +194,8 @@ def test_collision_overlapping_airtimes_destroy_both():
 
 def test_back_to_back_receptions_do_not_collide():
     # second arrival lands exactly when the first commits: both received
-    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
-                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5))
+    eng = Engine(RunSpec(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                         fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5)))
     node = eng.nodes[1]
     deliver(eng, 2000, (1000, 1, 0), (1005, 1, 2))
     assert eng.stats["collisions"] == 0
@@ -216,8 +216,8 @@ def test_commit_ordered_before_same_tick_arrival():
     # fires and its broadcast lands on node 1: the commit runs after the
     # FIRE, before that ARRIVAL (which would otherwise destroy it) and
     # before the SAMPLE at 1000, whose bucket it counts in
-    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
-                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5),
+    eng = Engine(RunSpec(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                         fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5)),
                  trace=True)
     res = deliver(eng, 1000, (995, 1, 0),
                   events=[(1000, EventKind.FIRE, 2, eng.nodes[2].fire_seq)])
@@ -230,8 +230,8 @@ def test_commit_ordered_before_same_tick_arrival():
 
 
 def test_same_tick_commits_run_in_node_order():
-    eng = Engine(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
-                 fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5),
+    eng = Engine(RunSpec(path3(), make_cfg(init_listen_periods=3), horizon=5, seed=0,
+                         fault=LinkFaultModel(collisions_enabled=True, airtime_beta=5)),
                  trace=True)
     res = deliver(eng, 1000, (995, 2, 1), (997, 1, 2), (995, 0, 1))
     assert _fire_and_rx_lines(res.trace) == [
@@ -240,7 +240,7 @@ def test_same_tick_commits_run_in_node_order():
 
 
 def test_steady_node_sleeps_outside_window():
-    eng = Engine(path3(), make_cfg(), horizon=5, seed=0)
+    eng = Engine(RunSpec(path3(), make_cfg(), horizon=5, seed=0))
     node = eng.nodes[1]
     node.mode = Mode.STEADY
     node.next_fire = 1000 + node.period_ticks // 2  # phi = 0.5 at 1000
@@ -274,7 +274,7 @@ def test_fanout_follows_churn():
     # 3x3 torus: node 1 links to 0, 2, 4 and 7; node 4 leaves, node 9 joins
     delay = DelayModel(kind="deterministic", nu=3, link_lo=1, link_hi=9, link_seed=2)
     topo = make_regular_grid(3, 3, True)
-    eng = Engine(topo, make_cfg(), horizon=20, seed=0, delay=delay)
+    eng = Engine(RunSpec(topo, make_cfg(), horizon=20, seed=0, delay=delay))
     table = delay.link_table(topo)
 
     def broadcast(now, sender):
@@ -306,8 +306,8 @@ def test_fanout_follows_churn():
 def test_rejoin_under_the_same_id_gets_fresh_links():
     # node 4 leaves and comes back linked to 1 and 3: a join makes both
     # links anew, so neither direction keeps its drawn offset
-    eng = Engine(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
-                 delay=DelayModel(link_lo=5, link_hi=50, link_seed=1))
+    eng = Engine(RunSpec(make_regular_grid(3, 3, True), make_cfg(), horizon=20, seed=0,
+                         delay=DelayModel(link_lo=5, link_hi=50, link_seed=1)))
     assert dict(eng._fanout[1])[4] == 33 and dict(eng._fanout[4])[1] == 43
     eng._handle_churn(100, ChurnEvent(1, "leave", 4))
     eng._handle_churn(200, ChurnEvent(2, "join", 4, (1, 3)))
@@ -324,8 +324,8 @@ def test_rejoined_node_ignores_its_predecessors_fire_entries(seed, monkeypatch):
     churn = (ChurnEvent(0, "leave", 3), ChurnEvent(1, "join", 3, (2, 4, 8, 23)))
     counting = CountingHeap()
     monkeypatch.setattr(sim, "heapq", counting)
-    eng = Engine(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
-                 churn=churn, horizon=6, seed=seed)
+    eng = Engine(RunSpec(make_regular_grid(5, 5, True), cfg, drift=ClockDriftModel(20000, 50000),
+                         churn=churn, horizon=6, seed=seed))
     counting.engine = eng
     res = eng.run()
     fires = sum(len(ts) for ts in res.fire_times.values())
@@ -350,7 +350,7 @@ def test_tables_follow_churn_exactly(schedule):
     topo = Topology({u + 2: {v + 2 for v in nb} for u, nb in torus.adjacency.items()})
     delay = DelayModel(link_lo=1, link_hi=9, link_seed=3)
     offsets = delay.link_table(topo)
-    eng = Engine(topo, make_cfg(), horizon=20, seed=0, delay=delay)
+    eng = Engine(RunSpec(topo, make_cfg(), horizon=20, seed=0, delay=delay))
     adjacency = {u: set(nb) for u, nb in topo.adjacency.items()}
     joined = set()
     for t, (action, nid, edges) in enumerate(schedule, start=1):
@@ -394,7 +394,7 @@ def test_edgeless_network_is_rejected(topology):
     # no node can hear another: there is nothing to synchronize and no
     # reception ceiling for thr_pct
     with pytest.raises(SimulationError, match="no links"):
-        Engine(topology, make_cfg())
+        Engine(RunSpec(topology, make_cfg()))
 
 
 def test_churn_validation():
@@ -465,8 +465,8 @@ def test_heap_is_looked_up_through_the_module(monkeypatch):
                                  airtime_beta=3)):
         counting = CountingHeap()
         monkeypatch.setattr(sim, "heapq", counting)
-        eng = Engine(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
-                     delay=DelayModel(kind="uniform", lo=0, hi=30), fault=fault)
+        eng = Engine(RunSpec(make_regular_grid(5, 5, True), make_cfg(), horizon=10, seed=0,
+                             delay=DelayModel(kind="uniform", lo=0, hi=30), fault=fault))
         counting.engine = eng
         res = eng.run()
         assert (res.stats["collisions"] > 0) == fault.collisions_enabled
@@ -507,10 +507,10 @@ def test_every_queued_entry_is_time_kind_node_datum(monkeypatch):
     monkeypatch.setattr(sim, "deque", _RecordingDeque)
     churn = (ChurnEvent(2, "leave", 4), ChurnEvent(2, "leave", 7),
              ChurnEvent(3, "join", 4, (1, 3, 5)))
-    eng = Engine(make_regular_grid(5, 5, True), make_cfg(sigma=0.3), horizon=6, seed=0,
-                 delay=DelayModel(kind="uniform", lo=0, hi=30), churn=churn,
-                 fault=LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
-                                      airtime_beta=3))
+    eng = Engine(RunSpec(make_regular_grid(5, 5, True), make_cfg(sigma=0.3), horizon=6, seed=0,
+                         delay=DelayModel(kind="uniform", lo=0, hi=30), churn=churn,
+                         fault=LinkFaultModel(loss_probability=0.1, collisions_enabled=True,
+                                              airtime_beta=3)))
     assert all(type(entry) is tuple and len(entry) == 4 for entry in pushed)
     assert all(eng.nodes[nid].armed == [(at, seq)]
                for at, kind, nid, seq in pushed if kind == EventKind.FIRE)
@@ -531,7 +531,7 @@ def test_every_queued_entry_is_time_kind_node_datum(monkeypatch):
 
 def test_a_second_run_handles_nothing():
     # the horizon bounds every run: queued FIRE entries past it do not fire
-    eng = Engine(path3(), make_cfg(), horizon=3, seed=0)
+    eng = Engine(RunSpec(path3(), make_cfg(), horizon=3, seed=0))
     first = eng.run()
     rows, fires = list(first.series), {nid: list(ts) for nid, ts in first.fire_times.items()}
     second = eng.run()
@@ -544,8 +544,8 @@ def test_a_jump_queues_no_fire_entry_behind_an_earlier_one(monkeypatch):
     # has queued leaves few of them stale (one entry per jump left ~1/2)
     counting = CountingHeap()
     monkeypatch.setattr(sim, "heapq", counting)
-    eng = Engine(make_regular_grid(5, 5, True), make_cfg(period_t=10000, epsilon=0.1),
-                 delay=DelayModel(kind="deterministic", nu=500), horizon=20, seed=0)
+    eng = Engine(RunSpec(make_regular_grid(5, 5, True), make_cfg(period_t=10000, epsilon=0.1),
+                         delay=DelayModel(kind="deterministic", nu=500), horizon=20, seed=0))
     counting.engine = eng
     res = eng.run()
     fire_pops = counting.pops[EventKind.FIRE]

@@ -2,7 +2,7 @@ import pytest
 
 from ebsim.core import avg_phase_difference
 from ebsim.protocol import ProtocolConfig
-from ebsim.sim import Engine
+from ebsim.sim import Engine, RunSpec
 from ebsim.topology import (Topology, TopologyError, load_topology,
                             make_complete, make_random_geometric,
                             make_regular_grid)
@@ -30,7 +30,7 @@ def test_neighbour_table_leaves_out_isolated_nodes():
     # sorted neighbours, and warns once that it left the isolated node out
     topo = Topology({0: {2, 1}, 1: {0}, 2: {0}, 3: set()})
     cfg = ProtocolConfig(period_t=1000, epsilon=0.05, sigma=0.01, s_th=80.0)
-    eng = Engine(topo, cfg)
+    eng = Engine(RunSpec(topo, cfg))
     for now in (1000, 2000):
         phases = {nid: eng.nodes[nid].phase_at(now) for nid in (0, 1, 2)}
         eng._handle_sample(now, 0, 0)
