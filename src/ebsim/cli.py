@@ -13,7 +13,7 @@ import os
 import sys
 
 from .metrics import COLUMNS, export_csv, steady_state
-from .params import build_report
+from .params import ParamReport, build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
                        parse_scenario, resolved_text, run_config)
 from .sim import SimulationError
@@ -125,16 +125,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _execute_points(args, cfg, _sweep_points(cfg, args.scenario))
 
 
+def _report(cfg: ScenarioConfig) -> ParamReport:
+    return build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
-    if cfg.sweep is not None:
-        _sweep_points(cfg, args.scenario)  # a bad point fails here as it fails sweep
-    report = build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
+    # a bad point fails here as it fails sweep; --strict also judges each point
+    points = _sweep_points(cfg, args.scenario) if cfg.sweep is not None else []
+    report = _report(cfg)
     for line in report.lines():
         print(line)
-    if args.strict and not report.stable:
-        return 2
-    return 0
+    unstable = [cols for _, cols, point in points if args.strict and not _report(point).stable]
+    for cols in unstable:
+        print(f"{args.scenario}: sweep point {cols['parameter']} = {cols['value']} is unstable",
+              file=sys.stderr)
+    return 2 if args.strict and (unstable or not report.stable) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="print parameter analysis")
     p_check.add_argument("scenario", help="scenario file")
     p_check.add_argument("--strict", action="store_true",
-                         help="exit with status 2 if the configuration is unstable")
+                         help="exit with status 2 if the base or a sweep point is unstable")
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from ebsim.params import build_report
 from ebsim.protocol import ProtocolConfig, adaptive_c
-from ebsim.sim import Engine, RunSpec, SimulationError
+from ebsim.sim import DelayModel, Engine, RunSpec, SimulationError, run
 from ebsim.topology import make_complete, make_random_geometric, make_regular_grid
 
 
@@ -96,6 +96,39 @@ def test_check_stability():
 def test_check_stability_zero_delay_matches_bound(eps, sigma):
     # at epsilon = 0.5 no node can couple, so the bound says nothing there
     assert _judge(eps, sigma).stable == (sigma < eps / (1.0 - eps))
+
+
+def _late_fire_gaps(fire_times: dict[int, list[int]], start: int) -> set[int]:
+    """Each node's intervals between consecutive fires from tick start on."""
+    gaps = set()
+    for times in fire_times.values():
+        late = [t for t in times if t >= start]
+        gaps.update(b - a for a, b in zip(late, late[1:]))
+    return gaps
+
+
+@pytest.mark.parametrize("nu,stable", [(400, True), (500, False), (1000, False)])
+def test_two_nodes_echo_exactly_where_check_says_unstable(nu, stable):
+    # the delay echo on two nodes: A fires, B hears it nu later outside its
+    # window and jumps, firing sigma * remaining after that; A hears B's fire
+    # outside its own window and does the same.  In that orbit each node
+    # fires d = (nu (1 - sigma) + sigma T) / (1 + sigma) after the other and
+    # hears it at phase (2 delta + sigma) / (1 + sigma), above epsilon exactly
+    # when sigma > (epsilon - 2 delta) / (1 - epsilon): check's bound.  Below
+    # it the echo lands in the window and each node fires once a period
+    t, sigma = 10000, 0.01
+    cfg = ProtocolConfig(t, 0.1, sigma, 80, init_listen_periods=0)
+    topology = make_complete(2)
+    assert build_report(cfg, topology, nu).stable is stable
+    echo = 2 * (nu * (1 - sigma) + sigma * t) / (1 + sigma)  # 1,178 / 2,158 ticks
+    for seed in range(5):
+        res = run(topology, cfg, delay=DelayModel("deterministic", nu=nu), horizon=50, seed=seed)
+        gaps = _late_fire_gaps(res.fire_times, 25 * t)  # periods 25-49
+        if stable:
+            assert gaps == {t}, seed
+        else:
+            echoes = {gap for gap in gaps if abs(gap - echo) <= 1}
+            assert echoes and gaps - echoes <= {t}, (seed, gaps)
 
 
 def test_build_report_rejects_negative_delay():

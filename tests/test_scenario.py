@@ -312,6 +312,17 @@ def test_key_defaults_match_the_library():
         "run.payload_rate", "churn"]
 
 
+def test_the_keys_set_every_run_input_and_nothing_else():
+    # each key sets a RunSpec field (a record's field through it) or the
+    # sweep, and every RunSpec field is set by some key: the topology by
+    # the topology.* keys that build it
+    heads = {spec.field.split(".")[0] for spec in KEYS.values() if spec.field}
+    assert heads <= {*RunSpec._fields, "sweep"}
+    assert set(RunSpec._fields) <= heads
+    assert [key for key, spec in KEYS.items() if (spec.field or "").startswith("topology.")] == [
+        key for key in KEYS if key.startswith("topology.")]
+
+
 WITH_MRF = (MINIMAL.replace("period_t = 1000", "period_t = 10000")
             + "mrf.enabled = true\nrun.horizon = 2\n")
 
@@ -518,6 +529,20 @@ def test_cli_check_strict_exit(tmp_path, capsys):
     assert "stable           = NO" in capsys.readouterr().out
     path = _write(tmp_path, MINIMAL)
     assert main(["check", path, "--strict"]) == 0
+    path = _write(tmp_path, MINIMAL + "sweep.parameter = run.seed\nsweep.values = [1, 2]\n")
+    assert main(["check", path, "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+    # a stable base whose sweep reaches unstable points: --strict judges
+    # every point, names the unstable ones and leaves stdout as it was
+    path = os.path.join(SCENARIO_DIR, "delay_sweep.txt")
+    assert main(["check", path]) == 0
+    plain = capsys.readouterr()
+    assert "stable           = yes" in plain.out and plain.err == ""
+    assert main(["check", path, "--strict"]) == 2
+    strict = capsys.readouterr()
+    assert strict.out == plain.out
+    assert strict.err == "".join(f"{path}: sweep point delay.nu = {nu} is unstable\n"
+                                 for nu in (500, 1000))
 
 
 def test_cli_parse_error_is_reported(tmp_path, capsys):
