@@ -176,8 +176,8 @@ class Engine:
         self.horizon, self.T = spec.horizon, spec.protocol.period_t
         self.rng = random.Random(spec.seed)
         self.trace: list[str] | None = [] if trace else None
-        # lossless all-awake ceiling of receptions per node and period
         topology = spec.topology
+        # lossless all-awake ceiling of receptions per node and period
         self.avg_degree = topology.average_degree
 
         self._heap: list = []
