@@ -5,8 +5,8 @@ fire messages and nudging their phases; once synchronized, radios stay on
 only inside a short wake-up window around the common fire instant.
 
 ebsim.protocol holds each node's configuration and state, and ebsim.core
-the phase helpers; Engine runs every node transition, and build_report is
-the `check` analysis.
+the phase metric; Engine runs every node transition of a sim.RunSpec, and
+build_report(spec) is the `check` analysis of one.
 """
 
 from .metrics import MetricsRow, export_csv, steady_state

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .metrics import COLUMNS, export_csv, steady_state
-from .params import ParamReport, build_report
+from .params import build_report
 from .scenario import (ScenarioConfig, ScenarioError, apply_override,
                        parse_scenario, resolved_text, run_config)
 from .sim import SimulationError
@@ -125,18 +125,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _execute_points(args, cfg, _sweep_points(cfg, args.scenario))
 
 
-def _report(cfg: ScenarioConfig) -> ParamReport:
-    return build_report(cfg.protocol, cfg.topology, cfg.delay.worst_case(cfg.topology))
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     # a bad point fails here as it fails sweep; --strict also judges each point
     points = _sweep_points(cfg, args.scenario) if cfg.sweep is not None else []
-    report = _report(cfg)
+    report = build_report(cfg.spec)
     for line in report.lines():
         print(line)
-    unstable = [cols for _, cols, point in points if args.strict and not _report(point).stable]
+    unstable = [cols for _, cols, point in points
+                if args.strict and not build_report(point.spec).stable]
     for cols in unstable:
         print(f"{args.scenario}: sweep point {cols['parameter']} = {cols['value']} is unstable",
               file=sys.stderr)

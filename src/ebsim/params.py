@@ -1,13 +1,14 @@
-"""The `check` analysis of a configuration on its topology, as one report.
+"""The `check` analysis of a run's RunSpec, as one report.
 
-build_report is pure; durations are integer ticks (1 tick = 1 ms of model
-time by default) and phase quantities are fractions of the period.
+build_report is pure, and refuses what the engine refuses; durations are
+integer ticks (1 tick = 1 ms of model time by default) and phase
+quantities are fractions of the period.
 """
 
 from typing import NamedTuple
 
-from .protocol import ProtocolConfig, adaptive_c, effective_epsilon
-from .topology import Topology
+from .protocol import adaptive_c, effective_epsilon
+from .sim import RunSpec, SimulationError, run_error
 
 
 class ParamReport(NamedTuple):
@@ -46,18 +47,23 @@ class ParamReport(NamedTuple):
         return out
 
 
-def build_report(cfg: ProtocolConfig, topology: Topology, nu: int) -> ParamReport:
-    """The analysis of cfg on topology under a worst-case delay of nu ticks.
+def build_report(spec: RunSpec) -> ParamReport:
+    """The analysis of spec's protocol on its topology under its worst-case
+    delay nu: the largest jitter plus the largest link offset.  A spec the
+    Engine refuses raises run_error's message as a SimulationError.
 
     Adaptive C widens each coupled node's window with its degree, so
     stability is judged at the narrowest window any node runs (epsilon) and
     epsilon_max is the widest; epsilon_opt uses the average degree.
     """
-    if nu < 0:
-        raise ValueError("delay nu must be >= 0")
+    if bad := run_error(spec):
+        raise SimulationError(bad[1])
+    cfg, topology, delay = spec.protocol, spec.topology, spec.delay
+    jitter, offsets = delay.constant(), delay.link_table(topology).values()
+    nu = (delay.hi if jitter is None else jitter) + max(offsets, default=0)
     t = cfg.period_t
     degrees = [len(topology.adjacency[nid]) for nid in topology.node_ids]
-    windows = [effective_epsilon(cfg, d) for d in degrees if d > 0] or [cfg.epsilon]
+    windows = [effective_epsilon(cfg, d) for d in degrees if d > 0]  # run_error wants links
     epsilon = min(windows)
     delta = nu / t
     # a heard fire lands the listener back inside the firer's window while

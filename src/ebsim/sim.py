@@ -91,11 +91,6 @@ class DelayModel(NamedTuple):
         """Every message's jitter when it takes no draw; None for uniform."""
         return {"none": 0, "deterministic": self.nu}.get(self.kind)
 
-    def worst_case(self, topology: Topology) -> int:
-        jitter = self.constant()
-        base = self.hi if jitter is None else jitter
-        return base + max(self.link_table(topology).values(), default=0)
-
 
 class LinkFaultModel(NamedTuple):
     """Independent per-(message, receiver) loss plus optional collisions.

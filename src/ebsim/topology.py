@@ -55,8 +55,8 @@ class Topology:
 def make_regular_grid(rows: int, cols: int, wraparound: bool) -> Topology:
     """Grid of rows x cols nodes, each linked to its 4 nearest neighbours.
 
-    With wraparound=True the grid closes into a torus and every node has
-    degree exactly 4.
+    With wraparound=True the grid closes into a torus: every node has
+    degree 4, less where a side of 2 makes its two neighbours along it one.
     """
     if rows < 2 or cols < 2:
         raise TopologyError("grid needs rows >= 2 and cols >= 2")
@@ -70,9 +70,7 @@ def make_regular_grid(rows: int, cols: int, wraparound: bool) -> Topology:
                     rr, cc = rr % rows, cc % cols
                 elif not (0 <= rr < rows and 0 <= cc < cols):
                     continue
-                other = rr * cols + cc
-                if other != nid:
-                    adjacency[nid].add(other)
+                adjacency[nid].add(rr * cols + cc)
     return Topology(adjacency)
 
 

@@ -12,6 +12,7 @@ import importlib
 import io
 import os
 import pkgutil
+import re
 import tempfile
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ebsim
 from ebsim import cli, scenario
+from ebsim.params import ParamReport, build_report
 from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import (KEYS, SWEEPABLE, ScenarioError, apply_override,
                             parse_scenario, parse_scenario_text)
@@ -60,6 +62,11 @@ RULES = {
                       f"protocol period_t {HUGE} must be in [1, 2^53]"),
     "epsilon": (_protocol(epsilon=0.7), "protocol.epsilon = 0.7", 0,
                 "protocol epsilon 0.7 must be in (0, 0.5]"),
+    # the closed-form bound alone calls this stable, with sigma_max 9.0
+    "epsilon_0.9": (_protocol(epsilon=0.9), "protocol.epsilon = 0.9", 0,
+                    "protocol epsilon 0.9 must be in (0, 0.5]"),
+    "epsilon_nan": (_protocol(epsilon=float("nan")), "protocol.epsilon = nan", 0,
+                    "protocol epsilon nan must be in (0, 0.5]"),
     "sigma": (_protocol(sigma=1.0), "protocol.sigma = 1", 0, "protocol sigma 1.0 must be in (0, 1)"),
     "s_th": (_protocol(s_th=120.0), "protocol.s_th = 120", 0,
              "protocol s_th 120.0 must be in [0, 100]"),
@@ -120,9 +127,11 @@ RULES = {
 
 @pytest.mark.parametrize("engine,lines,offset,message", RULES.values(), ids=RULES)
 def test_each_rule_holds_in_the_engine_and_at_its_key(engine, lines, offset, message):
-    with pytest.raises(SimulationError) as err:
-        Engine(RunSpec(make_regular_grid(3, 3, False), **{"protocol": CFG, **engine}))
-    assert str(err.value) == message
+    spec = RunSpec(make_regular_grid(3, 3, False), **{"protocol": CFG, **engine})
+    for judge in (Engine, build_report):  # check refuses what the engine refuses
+        with pytest.raises(SimulationError) as err:
+            judge(spec)
+        assert str(err.value) == message, judge
     keys = {line.split(" = ")[0] for line in lines.splitlines()}
     base = "".join(line for line in BASE.splitlines(keepends=True)
                    if line.split(" = ")[0] not in keys)
@@ -396,17 +405,21 @@ def _records(draw) -> dict[str, dict]:
 @example(_runnable(adaptive_c=True, odd=[("protocol", "c0", HUGE)]), False)
 def test_the_engine_runs_or_refuses_any_record(fields, baseline):
     # the records take any value; the Engine refuses with run_error's
-    # message, or the run of two periods completes
+    # message, or the run of two periods completes; build_report refuses
+    # exactly what the Engine refuses, with the same message
     args = {name: make(**fields[name]) for name, make in _RECORDS.items()}
     args.update(churn=(args["churn"],), mrf=args["mrf"] if baseline else None,
                 horizon=2, **fields["run"])
-    topology = make_regular_grid(3, 3, False)
+    spec = RunSpec(make_regular_grid(3, 3, False), **args)
     try:
-        engine = Engine(RunSpec(topology, **args))
+        report = build_report(spec)
     except SimulationError as exc:
-        assert str(exc) == run_error(RunSpec(topology, **args))[1]
+        assert str(exc) == run_error(spec)[1]
+        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+            Engine(spec)
     else:
-        assert len(engine.run().series) == 2
+        assert isinstance(report, ParamReport)
+        assert len(Engine(spec).run().series) == 2
 
 
 # field values that a value rule would refuse, whatever the field

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,21 +10,28 @@ from ebsim.sim import DelayModel, Engine, RunSpec, SimulationError, run
 from ebsim.topology import make_complete, make_random_geometric, make_regular_grid
 
 
+def _delay(nu):
+    return DelayModel("deterministic", nu=nu)
+
+
 def _opt(beta, degree, nu, t):
     """epsilon_opt as check reports it: c0 is beta, and a complete network
     of degree + 1 nodes has that average degree."""
-    return build_report(ProtocolConfig(t, 0.1, 0.01, 80, c0=beta),
-                        make_complete(degree + 1), nu).epsilon_opt
+    cfg = ProtocolConfig(t, 0.1, 0.01, 80, c0=beta)
+    return build_report(RunSpec(make_complete(degree + 1), cfg, delay=_delay(nu))).epsilon_opt
 
 
 def _judge(eps, sigma, nu=0, t=10000):
-    return build_report(ProtocolConfig(t, eps, sigma, 80), make_complete(2), nu)
+    return build_report(RunSpec(make_complete(2), ProtocolConfig(t, eps, sigma, 80),
+                                delay=_delay(nu)))
 
 
 def test_epsilon_opt_zero_airtime():
-    # a lone node has no neighbourhood of broadcasts to fit
-    assert _opt(40, 0, 0, 10000) == 0.0
-    assert _opt(40, 0, 250, 10000) == pytest.approx(0.05)  # 4 nu / 2T
+    # a lone node has no neighbourhood of broadcasts to fit, and no link:
+    # the engine cannot run it, so check refuses it too
+    with pytest.raises(SimulationError, match="the network has no links"):
+        _opt(40, 0, 0, 10000)
+    assert _opt(40, 1, 250, 10000) - _opt(40, 1, 0, 10000) == pytest.approx(0.05)  # 4 nu / 2T
 
 
 def test_epsilon_opt_substitution():
@@ -31,13 +41,14 @@ def test_epsilon_opt_substitution():
 
 
 def test_epsilon_opt_clamped():
-    r = build_report(ProtocolConfig(1000, 0.1, 0.01, 80, c0=1000), make_complete(101), 0)
+    r = build_report(RunSpec(make_complete(101), ProtocolConfig(1000, 0.1, 0.01, 80, c0=1000)))
     assert r.epsilon_opt == 0.5 and any("0.5 ceiling" in w for w in r.warnings)
     with pytest.raises(SimulationError, match="protocol period_t 0"):  # the engine refuses it
         Engine(RunSpec(make_complete(2), ProtocolConfig(0, 0.1, 0.01, 80, c0=10)))
 
 
-@given(st.integers(1, 100), st.integers(0, 50), st.integers(0, 1000),
+# a degree of 0 is a network without links, which check refuses
+@given(st.integers(1, 100), st.integers(1, 50), st.integers(0, 1000),
        st.integers(1, 10**6))
 def test_epsilon_opt_monotone(beta, n, nu, t):
     base = _opt(beta, n, nu, t)
@@ -119,7 +130,7 @@ def test_two_nodes_echo_exactly_where_check_says_unstable(nu, stable):
     t, sigma = 10000, 0.01
     cfg = ProtocolConfig(t, 0.1, sigma, 80, init_listen_periods=0)
     topology = make_complete(2)
-    assert build_report(cfg, topology, nu).stable is stable
+    assert build_report(RunSpec(topology, cfg, delay=_delay(nu))).stable is stable
     echo = 2 * (nu * (1 - sigma) + sigma * t) / (1 + sigma)  # 1,178 / 2,158 ticks
     for seed in range(5):
         res = run(topology, cfg, delay=DelayModel("deterministic", nu=nu), horizon=50, seed=seed)
@@ -132,12 +143,13 @@ def test_two_nodes_echo_exactly_where_check_says_unstable(nu, stable):
 
 
 def test_build_report_rejects_negative_delay():
-    with pytest.raises(ValueError, match="nu"):
-        build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), -1)
+    with pytest.raises(SimulationError, match="delay nu -1 must be in"):
+        build_report(RunSpec(make_complete(2), ProtocolConfig(10000, 0.1, 0.01, 80),
+                             delay=_delay(-1)))
 
 
 def test_build_report_stable_case():
-    r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 0)
+    r = build_report(RunSpec(make_complete(2), ProtocolConfig(10000, 0.1, 0.01, 80)))
     assert r.stable
     assert r.sigma_max == pytest.approx(1 / 9)
     assert r.delta == 0.0 and r.budgets is None
@@ -145,7 +157,7 @@ def test_build_report_stable_case():
 
 
 def test_build_report_unstable_and_warning():
-    r = build_report(ProtocolConfig(1000, 0.01, 0.02, 80), make_complete(2), 0)
+    r = build_report(RunSpec(make_complete(2), ProtocolConfig(1000, 0.01, 0.02, 80)))
     assert not r.stable and r.margin < 0
 
 
@@ -158,7 +170,7 @@ def test_build_report_unstable_and_warning():
 def test_build_report_whole_period_window_cannot_couple(cfg):
     # the closed-form bound alone calls this stable, but a window over the
     # whole period gives the coupling jump no phase to act on
-    r = build_report(cfg, make_complete(3), 0)
+    r = build_report(RunSpec(make_complete(3), cfg))
     assert r.epsilon == 0.5 and not r.stable
     assert "stable           = NO" in r.lines()
     assert any("no node can couple" in w for w in r.warnings)
@@ -168,14 +180,15 @@ def test_build_report_whole_period_window_has_no_margin():
     # no node can couple, so there is no coupling strength to bound: the
     # closed form would print sigma_max = 1.0 and a margin of 0.99
     cfg = ProtocolConfig(1000, 0.01, 0.01, 100, c0=600, adaptive_c=True)
-    r = build_report(cfg, make_complete(3), 0)
+    r = build_report(RunSpec(make_complete(3), cfg))
     assert r.sigma_max is None and r.margin is None
     assert "sigma_max        = n/a" in r.lines()
     assert "stability margin = n/a" in r.lines()
 
 
 def test_build_report_no_valid_sigma_warning():
-    r = build_report(ProtocolConfig(10000, 0.1, 0.01, 80), make_complete(2), 500)
+    r = build_report(RunSpec(make_complete(2), ProtocolConfig(10000, 0.1, 0.01, 80),
+                             delay=_delay(500)))
     assert r.delta == pytest.approx(0.05)
     assert any("no valid sigma" in w for w in r.warnings)
 
@@ -183,7 +196,7 @@ def test_build_report_no_valid_sigma_warning():
 def test_build_report_adaptive_table():
     topo = make_regular_grid(5, 5, wraparound=True)
     cfg = ProtocolConfig(10000, 0.05, 0.01, 80, adaptive_c=True)
-    r = build_report(cfg, topo, 0)
+    r = build_report(RunSpec(topo, cfg))
     assert r.budgets == (160, 160) and r.nodes == 25
     assert any("adaptive C range = 160..160 ticks (25 nodes)" in line for line in r.lines())
 
@@ -193,6 +206,17 @@ def test_build_report_epsilon_below_opt_warning():
     # below epsilon_opt for an average degree of about 20
     topo = make_random_geometric(87, 0.320408, seed=7)
     cfg = ProtocolConfig(30000, 0.001, 0.0005, 80, adaptive_c=True)
-    r = build_report(cfg, topo, 0)
+    r = build_report(RunSpec(topo, cfg))
     assert r.epsilon == pytest.approx(0.004)
     assert any("below epsilon_opt" in w for w in r.warnings)
+
+
+def test_the_stability_map_script_runs_one_point():
+    # experiments/stability_map.py is outside tier-1; one short point here
+    # keeps an API change from breaking it silently
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "experiments", "stability_map.py")
+    spec = importlib.util.spec_from_file_location("stability_map", path)
+    stability_map = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stability_map)
+    assert len(stability_map.points()) == 56
+    assert stability_map.judge(0.1, 0.01, 0.02, seeds=1, periods=5, settled_from=2) == (True, 1)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebsim import sim
 from ebsim.core import avg_phase_difference
+from ebsim.params import build_report
 from ebsim.protocol import Mode, MrfConfig, ProtocolConfig
 from ebsim.scenario import apply_override, parse_scenario, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, Engine,
@@ -119,7 +120,10 @@ def test_link_delay_table_is_deterministic_and_additive():
     links = [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert table == {link: rng.randint(5, 25) for link in links}
     assert table == model.link_table(topo)
-    assert model.worst_case(topo) == 3 + max(table.values())
+    # check judges at the largest jitter plus the largest offset
+    for delay, jitter in ((model, 3), (model._replace(kind="uniform", nu=0, lo=1, hi=7), 7)):
+        report = build_report(RunSpec(topo, make_cfg(), delay=delay))
+        assert report.delta == (jitter + max(table.values())) / 1000
     assert DelayModel(kind="deterministic", nu=3).link_table(topo) == {}
     eng = Engine(RunSpec(topo, make_cfg(), horizon=3, seed=0, delay=model))
     assert eng._fanout == {0: ((1, table[(0, 1)]),),
