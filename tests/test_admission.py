@@ -12,7 +12,6 @@ import importlib
 import io
 import os
 import pkgutil
-import re
 import tempfile
 
 import pytest
@@ -415,8 +414,9 @@ def test_the_engine_runs_or_refuses_any_record(fields, baseline):
         report = build_report(spec)
     except SimulationError as exc:
         assert str(exc) == run_error(spec)[1]
-        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+        with pytest.raises(SimulationError) as err:
             Engine(spec)
+        assert str(err.value) == str(exc)
     else:
         assert isinstance(report, ParamReport)
         assert len(Engine(spec).run().series) == 2
