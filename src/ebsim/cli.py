@@ -100,7 +100,7 @@ def _scenario(args: argparse.Namespace) -> ScenarioConfig:
 def _sweep_points(cfg: ScenarioConfig, source: str) -> list[tuple[str, dict, ScenarioConfig]]:
     """Each (file tag, columns, point) of cfg's sweep, the point built; two
     values that build one point would run it twice, and fail."""
-    param, values, first = cfg.sweep.parameter, cfg.sweep.values, {}
+    param, values, first = cfg.given["sweep.parameter"], cfg.given["sweep.values"], {}
     short = param.split(".")[-1]
     points = [apply_override(cfg, param, value) for value in values]
     for i, point in enumerate(points):  # they share cfg's network, so compare the rest
@@ -118,9 +118,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _scenario(args)
-    if cfg.sweep is None:
+    if "sweep.parameter" not in cfg.given:
         raise ScenarioError(f"{args.scenario}: no sweep.parameter defined")
-    if args.seed is not None and cfg.sweep.parameter == "run.seed":
+    if args.seed is not None and cfg.given["sweep.parameter"] == "run.seed":
         raise ScenarioError(f"{args.scenario}: --seed does not apply to a run.seed sweep")
     return _execute_points(args, cfg, _sweep_points(cfg, args.scenario))
 
@@ -128,7 +128,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_scenario(args.scenario)
     # a bad point fails here as it fails sweep; --strict also judges each point
-    points = _sweep_points(cfg, args.scenario) if cfg.sweep is not None else []
+    points = _sweep_points(cfg, args.scenario) if "sweep.parameter" in cfg.given else []
     report = build_report(cfg.spec)
     for line in report.lines():
         print(line)

@@ -8,8 +8,8 @@ Grammar (one entry per line):
 Durations are integer ticks (1 tick = 1 ms).  KEYS is the one registry of
 keys: parsing, sweep overrides and the resolved-config echo are all derived
 from it (the README's key table mirrors it).  A parsed scenario is a
-ScenarioConfig: the keys as given, the sim.RunSpec they build, and the
-sweep.  Churn entries use indexed keys:
+ScenarioConfig: the keys as given and the sim.RunSpec they build.  Churn
+entries use indexed keys:
 
     churn.1 = leave 12 at 30
     churn.2 = join 25 at 60 edges 7,11,13,17
@@ -29,16 +29,11 @@ class ScenarioError(ValueError):
     pass
 
 
-class SweepSpec(NamedTuple):
-    parameter: str
-    values: tuple
-
-
 class ScenarioConfig(NamedTuple):
     """A parsed scenario, or one of its sweep points; read-only.
 
-    given holds the keys as written (a point's override included), outside
-    equality; resolved_text and apply_override resolve it again, so a
+    given holds the keys as written, a point's override and the sweep's two
+    keys included; resolved_text and apply_override resolve it again, so a
     default tied to another key (mrf.t_ref = T/2) follows that key.  spec,
     the run, is built from it and passes sim.run_error, so a run of it can
     start; its fields read through (cfg.seed is cfg.spec.seed).
@@ -46,16 +41,9 @@ class ScenarioConfig(NamedTuple):
 
     given: dict[str, object]
     spec: RunSpec
-    sweep: SweepSpec | None
 
     def __getattr__(self, name: str):
         return getattr(self.spec, name)
-
-    def __eq__(self, other: object) -> bool:
-        return self[1:] == other[1:] if type(other) is ScenarioConfig else NotImplemented
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's
-    __hash__ = None
 
 
 # each topology kind: the name of its builder here (looked up per call, so a
@@ -153,7 +141,8 @@ _BOOL = _Type("bool", _bool, lambda v: str(v).lower())
 class Key(NamedTuple):
     """One scenario key: how its value is read and echoed, its default and
     the field it sets: a sim.RunSpec field, or "section.attribute" of a
-    RunSpec record or of the sweep.  A key without one only switches others on.
+    RunSpec record.  A key without one only switches others on (mrf.enabled)
+    or is read from given (the sweep's two keys).
     applies(given) says whether the key takes part at all; a key that does
     not is neither required, built nor echoed, and an error when given.
     An indexed key is written key.N, N a positive integer and each N once;
@@ -230,10 +219,10 @@ KEYS: dict[str, Key] = {
     "churn": Key(_Type("churn entry 'leave <id> at <period>' or "
                        "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
                  (), "churn", indexed=True),
-    "sweep.parameter": Key(_STR, _REQUIRED, "sweep.parameter", _SWEEP),
+    "sweep.parameter": Key(_STR, _REQUIRED, None, _SWEEP),
     "sweep.values": Key(_Type("non-empty [a, b, ...] list", _list,
                               lambda v: f"[{', '.join(map(str, v))}]"),
-                        _REQUIRED, "sweep.values", _SWEEP),
+                        _REQUIRED, None, _SWEEP),
 }
 
 # a sweep may vary any single-valued key outside the topology (churn
@@ -246,7 +235,7 @@ _KEY_OF = {spec.field: key for key, spec in KEYS.items() if spec.field} | {"topo
 
 # the records built from the keys' "section.attribute" fields
 _SECTIONS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
-             "fault": LinkFaultModel, "drift": ClockDriftModel, "sweep": SweepSpec}
+             "fault": LinkFaultModel, "drift": ClockDriftModel}
 
 
 def _read(key: str, text: str, where: str):
@@ -297,11 +286,10 @@ def _build(given: dict[str, object], where: Callable[[str | None], str],
             raise ScenarioError(f"{where('topology.kind')}: topology: {exc}") from None
     records = {name: make(**kwargs[name]) if kwargs[name] else None
                for name, make in _SECTIONS.items()}
-    sweep = records.pop("sweep")
     spec = RunSpec(topology, **records, **top)
     if bad := run_error(spec):
         raise ScenarioError(f"{where(_KEY_OF.get(bad[0], bad[0]))}: {bad[1]}")
-    return ScenarioConfig(given, spec, sweep)
+    return ScenarioConfig(given, spec)
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioConfig:

@@ -172,7 +172,7 @@ class Engine:
         self.rng = random.Random(spec.seed)
         self.trace: list[str] | None = [] if trace else None
         topology = spec.topology
-        # lossless all-awake ceiling of receptions per node and period
+        # thr_pct's divisor per live node: the pre-churn average degree, not a ceiling
         self.avg_degree = topology.average_degree
 
         self._heap: list = []

@@ -6,10 +6,12 @@ together they take on the order of a minute.
 """
 
 import heapq
+import importlib.util
+import os
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ebsim.metrics import export_csv
 from ebsim.protocol import MrfConfig, ProtocolConfig
@@ -215,6 +217,19 @@ def test_c8_mrf_comparison():
         f"throughput {ebs_thr:.1f}% vs {mrf_thr:.1f}% (need within 10 points)")
 
 
+def test_the_claims_script_runs_one_claim():
+    # experiments/claims.py reruns C5, C6 and C8 over many seeds outside
+    # tier-1; C5 at one seed for 5 periods here keeps its run the test's
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "experiments", "claims.py")
+    spec = importlib.util.spec_from_file_location("claims", path)
+    claims = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(claims)
+    res = _testbed_run(_testbed_analog(), s_th=80.0, epsilon=0.0133, seed=0, horizon=5)
+    duty, thr = _tail_mean(res.series, "duty_pct"), _tail_mean(res.series, "thr_pct")
+    assert claims.c5(0, periods=5) == (duty <= 5.0 and thr >= 80.0,
+                                       {"duty <= 5%": 5.0 - duty, "thr >= 80%": thr - 80.0})
+
+
 def test_c9_determinism(tmp_path):
     text = """
 topology.kind = grid
@@ -370,22 +385,41 @@ def _connected_graphs(draw) -> dict[int, set[int]]:
        st.integers(1, 500).map(lambda k: k / 1000) | st.floats(0.0, 0.5, exclude_min=True),
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.none() | st.integers(-2 ** 63, 2 ** 63 - 1), st.none() | st.integers(1, 30),
-       st.integers(0, 3))
+       st.integers(0, 3), st.just(0.0) | st.floats(0.0, 1.0),
+       # the refractory baseline: (refractory, sleeping) or None for EBS
+       st.none() | st.tuples(st.integers(1, 999), st.booleans()),
+       st.none() | st.integers(1, 1000))
+# the refractory edge: a reception exactly refractory ticks after the
+# receiver's own fire couples, and an arrival inside a sleeping baseline's
+# stretch claims no airtime (it would collide with a later one)
+@example({0: {1, 2, 3}, 1: {0}, 2: {0, 3}, 3: {0, 2}}, 1, 0.001, 0.5, None, None, 0, 0.0,
+         (954, True), None)
+@example({0: {1, 2}, 1: {0}, 2: {0}}, 0, 0.001, 0.671875, None, 2, 0, 0.0, (151, True), None)
+# under loss the listening periods hear different senders, and adaptive C
+# sets the first window from the estimate of all of them
+@example({0: {1, 2, 3, 4, 5, 6}, **{i: {0} for i in range(1, 7)}}, 0, 0.001, 0.03125, None,
+         None, 2, 0.75, None, 1)
 def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma, link_seed,
-                                                 beta, listen):
+                                                 beta, listen, loss, baseline, c0):
     # C10 beyond its five graphs: any connected graph of 3-8 nodes and any
     # seed, epsilon and sigma run_error admits, with or without the fixed
     # 5..25-tick delay per link (drawn from link_seed), with or without
-    # collisions at an airtime of beta ticks, after 0-3 Initialization periods
+    # collisions at an airtime of beta ticks, after 0-3 Initialization
+    # periods, at any loss, with or without adaptive C at a budget of c0,
+    # running EBS or the sleeping or always-listening refractory baseline
     cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
-                         init_listen_periods=listen)
+                         c0=c0 or 50, adaptive_c=c0 is not None, init_listen_periods=listen)
     topo = Topology(adjacency)
     delay = link_seed is not None and DelayModel(kind="deterministic", nu=5, link_hi=20,
                                                  link_seed=link_seed) or DelayModel()
     table = delay and {link: 5 + offset for link, offset in delay.link_table(topo).items()}
-    fault = beta and LinkFaultModel(collisions_enabled=True, airtime_beta=beta) or LinkFaultModel()
-    res = run(topo, cfg, delay=delay, fault=fault, horizon=10, seed=seed)
+    fault = LinkFaultModel(loss_probability=loss, collisions_enabled=beta is not None,
+                           airtime_beta=beta or 4)
+    refractory, sleep = baseline or (0, False)
+    mrf = baseline and MrfConfig(refractory, sleep)
+    res = run(topo, cfg, mrf=mrf, delay=delay, fault=fault, horizon=10, seed=seed)
     fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
                              horizon=10, seed=seed, delays=table, beta=beta,
-                             init_listen_periods=listen)
+                             init_listen_periods=listen, loss=loss,
+                             refractory=refractory, sleep=sleep, adaptive_c0=c0)
     assert _oracle_difference(res, fires, rows) is None

@@ -437,7 +437,7 @@ def test_only_the_topology_checks_in_its_constructor():
                if isinstance(obj, type) and obj.__module__ == module.__name__
                and "__slots__" in vars(obj)}
     assert {"ProtocolConfig", "MrfConfig", "DelayModel", "LinkFaultModel", "ClockDriftModel",
-            "ChurnEvent", "RunSpec", "SweepSpec", "ScenarioConfig", "NodeState",
+            "ChurnEvent", "RunSpec", "ScenarioConfig", "NodeState",
             "Topology"} <= {record.__name__ for record in records}
     checked = set()
     for record in records:

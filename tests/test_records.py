@@ -13,7 +13,7 @@ import pytest
 import ebsim
 from ebsim.params import ParamReport
 from ebsim.protocol import Mode, MrfConfig, NodeState, ProtocolConfig
-from ebsim.scenario import ScenarioConfig, SweepSpec, parse_scenario_text
+from ebsim.scenario import ScenarioConfig, parse_scenario_text
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, LinkFaultModel,
                        RunResult, RunSpec)
 from ebsim.topology import Topology, TopologyError
@@ -34,8 +34,6 @@ CONFIGS = {
     "ClockDriftModel": (ClockDriftModel(), "ClockDriftModel(skew_ppm_min=0.0, skew_ppm_max=0.0)"),
     "ChurnEvent": (ChurnEvent(at_period=3, action="leave", node_id=4),
                    "ChurnEvent(at_period=3, action='leave', node_id=4, edges=())"),
-    "SweepSpec": (SweepSpec(parameter="run.seed", values=(1, 2)),
-                  "SweepSpec(parameter='run.seed', values=(1, 2))"),
 }
 # the record of a run, its defaults written out
 CONFIGS["RunSpec"] = (RunSpec(Topology({0: {1}, 1: {0}}), CONFIGS["ProtocolConfig"][0]),
@@ -106,18 +104,21 @@ def test_a_node_state_starts_with_its_defaults_and_fresh_containers():
                        "rx_busy_until=-1, rx_pending=None, fires=[])")
 
 
-def test_a_scenario_config_is_read_only_and_equal_without_given():
+def test_a_scenario_config_is_read_only_and_unhashable():
     cfg = parse_scenario_text(SCENARIO)
+    assert ScenarioConfig._fields == ("given", "spec")
     assert ScenarioConfig(**cfg._asdict()) == cfg
-    assert cfg._replace(given={}) == cfg and not cfg._replace(given={}) != cfg
+    # plain tuple equality: the keys as written count, as the run does
+    assert cfg._replace(given={}) != cfg and not cfg._replace(given={}) == cfg
     assert cfg._replace(spec=cfg.spec._replace(seed=1)) != cfg
     assert not cfg._replace(spec=cfg.spec._replace(seed=1)) == cfg
     # the run's fields read through
     assert (cfg.seed, cfg.mrf, cfg.topology) == (0, MrfConfig(500), cfg.spec.topology)
+    # the sweep is two of the keys as written, typed like the file
+    assert (cfg.given["sweep.parameter"], cfg.given["sweep.values"]) == ("run.seed", (1, 2))
     assert repr(cfg).startswith(f"ScenarioConfig(given={cfg.given!r}, "
                                 "spec=RunSpec(topology=Topology(")
-    assert repr(cfg).endswith(", horizon=50, seed=0, payload_rate=1.0), "
-                              "sweep=SweepSpec(parameter='run.seed', values=(1, 2)))")
+    assert repr(cfg).endswith(", horizon=50, seed=0, payload_rate=1.0))")
     assert all(f"{name}=" in repr(cfg) for name in (*ScenarioConfig._fields, *RunSpec._fields))
     for name in ("seed", "spec", "given"):
         with pytest.raises(AttributeError):
@@ -161,7 +162,7 @@ def test_named_tuple_field_annotations_are_evaluated_types():
     tuples = {obj for module in modules for obj in vars(module).values()
               if isinstance(obj, type) and obj.__module__ == module.__name__
               and issubclass(obj, tuple) and hasattr(obj, "_fields")}
-    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "RunResult", "RunSpec", "SweepSpec",
+    assert {"ProtocolConfig", "MrfConfig", "DelayModel", "RunResult", "RunSpec",
             "ScenarioConfig", "ParamReport", "MetricsRow"} <= {cls.__name__ for cls in tuples}
     deferred = [f"{cls.__name__}.{name}" for cls in tuples
                 for name, annotation in cls.__annotations__.items()

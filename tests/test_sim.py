@@ -632,8 +632,8 @@ def test_the_ledger_closes_on_every_shipped_scenario(name):
     # the file's own values and, for 10 periods, a sweep's last point
     cfg = parse_scenario(os.path.join(SCENARIO_DIR, name))
     points = [cfg]
-    if cfg.sweep is not None:
-        last = apply_override(cfg, cfg.sweep.parameter, cfg.sweep.values[-1])
+    if "sweep.parameter" in cfg.given:
+        last = apply_override(cfg, cfg.given["sweep.parameter"], cfg.given["sweep.values"][-1])
         points.append(apply_override(last, "run.horizon", 10))
     for point in points:
         for scheme in ("ebs", "mrf") if point.mrf is not None else ("ebs",):

@@ -2,11 +2,11 @@
 
 Advances every node one tick at a time and applies the coupling rule
 directly on receptions, with none of the event-queue machinery: no heap,
-no lazy invalidation, no commit queue.  Only supports the lossless
-configuration, with a fixed delay per directed link given as data and,
-optionally, collisions with an airtime of beta ticks and an
-Initialization of a few listening periods, which is what the equivalence
-check needs.
+no lazy invalidation, no commit queue.  Supports one shared period, a
+fixed delay per directed link given as data, independent loss per
+(message, receiver), collisions with an airtime of beta ticks, an
+Initialization of a few listening periods, adaptive C and the refractory
+baseline in place of EBS, which is what the equivalence check needs.
 
 Kept deliberately flat and independent so it can serve as an oracle for
 the event-driven engine: same seeded initial phases in, fire times and
@@ -48,7 +48,9 @@ def advanced_remaining(remaining: int, sigma: float) -> int:
 def run_oracle(topology, period: int, epsilon: float, sigma: float,
                s_th: float, horizon: int, seed: int,
                delays: dict[tuple[int, int], int] | None = None,
-               beta: int | None = None, init_listen_periods: int = 0):
+               beta: int | None = None, init_listen_periods: int = 0,
+               loss: float = 0.0, refractory: int = 0, sleep: bool = False,
+               adaptive_c0: int | None = None):
     """Run the tick loop; returns (fire_times, dphi_rows).
 
     delays maps (sender, receiver) to the ticks a fire takes to arrive
@@ -59,19 +61,38 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     order, and takes the phase at its commit.  With init_listen_periods
     k > 0 every node starts with an estimate of 0 and no coupling, collects
     every sender it hears over its first k periods (fires), and then
-    synchronizes with that count, with no S test at that fire.  fire_times
+    synchronizes with that count, with no S test at that fire.  With
+    adaptive_c0 set, an EBS node's window half-width follows its estimate
+    n after every fire: the budget floor(adaptive_c0 * n * s_th / 100 +
+    0.5) over 2 * period, at least epsilon and at most 0.5 (epsilon while
+    n is 0).  With loss above 0, each fire draws rng.random() < loss for
+    each receiver, in ascending order, and a message that draws True never
+    arrives.  With refractory > 0 the nodes run the refractory baseline
+    instead: no modes, no S test and no Initialization; a reception less
+    than refractory ticks after the node's own fire does not couple, and
+    with sleep set an arrival in that stretch is dropped.  The one
+    Random(seed) draws the first fires, in id order, then the loss draws,
+    fire by fire in (tick, id) order.  fire_times
     maps node id -> list of absolute fire ticks; dphi_rows is a list of
     (literal, circular) network-average phase differences sampled at every
     period boundary k*T for k = 1..horizon.
     """
     delays = delays or {}
     rng = random.Random(seed)
+
+    def window(estimate: int) -> float:
+        if adaptive_c0 is None or refractory or estimate <= 0:
+            return epsilon
+        budget = math.floor(adaptive_c0 * estimate * s_th / 100.0 + 0.5)
+        return min(0.5, max(epsilon, budget / (2 * period)))
+
     ids = sorted(topology.node_ids)
     nodes: dict[int, _ONode] = {}
     for nid in ids:
         first = rng.randint(1, period)
-        estimate = 0 if init_listen_periods else len(topology.adjacency[nid])
-        nodes[nid] = _ONode(nid, first, estimate, epsilon, init_listen_periods)
+        listening = 0 if refractory else init_listen_periods
+        estimate = 0 if listening else len(topology.adjacency[nid])
+        nodes[nid] = _ONode(nid, first, estimate, window(estimate), listening)
     fire_times: dict[int, list[int]] = {nid: [] for nid in ids}
     rows: list[tuple[float, float]] = []
     # tick -> (0 commit | 1 arrival, receiver, sender): commits sort first
@@ -93,7 +114,7 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
                 node.estimate = len(node.heard_any)
                 node.recovering = False
                 node.steady = False
-            else:
+            elif not refractory:  # the baseline has no modes
                 if not node.steady and node.heard_any:
                     node.estimate = len(node.heard_any)
                 s = 100.0 * len(node.heard_setw) / max(1, node.estimate)
@@ -104,10 +125,13 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
                     node.recovering = True
                 elif not node.steady and s >= s_th:
                     node.steady = True
+            node.epsilon = window(node.estimate)
             node.heard_setw = set()
             if not node.listening:
                 node.heard_any = set()
-            for recv in topology.adjacency[nid]:
+            for recv in sorted(topology.adjacency[nid]):
+                if loss > 0 and rng.random() < loss:
+                    continue  # lost
                 at = t + delays.get((nid, recv), 0)
                 inbox.setdefault(at, []).append((1, recv, nid))
         for kind, recv, sender in sorted(inbox.pop(t, ())):
@@ -121,6 +145,8 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
                 node.pending = None
             elif node.steady and not node.recovering and not setw:
                 continue  # asleep
+            elif sleep and phi * period < refractory:
+                continue  # asleep in the refractory stretch
             elif beta is not None:
                 if t < node.busy_until:  # overlapping airtime: both are lost
                     node.pending = None
@@ -133,7 +159,8 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             node.heard_any.add(sender)
             if setw:
                 node.heard_setw.add(sender)
-            if node.epsilon < phi < 1.0 - node.epsilon and not node.listening:
+            if (node.epsilon < phi < 1.0 - node.epsilon and not node.listening
+                    and not phi * period < refractory):
                 node.next_fire = t + advanced_remaining(remaining, sigma)
         if t > 0 and t % period == 0:
             lit = circ = 0.0
