@@ -1,11 +1,12 @@
 """The paper's testbed claims over many seeds: C5, C6 and C8 of
 tests/test_acceptance.py, each at seeds 0-19 instead of its one seed.
+Tier-1 judges each claim through this module's c5, c6 and c8 at its one
+seed, so a claim's runs and criterion are stated here only.
 
-Each run is the test's: the 87-node testbed analog, T = 30,000 ticks,
+Each run is: the 87-node testbed analog, T = 30,000 ticks,
 sigma = 0.002, adaptive C, per-link delays of 0-150 ticks drawn from
 link seed 1000 + seed, collisions at an airtime of 1 tick, 50 periods,
-and the last 10 periods' mean duty and throughput.  Each claim is judged
-by the test's own criterion:
+and the last 10 periods' mean duty and throughput.  Each claim's criterion:
 - C5: duty <= 5% and throughput >= 80% at S_Th = 80, epsilon = 0.0133
   (the test runs seed 0);
 - C6: at epsilon = 0.001 and S_Th = 20, 40, 60, 80, 95, duty
@@ -35,7 +36,7 @@ from ebsim.topology import make_random_geometric
 
 SEEDS = 20
 PERIODS = 50
-TAIL = 10  # the periods a claim averages, as the tests' _tail_mean
+TAIL = 10  # the periods a claim averages
 TESTBED = make_random_geometric(87, 0.320408, seed=7)
 S_THS = (20, 40, 60, 80, 95)
 

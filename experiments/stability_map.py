@@ -9,7 +9,9 @@ listening periods, S_Th = 80, a deterministic delay of nu ticks) for 60
 periods under seeds 0-7.  A seed settles when dplus is 0 in every period
 from 20 on.  It prints one row a point and the number of points where the
 verdict agrees with the seed majority (more than half the seeds settled,
-or not); the wall time goes to stderr.
+or not); the wall time goes to stderr.  Tier-1's C4 in
+tests/test_acceptance.py is judge() at four delays over 50 seeds and
+100 periods, so its runs and settled criterion are stated here only.
 
     PYTHONPATH=src python experiments/stability_map.py
 

@@ -344,7 +344,7 @@ class Engine:
                             # node's reference set stays fixed); an unlucky (short)
                             # initialization can end before any neighbour fired, and
                             # then everything heard since stands in
-                            if mode is sync and node.heard_any or node.neighbor_count_estimate <= 0:
+                            if mode is sync and node.heard_any:
                                 node.neighbor_count_estimate = len(node.heard_any)
                             known, heard = node.neighbor_count_estimate, len(node.heard_this_period)
                             if known <= 0:

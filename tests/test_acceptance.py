@@ -3,6 +3,9 @@
 One test per claim, each printing a single PASS/FAIL line (run pytest with
 -s or read captured output).  These are the slowest tests in the suite;
 together they take on the order of a minute.
+
+C4, C5, C6 and C8 are judged through experiments/stability_map.py and
+experiments/claims.py, which state each claim once and rerun it over many seeds.
 """
 
 import heapq
@@ -10,7 +13,6 @@ import importlib.util
 import os
 import time
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ebsim.metrics import export_csv
@@ -18,9 +20,20 @@ from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import parse_scenario_text
 from ebsim import sim
 from ebsim.sim import ChurnEvent, DelayModel, EventKind, LinkFaultModel, run
-from ebsim.topology import Topology, make_random_geometric, make_regular_grid
+from ebsim.topology import Topology, make_regular_grid
 
 from tick_oracle import run_oracle
+
+
+def _script(name: str):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "experiments", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+claims, stability_map = _script("claims"), _script("stability_map")
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -28,9 +41,10 @@ def _report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _tail_mean(rows, attr: str, k: int = 10) -> float:
-    tail = rows[-k:]
-    return sum(getattr(r, attr) for r in tail) / len(tail)
+def _margins(judged: tuple[bool, dict[str, float]]) -> tuple[bool, str]:
+    """A script claim's verdict, and the margin of each term as a report detail."""
+    holds, margins = judged
+    return holds, ", ".join(f"{term}: margin {margin:.2f}" for term, margin in margins.items())
 
 
 def _torus_cfg(sigma: float, s_th: float = 80.0) -> ProtocolConfig:
@@ -39,23 +53,6 @@ def _torus_cfg(sigma: float, s_th: float = 80.0) -> ProtocolConfig:
     # tens of periods before locking
     return ProtocolConfig(period_t=10000, epsilon=0.01, sigma=sigma,
                           s_th=s_th, init_listen_periods=0)
-
-
-def _testbed_analog():
-    # 87-node random geometric graph, average degree ~ 20
-    return make_random_geometric(87, 0.320408, seed=7)
-
-
-def _testbed_run(topology, s_th: float, epsilon: float, seed: int,
-                 mrf=None, horizon: int = 50):
-    cfg = ProtocolConfig(period_t=30000, epsilon=epsilon, sigma=0.002,
-                         s_th=s_th, c0=50, adaptive_c=True,
-                         init_listen_periods=0)
-    delay = DelayModel(link_lo=0, link_hi=150, link_seed=1000 + seed)
-    fault = LinkFaultModel(loss_probability=0.0, collisions_enabled=True,
-                           airtime_beta=1)
-    return run(topology, cfg, mrf=mrf, delay=delay,
-               fault=fault, horizon=horizon, seed=seed)
 
 
 def test_c1_convergence_speed():
@@ -114,63 +111,28 @@ def test_c3_instability_above_bound():
 
 
 def test_c4_delay_dichotomy():
-    topo = make_regular_grid(5, 5, wraparound=True)
-    cfg = ProtocolConfig(period_t=10000, epsilon=0.1, sigma=0.01, s_th=80.0,
-                         init_listen_periods=0)
-    results = {}
+    # check's bound is positive at delta 0 and 0.01, negative at 0.1 and
+    # exactly 0 at 0.05 (epsilon = 2 delta), whose verdict is left unpinned
+    assert len(stability_map.points()) == 56
+    stable, hits = {}, {}
     for delta in (0.0, 0.01, 0.05, 0.1):
-        nu = int(delta * cfg.period_t)
-        delay = DelayModel(kind="deterministic", nu=nu)
-        hits = 0
-        for seed in range(50):
-            res = run(topo, cfg, delay=delay, horizon=100, seed=seed)
-            late = [r for r in res.series if r.period >= 20]
-            quiet = all(r.dplus == 0.0 for r in late)
-            if delta <= 0.01:
-                hits += quiet
-            else:
-                hits += not quiet
-        results[delta] = hits
-    passed = all(h > 25 for h in results.values())
+        stable[delta], settled = stability_map.judge(0.1, delta, 0.01, seeds=50, periods=100)
+        hits[delta] = settled if delta <= 0.01 else 50 - settled
     assert _report(
         "C4 delay dichotomy",
-        passed,
+        all(h > 25 for h in hits.values()) and stable[0.0] and stable[0.01] and not stable[0.1],
         "per-seed majority over 50 seeds: settled for delta in {0, 0.01}: "
-        f"{results[0.0]}/50, {results[0.01]}/50; fluctuating for delta in "
-        f"{{0.05, 0.1}}: {results[0.05]}/50, {results[0.1]}/50; need > 25 each")
+        f"{hits[0.0]}/50, {hits[0.01]}/50; fluctuating for delta in "
+        f"{{0.05, 0.1}}: {hits[0.05]}/50, {hits[0.1]}/50; need > 25 each; check's stable "
+        f"verdicts {stable}, need True at 0 and 0.01 and False at 0.1")
 
 
 def test_c5_duty_throughput_envelope():
-    topo = _testbed_analog()
-    res = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0)
-    duty = _tail_mean(res.series, "duty_pct")
-    thr = _tail_mean(res.series, "thr_pct")
-    assert _report(
-        "C5 duty/throughput envelope",
-        duty <= 5.0 and thr >= 80.0,
-        f"steady-state duty {duty:.2f}% (need <= 5%) and throughput "
-        f"{thr:.1f}% (need >= 80%) on the 87-node testbed analog")
+    assert _report("C5 duty/throughput envelope", *_margins(claims.c5(0)))
 
 
 def test_c6_s_th_monotonicity():
-    topo = _testbed_analog()
-    duty = {}
-    thr = {}
-    for s_th in (20, 40, 60, 80, 95):
-        res = _testbed_run(topo, s_th=float(s_th), epsilon=0.001, seed=1)
-        duty[s_th] = _tail_mean(res.series, "duty_pct")
-        thr[s_th] = _tail_mean(res.series, "thr_pct")
-    order = (20, 40, 60, 80, 95)
-    nondecreasing = all(duty[a] <= duty[b] for a, b in zip(order, order[1:]))
-    band_shift = 15.0 <= thr[20] <= 35.0 and thr[80] >= 80.0 and \
-        thr[20] < thr[40] < thr[60] < thr[80]
-    assert _report(
-        "C6 S_Th monotonicity",
-        nondecreasing and band_shift,
-        "duty " + " <= ".join(f"{duty[k]:.2f}" for k in order) +
-        " nondecreasing; throughput " +
-        ", ".join(f"{thr[k]:.1f}" for k in order) +
-        " rising from the 20-30% band to >= 80% at S_Th=80")
+    assert _report("C6 S_Th monotonicity", *_margins(claims.c6(1)))
 
 
 def test_c7_churn_recovery():
@@ -202,32 +164,7 @@ def test_c7_churn_recovery():
 
 
 def test_c8_mrf_comparison():
-    topo = _testbed_analog()
-    ebs = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0)
-    mrf = _testbed_run(topo, s_th=80.0, epsilon=0.0133, seed=0,
-                       mrf=MrfConfig(15000, sleep_during_refractory=False))
-    ebs_duty = _tail_mean(ebs.series, "duty_pct")
-    mrf_duty = _tail_mean(mrf.series, "duty_pct")
-    ebs_thr = _tail_mean(ebs.series, "thr_pct")
-    mrf_thr = _tail_mean(mrf.series, "thr_pct")
-    assert _report(
-        "C8 refractory-baseline comparison",
-        ebs_duty * 5 <= mrf_duty and abs(ebs_thr - mrf_thr) <= 10.0,
-        f"duty {ebs_duty:.2f}% vs {mrf_duty:.2f}% (need >= 5x lower), "
-        f"throughput {ebs_thr:.1f}% vs {mrf_thr:.1f}% (need within 10 points)")
-
-
-def test_the_claims_script_runs_one_claim():
-    # experiments/claims.py reruns C5, C6 and C8 over many seeds outside
-    # tier-1; C5 at one seed for 5 periods here keeps its run the test's
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "experiments", "claims.py")
-    spec = importlib.util.spec_from_file_location("claims", path)
-    claims = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(claims)
-    res = _testbed_run(_testbed_analog(), s_th=80.0, epsilon=0.0133, seed=0, horizon=5)
-    duty, thr = _tail_mean(res.series, "duty_pct"), _tail_mean(res.series, "thr_pct")
-    assert claims.c5(0, periods=5) == (duty <= 5.0 and thr >= 80.0,
-                                       {"duty <= 5%": 5.0 - duty, "thr >= 80%": thr - 80.0})
+    assert _report("C8 refractory-baseline comparison", *_margins(claims.c8(0)))
 
 
 def test_c9_determinism(tmp_path):
@@ -388,26 +325,30 @@ def _connected_graphs(draw) -> dict[int, set[int]]:
        st.integers(0, 3), st.just(0.0) | st.floats(0.0, 1.0),
        # the refractory baseline: (refractory, sleeping) or None for EBS
        st.none() | st.tuples(st.integers(1, 999), st.booleans()),
-       st.none() | st.integers(1, 1000))
+       st.none() | st.integers(1, 1000), st.sampled_from([0.0, 80.0]))
 # the refractory edge: a reception exactly refractory ticks after the
 # receiver's own fire couples, and an arrival inside a sleeping baseline's
 # stretch claims no airtime (it would collide with a later one)
 @example({0: {1, 2, 3}, 1: {0}, 2: {0, 3}, 3: {0, 2}}, 1, 0.001, 0.5, None, None, 0, 0.0,
-         (954, True), None)
-@example({0: {1, 2}, 1: {0}, 2: {0}}, 0, 0.001, 0.671875, None, 2, 0, 0.0, (151, True), None)
+         (954, True), None, 80.0)
+@example({0: {1, 2}, 1: {0}, 2: {0}}, 0, 0.001, 0.671875, None, 2, 0, 0.0, (151, True), None,
+         80.0)
 # under loss the listening periods hear different senders, and adaptive C
 # sets the first window from the estimate of all of them
 @example({0: {1, 2, 3, 4, 5, 6}, **{i: {0} for i in range(1, 7)}}, 0, 0.001, 0.03125, None,
-         None, 2, 0.75, None, 1)
+         None, 2, 0.75, None, 1, 80.0)
+# at S_Th 0 a synchronizing node that has heard nobody keeps synchronizing
+@example({0: {1, 2}, 1: {0}, 2: {0}}, 2, 0.05, 0.01, None, None, 1, 0.9, None, None, 0.0)
 def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma, link_seed,
-                                                 beta, listen, loss, baseline, c0):
+                                                 beta, listen, loss, baseline, c0, s_th):
     # C10 beyond its five graphs: any connected graph of 3-8 nodes and any
     # seed, epsilon and sigma run_error admits, with or without the fixed
     # 5..25-tick delay per link (drawn from link_seed), with or without
     # collisions at an airtime of beta ticks, after 0-3 Initialization
     # periods, at any loss, with or without adaptive C at a budget of c0,
-    # running EBS or the sleeping or always-listening refractory baseline
-    cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
+    # at S_Th 0 or 80, running EBS or the sleeping or always-listening
+    # refractory baseline
+    cfg = ProtocolConfig(period_t=1000, epsilon=epsilon, sigma=sigma, s_th=s_th,
                          c0=c0 or 50, adaptive_c=c0 is not None, init_listen_periods=listen)
     topo = Topology(adjacency)
     delay = link_seed is not None and DelayModel(kind="deterministic", nu=5, link_hi=20,
@@ -418,7 +359,7 @@ def test_c10_oracle_equivalence_on_random_graphs(adjacency, seed, epsilon, sigma
     refractory, sleep = baseline or (0, False)
     mrf = baseline and MrfConfig(refractory, sleep)
     res = run(topo, cfg, mrf=mrf, delay=delay, fault=fault, horizon=10, seed=seed)
-    fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=80.0,
+    fires, rows = run_oracle(topo, period=1000, epsilon=epsilon, sigma=sigma, s_th=s_th,
                              horizon=10, seed=seed, delays=table, beta=beta,
                              init_listen_periods=listen, loss=loss,
                              refractory=refractory, sleep=sleep, adaptive_c0=c0)

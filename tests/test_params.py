@@ -1,5 +1,3 @@
-import importlib.util
-import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,13 +208,3 @@ def test_build_report_epsilon_below_opt_warning():
     assert r.epsilon == pytest.approx(0.004)
     assert any("below epsilon_opt" in w for w in r.warnings)
 
-
-def test_the_stability_map_script_runs_one_point():
-    # experiments/stability_map.py is outside tier-1; one short point here
-    # keeps an API change from breaking it silently
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "experiments", "stability_map.py")
-    spec = importlib.util.spec_from_file_location("stability_map", path)
-    stability_map = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(stability_map)
-    assert len(stability_map.points()) == 56
-    assert stability_map.judge(0.1, 0.01, 0.02, seeds=1, periods=5, settled_from=2) == (True, 1)

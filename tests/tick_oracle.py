@@ -61,7 +61,8 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
     order, and takes the phase at its commit.  With init_listen_periods
     k > 0 every node starts with an estimate of 0 and no coupling, collects
     every sender it hears over its first k periods (fires), and then
-    synchronizes with that count, with no S test at that fire.  With
+    synchronizes with that count, with no S test at that fire, nor at
+    any later fire while its estimate is still 0.  With
     adaptive_c0 set, an EBS node's window half-width follows its estimate
     n after every fire: the budget floor(adaptive_c0 * n * s_th / 100 +
     0.5) over 2 * period, at least epsilon and at most 0.5 (epsilon while
@@ -117,14 +118,15 @@ def run_oracle(topology, period: int, epsilon: float, sigma: float,
             elif not refractory:  # the baseline has no modes
                 if not node.steady and node.heard_any:
                     node.estimate = len(node.heard_any)
-                s = 100.0 * len(node.heard_setw) / max(1, node.estimate)
-                if s > 100.0:
-                    node.estimate = len(node.heard_setw)
-                    s = 100.0
-                if node.steady and s < s_th:
-                    node.recovering = True
-                elif not node.steady and s >= s_th:
-                    node.steady = True
+                if node.estimate:  # no S test while no neighbour is known
+                    s = 100.0 * len(node.heard_setw) / node.estimate
+                    if s > 100.0:
+                        node.estimate = len(node.heard_setw)
+                        s = 100.0
+                    if node.steady and s < s_th:
+                        node.recovering = True
+                    elif not node.steady and s >= s_th:
+                        node.steady = True
             node.epsilon = window(node.estimate)
             node.heard_setw = set()
             if not node.listening:
