@@ -4,41 +4,43 @@
 falls as delta = nu / T grows.  For each point of a grid over epsilon,
 delta and sigma at 0.5x, 0.9x, 1.1x and 2x that bound, as build_report
 computes it (the 56 points where it is positive), this script judges the
-point with build_report and runs it on a 5x5 torus (T = 10,000 ticks, no
-listening periods, S_Th = 80, a deterministic delay of nu ticks) for 60
+point with build_report and runs scenarios/delay_sweep.txt there (its
+epsilon, sigma and delay.nu = round(delta * T) set, T its period) for 60
 periods under seeds 0-7.  A seed settles when dplus is 0 in every period
 from 20 on.  It prints one row a point and the number of points where the
 verdict agrees with the seed majority (more than half the seeds settled,
 or not); the wall time goes to stderr.  Tier-1's C4 in
 tests/test_acceptance.py is judge() at four delays over 50 seeds and
-100 periods, so its runs and settled criterion are stated here only.
+100 periods, so its settled criterion is stated here only.
 
     PYTHONPATH=src python experiments/stability_map.py
 
 Stdlib only; the full map takes about 15 s on one core.
 """
 
+import os
 import sys
 import time
 
 from ebsim.params import build_report
-from ebsim.protocol import ProtocolConfig
-from ebsim.sim import DelayModel, Engine, RunSpec
-from ebsim.topology import make_regular_grid
+from ebsim.scenario import ScenarioConfig, apply_override, parse_scenario, run_config
 
-T = 10000
+SCENARIO = parse_scenario(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                       "scenarios", "delay_sweep.txt"))
 EPSILONS = (0.02, 0.05, 0.1, 0.2)
 DELTAS = (0.0, 0.005, 0.01, 0.02)
 FACTORS = (0.5, 0.9, 1.1, 2.0)  # sigma as a multiple of check's bound
 SEEDS = 8
 PERIODS = 60
-SETTLED_FROM = 20
-TORUS = make_regular_grid(5, 5, wraparound=True)
 
 
-def _spec(epsilon: float, delta: float, sigma: float, periods: int = PERIODS) -> RunSpec:
-    return RunSpec(TORUS, ProtocolConfig(T, epsilon, sigma, 80.0, init_listen_periods=0),
-                   delay=DelayModel("deterministic", nu=round(delta * T)), horizon=periods)
+def _point(epsilon: float, delta: float, sigma: float, periods: int = PERIODS) -> ScenarioConfig:
+    keys = {"protocol.epsilon": epsilon, "protocol.sigma": sigma,
+            "delay.nu": round(delta * SCENARIO.protocol.period_t), "run.horizon": periods}
+    cfg = SCENARIO
+    for key, value in keys.items():
+        cfg = apply_override(cfg, key, value)
+    return cfg
 
 
 def points() -> list[tuple[float, float, float, float]]:
@@ -46,21 +48,21 @@ def points() -> list[tuple[float, float, float, float]]:
     out = []
     for epsilon in EPSILONS:
         for delta in DELTAS:
-            bound = build_report(_spec(epsilon, delta, 0.5)).sigma_max  # any valid sigma
+            bound = build_report(_point(epsilon, delta, 0.5).spec).sigma_max  # any valid sigma
             if bound > 0:
                 out += [(epsilon, delta, factor, factor * bound) for factor in FACTORS]
     return out
 
 
 def judge(epsilon: float, delta: float, sigma: float, seeds: int = SEEDS,
-          periods: int = PERIODS, settled_from: int = SETTLED_FROM) -> tuple[bool, int]:
+          periods: int = PERIODS) -> tuple[bool, int]:
     """(check's stable verdict, the number of seeds that settle) at one point."""
-    spec = _spec(epsilon, delta, sigma, periods)
+    cfg = _point(epsilon, delta, sigma, periods)
     settled = 0
     for seed in range(seeds):
-        series = Engine(spec._replace(seed=seed)).run().series
-        settled += all(row.dplus == 0.0 for row in series if row.period >= settled_from)
-    return build_report(spec).stable, settled
+        series = run_config(apply_override(cfg, "run.seed", seed)).series
+        settled += all(row.dplus == 0.0 for row in series if row.period >= 20)
+    return build_report(cfg.spec).stable, settled
 
 
 def main() -> int:

@@ -4,8 +4,10 @@ One test per claim, each printing a single PASS/FAIL line (run pytest with
 -s or read captured output).  These are the slowest tests in the suite;
 together they take on the order of a minute.
 
-C4, C5, C6 and C8 are judged through experiments/stability_map.py and
-experiments/claims.py, which state each claim once and rerun it over many seeds.
+C4 to C8 are judged through experiments/stability_map.py and
+experiments/claims.py, which state each claim's criterion once and run it
+on a shipped scenario: C4 on scenarios/delay_sweep.txt, C5 and C8 on
+mrf_compare.txt, C6 on sth_sweep.txt and C7 on churn.txt.
 """
 
 import heapq
@@ -19,7 +21,7 @@ from ebsim.metrics import export_csv
 from ebsim.protocol import MrfConfig, ProtocolConfig
 from ebsim.scenario import parse_scenario_text
 from ebsim import sim
-from ebsim.sim import ChurnEvent, DelayModel, EventKind, LinkFaultModel, run
+from ebsim.sim import DelayModel, EventKind, LinkFaultModel, run
 from ebsim.topology import Topology, make_regular_grid
 
 from tick_oracle import run_oracle
@@ -136,31 +138,9 @@ def test_c6_s_th_monotonicity():
 
 
 def test_c7_churn_recovery():
-    topo = make_regular_grid(5, 5, wraparound=True)
-    cfg = ProtocolConfig(period_t=1000, epsilon=0.01, sigma=0.005, s_th=80.0,
-                         init_listen_periods=0)
-    churn = (ChurnEvent(30, "leave", 12),
-             ChurnEvent(60, "join", 25, (7, 11, 13, 17)))
-    affected = {7, 11, 13, 17}
-    ok = True
-    details = []
-    for seed in range(3):
-        res = run(topo, cfg, churn=churn, horizon=80, seed=seed)
-        settled_leave = res.series[39].steady_pct == 100.0
-        settled_join = res.series[69].steady_pct == 100.0
-        leave_flappers = {nid for t, nid in res.flap_events
-                          if 30000 <= t < 40000}
-        stray = [(t, nid) for t, nid in res.flap_events
-                 if not (30000 <= t < 40000 and nid in affected)]
-        ok &= settled_leave and settled_join
-        ok &= leave_flappers <= affected and not stray
-        details.append(f"seed {seed}: steady@+10 after leave={settled_leave} "
-                       f"join={settled_join}, flappers={sorted(leave_flappers)}")
-    assert _report(
-        "C7 churn recovery",
-        ok,
-        "all nodes steady within 10 periods of each event; flaps confined "
-        "to the leaver's neighbors {7,11,13,17} (" + "; ".join(details) + ")")
+    judged = [_margins(claims.c7(seed)) for seed in range(3)]
+    assert _report("C7 churn recovery", all(holds for holds, _ in judged),
+                   "; ".join(f"seed {seed}: {detail}" for seed, (_, detail) in enumerate(judged)))
 
 
 def test_c8_mrf_comparison():

@@ -14,6 +14,7 @@ which keeps the suite fast.
 """
 
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -23,7 +24,7 @@ import pytest
 
 from ebsim import cli, sim
 from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
-from ebsim.scenario import apply_override, parse_scenario_text, run_config
+from ebsim.scenario import ScenarioConfig, parse_scenario_text, run_config
 from ebsim.sim import (ChurnEvent, ClockDriftModel, DelayModel, EventKind,
                        LinkFaultModel, RunResult, run)
 from ebsim.topology import make_random_geometric, make_regular_grid
@@ -313,43 +314,24 @@ def test_flaps_column_keeps_the_flaps_of_nodes_that_left():
 # per-link delays and collisions, as EBS and as the always-listening
 # baseline), at two seeds and a short horizon, digested like the runs above.
 
-_TORUS_DELAY = """\
-topology.kind = grid
-topology.rows = 5
-topology.cols = 5
-topology.wraparound = true
-protocol.period_t = 10000
-protocol.epsilon = 0.1
-protocol.sigma = 0.01
-protocol.s_th = 80
-protocol.init_listen_periods = 0
-delay.kind = deterministic
-delay.nu = 500
-run.horizon = 20
-"""
+def _load_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    # registered first: its dataclasses look their module up by name
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
-_TESTBED_COLLIDE = """\
-topology.kind = random_geometric
-topology.n = 87
-topology.radius = 0.320408
-topology.seed = 7
-protocol.period_t = 30000
-protocol.epsilon = 0.0133
-protocol.sigma = 0.002
-protocol.s_th = 80
-protocol.adaptive_c = true
-protocol.c0 = 50
-protocol.init_listen_periods = 0
-mrf.enabled = true
-mrf.t_ref = 15000
-mrf.sleep = false
-delay.link_lo = 0
-delay.link_hi = 150
-delay.link_seed = 1000
-fault.collisions = true
-fault.beta = 1
-run.horizon = 5
-"""
+
+WORKLOADS = _load_workloads()
+BENCH_HORIZON = {"torus-delay": 20, "testbed-collide": 5}
+
+
+def _bench_config(workload: str, seed: int) -> ScenarioConfig:
+    keys = {**dict(WORKLOADS[workload].keys), "run.horizon": BENCH_HORIZON[workload],
+            "run.seed": seed}
+    return parse_scenario_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+
 
 BENCH_GOLDEN = {
     ("testbed-collide", "ebs", 0):
@@ -369,9 +351,7 @@ BENCH_GOLDEN = {
 
 @pytest.mark.parametrize("workload,scheme,seed", sorted(BENCH_GOLDEN))
 def test_bench_configurations_are_pinned(workload, scheme, seed):
-    text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
-    cfg = apply_override(parse_scenario_text(text), "run.seed", seed)
-    result = run_config(cfg, scheme=scheme, trace=True)
+    result = run_config(_bench_config(workload, seed), scheme=scheme, trace=True)
     assert _run_digest(result) == BENCH_GOLDEN[workload, scheme, seed]
     assert _ledger(result) == LEDGER[workload, scheme, seed]
 
@@ -423,8 +403,7 @@ def test_bench_configurations_keep_their_heap_traffic(workload, scheme, seed, mo
         counting.engine = engine
         init(engine, *args, **kwargs)
     monkeypatch.setattr(sim.Engine, "__init__", engine_init)
-    text = {"torus-delay": _TORUS_DELAY, "testbed-collide": _TESTBED_COLLIDE}[workload]
-    run_config(apply_override(parse_scenario_text(text), "run.seed", seed), scheme=scheme)
+    run_config(_bench_config(workload, seed), scheme=scheme)
 
     def by_kind(counts):
         return {EventKind(kind).name: n for kind, n in sorted(counts.items())}
