@@ -7,9 +7,10 @@ Grammar (one entry per line):
 
 Durations are integer ticks (1 tick = 1 ms).  KEYS is the one registry of
 keys: parsing, sweep overrides and the resolved-config echo are all derived
-from it (the README's key table mirrors it).  A parsed scenario is a
-ScenarioConfig: the keys as given and the sim.RunSpec they build.  Churn
-entries use indexed keys:
+from it (the README's key table mirrors it).  A key that sets a field of
+sim.RunSpec or of one of its records takes that field's default.  A parsed
+scenario is a ScenarioConfig: the keys as given and the sim.RunSpec they
+build.  Churn entries use indexed keys:
 
     churn.1 = leave 12 at 30
     churn.2 = join 25 at 60 edges 7,11,13,17
@@ -141,8 +142,9 @@ _BOOL = _Type("bool", _bool, lambda v: str(v).lower())
 class Key(NamedTuple):
     """One scenario key: how its value is read and echoed, its default and
     the field it sets: a sim.RunSpec field, or "section.attribute" of a
-    RunSpec record.  A key without one only switches others on (mrf.enabled)
-    or is read from given (the sweep's two keys).
+    RunSpec record.  A key setting a record field takes the field's default
+    (_field); a field without one makes it required.  A key without a field
+    only switches others on (mrf.enabled) or is read from given (the sweep's two keys).
     applies(given) says whether the key takes part at all; a key that does
     not is neither required, built nor echoed, and an error when given.
     An indexed key is written key.N, N a positive integer and each N once;
@@ -156,6 +158,17 @@ class Key(NamedTuple):
 
 
 _REQUIRED = object()  # default of a key that must be given where it applies
+
+# the records built from the keys' "section.attribute" fields
+_SECTIONS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
+             "fault": LinkFaultModel, "drift": ClockDriftModel}
+
+
+def _field(type_: _Type, field: str, applies: Callable | None = None, indexed=False) -> Key:
+    """The key that sets field, with the default its record gives it."""
+    section, _, attr = field.rpartition(".")
+    record = _SECTIONS[section] if section else RunSpec
+    return Key(type_, record._field_defaults.get(attr, _REQUIRED), field, applies, indexed)
 
 
 # cross-key rules: the keys each topology kind reads, and the optional
@@ -178,8 +191,7 @@ _LINK = _any_given("delay.link_lo", "delay.link_hi", "delay.link_seed")
 _SWEEP = _any_given("sweep.parameter", "sweep.values")
 
 KEYS: dict[str, Key] = {
-    "topology.kind": Key(_Type(" or ".join(_TOPOLOGIES), _topology_kind),
-                         _REQUIRED, "topology.kind"),
+    "topology.kind": Key(_Type(" or ".join(_TOPOLOGIES), _topology_kind), _REQUIRED, "topology.kind"),
     "topology.rows": _topology_key(_INT, _REQUIRED, "rows"),
     "topology.cols": _topology_key(_INT, _REQUIRED, "cols"),
     "topology.wraparound": _topology_key(_BOOL, False, "wraparound"),
@@ -187,38 +199,37 @@ KEYS: dict[str, Key] = {
     "topology.radius": _topology_key(_FLOAT, _REQUIRED, "radius"),
     "topology.seed": _topology_key(_INT, 0, "seed"),
     "topology.path": _topology_key(_STR, _REQUIRED, "path"),
-    "protocol.period_t": Key(_INT, _REQUIRED, "protocol.period_t"),
-    "protocol.epsilon": Key(_FLOAT, _REQUIRED, "protocol.epsilon"),
-    "protocol.sigma": Key(_FLOAT, _REQUIRED, "protocol.sigma"),
-    "protocol.s_th": Key(_FLOAT, _REQUIRED, "protocol.s_th"),
-    "protocol.c0": Key(_INT, 50, "protocol.c0"),
-    "protocol.variant": Key(_Type(" or ".join(v.value for v in Variant), Variant,
-                                  lambda v: v.value),
-                            Variant.NO_REACHBACK, "protocol.variant"),
-    "protocol.adaptive_c": Key(_BOOL, False, "protocol.adaptive_c"),
-    "protocol.init_listen_periods": Key(_INT, 5, "protocol.init_listen_periods"),
+    "protocol.period_t": _field(_INT, "protocol.period_t"),
+    "protocol.epsilon": _field(_FLOAT, "protocol.epsilon"),
+    "protocol.sigma": _field(_FLOAT, "protocol.sigma"),
+    "protocol.s_th": _field(_FLOAT, "protocol.s_th"),
+    "protocol.c0": _field(_INT, "protocol.c0"),
+    "protocol.variant": _field(_Type(" or ".join(v.value for v in Variant), Variant,
+                                     lambda v: v.value), "protocol.variant"),
+    "protocol.adaptive_c": _field(_BOOL, "protocol.adaptive_c"),
+    "protocol.init_listen_periods": _field(_INT, "protocol.init_listen_periods"),
     "mrf.enabled": Key(_BOOL, False, None),
     "mrf.t_ref": Key(_INT, lambda values: values["protocol.period_t"] // 2,
                      "mrf.refractory", _when("mrf.enabled", True)),
-    "mrf.sleep": Key(_BOOL, True, "mrf.sleep_during_refractory", _when("mrf.enabled", True)),
-    "delay.kind": Key(_STR, "none", "delay.kind"),
-    "delay.nu": Key(_INT, 0, "delay.nu"),
-    "delay.lo": Key(_INT, 0, "delay.lo"),
-    "delay.hi": Key(_INT, 0, "delay.hi"),
-    "delay.link_lo": Key(_INT, 0, "delay.link_lo", _LINK),
-    "delay.link_hi": Key(_INT, _REQUIRED, "delay.link_hi", _LINK),
-    "delay.link_seed": Key(_INT, 0, "delay.link_seed", _LINK),
-    "fault.loss_probability": Key(_FLOAT, 0.0, "fault.loss_probability"),
-    "fault.collisions": Key(_BOOL, False, "fault.collisions_enabled"),
-    "fault.beta": Key(_INT, 4, "fault.airtime_beta"),
-    "drift.skew_ppm_min": Key(_FLOAT, 0.0, "drift.skew_ppm_min"),
-    "drift.skew_ppm_max": Key(_FLOAT, 0.0, "drift.skew_ppm_max"),
-    "run.horizon": Key(_INT, 50, "horizon"),
-    "run.seed": Key(_INT, 0, "seed"),
-    "run.payload_rate": Key(_FLOAT, 1.0, "payload_rate"),
-    "churn": Key(_Type("churn entry 'leave <id> at <period>' or "
-                       "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
-                 (), "churn", indexed=True),
+    "mrf.sleep": _field(_BOOL, "mrf.sleep_during_refractory", _when("mrf.enabled", True)),
+    "delay.kind": _field(_STR, "delay.kind"),
+    "delay.nu": _field(_INT, "delay.nu"),
+    "delay.lo": _field(_INT, "delay.lo"),
+    "delay.hi": _field(_INT, "delay.hi"),
+    "delay.link_lo": _field(_INT, "delay.link_lo", _LINK),
+    "delay.link_hi": Key(_INT, _REQUIRED, "delay.link_hi", _LINK),  # its field's None: no table
+    "delay.link_seed": _field(_INT, "delay.link_seed", _LINK),
+    "fault.loss_probability": _field(_FLOAT, "fault.loss_probability"),
+    "fault.collisions": _field(_BOOL, "fault.collisions_enabled"),
+    "fault.beta": _field(_INT, "fault.airtime_beta"),
+    "drift.skew_ppm_min": _field(_FLOAT, "drift.skew_ppm_min"),
+    "drift.skew_ppm_max": _field(_FLOAT, "drift.skew_ppm_max"),
+    "run.horizon": _field(_INT, "horizon"),
+    "run.seed": _field(_INT, "seed"),
+    "run.payload_rate": _field(_FLOAT, "payload_rate"),
+    "churn": _field(_Type("churn entry 'leave <id> at <period>' or "
+                          "'join <id> at <period> edges <id,id,...>'", _churn, _churn_text),
+                    "churn", indexed=True),
     "sweep.parameter": Key(_STR, _REQUIRED, None, _SWEEP),
     "sweep.values": Key(_Type("non-empty [a, b, ...] list", _list,
                               lambda v: f"[{', '.join(map(str, v))}]"),
@@ -232,10 +243,6 @@ SWEEPABLE = tuple(key for key, spec in KEYS.items()
 
 # the key behind each input sim.run_error can name; a churn entry names itself
 _KEY_OF = {spec.field: key for key, spec in KEYS.items() if spec.field} | {"topology": "topology.kind"}
-
-# the records built from the keys' "section.attribute" fields
-_SECTIONS = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
-             "fault": LinkFaultModel, "drift": ClockDriftModel}
 
 
 def _read(key: str, text: str, where: str):

@@ -111,11 +111,6 @@ class ClockDriftModel(NamedTuple):
     skew_ppm_min: float = 0.0
     skew_ppm_max: float = 0.0
 
-    def sample(self, rng: random.Random) -> float:
-        if self.skew_ppm_min == 0.0 and self.skew_ppm_max == 0.0:
-            return 0.0
-        return rng.uniform(self.skew_ppm_min, self.skew_ppm_max)
-
 
 class ChurnEvent(NamedTuple):
     """A node leaving, or joining with edges, at the start of a period.  A
@@ -200,10 +195,10 @@ class Engine:
     # -- plumbing ------------------------------------------------------
 
     def _spawn_node(self, nid: int, now: int) -> None:
-        spec, cfg = self.spec, self.spec.protocol
-        period = skewed_period(self.T, spec.drift.sample(self.rng))
-        r0 = self.rng.randint(1, period)
-        node = NodeState(period_ticks=period, next_fire=now + r0,
+        spec, cfg, rng, low, high = self.spec, self.spec.protocol, self.rng, *self.spec.drift
+        # no skew draw when both bounds are 0, so a driftless run leaves the RNG stream alone
+        period = skewed_period(self.T, rng.uniform(low, high) if low or high else 0.0)
+        node = NodeState(period_ticks=period, next_fire=now + rng.randint(1, period),
                          epsilon_eff=cfg.epsilon, period_start=now)
         if spec.mrf is not None:
             node.mode = Mode.SYNCHRONIZATION  # the coupling gate skips initialization
@@ -214,7 +209,7 @@ class Engine:
             node.epsilon_eff = protocol.effective_epsilon(cfg, node.neighbor_count_estimate)
         # no draw at the certain rates, so they leave the RNG stream alone
         rate = spec.payload_rate
-        node.pending_payload = rate >= 1.0 or (rate > 0.0 and self.rng.random() < rate)
+        node.pending_payload = rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
         self.nodes[nid] = node
         seq = next(self._counter)  # fresh: a predecessor's entries are foreign
         node.armed.append((node.next_fire, seq))
@@ -347,12 +342,7 @@ class Engine:
                             if mode is sync and node.heard_any:
                                 node.neighbor_count_estimate = len(node.heard_any)
                             known, heard = node.neighbor_count_estimate, len(node.heard_this_period)
-                            if known <= 0:
-                                warning = (f"node {nid} has no known neighbours "
-                                           "and cannot synchronize")
-                                if warning not in warnings:  # once per node id
-                                    warnings.append(warning)
-                            else:
+                            if known > 0:  # else it stays synchronizing; warned at the end
                                 if heard > known:  # S above 100 only refreshes the estimate
                                     node.neighbor_count_estimate = heard
                                 s = 100.0 * heard / known if heard < known else 100.0
@@ -429,6 +419,9 @@ class Engine:
         # past the horizon: queued arrivals, and receptions whose commit waits
         stats["in_flight"] = (popped_past + sum(entry[1] == _ARRIVAL for entry in heap)
                               + sum(node.rx_pending is not None for node in nodes.values()))
+        warnings.extend(f"node {nid} has no known neighbours and cannot synchronize"
+                        for nid, node in sorted(nodes.items())  # ebs: baseline nodes keep 0
+                        if ebs and node.mode is sync and node.neighbor_count_estimate == 0)
         fire_times = {nid: list(node.fires) for nid, node in sorted(nodes.items())}
         return RunResult(series=self.series, flap_events=flap_events, fire_times=fire_times,
                          final_nodes=nodes, warnings=warnings, stats=stats, trace=trace)

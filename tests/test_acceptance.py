@@ -4,9 +4,10 @@ One test per claim, each printing a single PASS/FAIL line (run pytest with
 -s or read captured output).  These are the slowest tests in the suite;
 together they take on the order of a minute.
 
-C4 to C8 are judged through experiments/stability_map.py and
-experiments/claims.py, which state each claim's criterion once and run it
-on a shipped scenario: C4 on scenarios/delay_sweep.txt, C5 and C8 on
+C1 to C4 run scenarios/delay_sweep.txt, the 5x5 torus at T = 10000,
+through the point builder of experiments/stability_map.py.  C4 to C8 are
+judged through that script and experiments/claims.py, which state each
+claim's criterion once and run it on a shipped scenario: C5 and C8 on
 mrf_compare.txt, C6 on sth_sweep.txt and C7 on churn.txt.
 """
 
@@ -19,10 +20,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ebsim.metrics import export_csv
 from ebsim.protocol import MrfConfig, ProtocolConfig
-from ebsim.scenario import parse_scenario_text
+from ebsim.scenario import apply_override, parse_scenario_text, run_config
 from ebsim import sim
 from ebsim.sim import DelayModel, EventKind, LinkFaultModel, run
-from ebsim.topology import Topology, make_regular_grid
+from ebsim.topology import Topology
 
 from tick_oracle import run_oracle
 
@@ -49,25 +50,17 @@ def _margins(judged: tuple[bool, dict[str, float]]) -> tuple[bool, str]:
     return holds, ", ".join(f"{term}: margin {margin:.2f}" for term, margin in margins.items())
 
 
-def _torus_cfg(sigma: float, s_th: float = 80.0) -> ProtocolConfig:
-    # 10000 ticks per period: at coarser resolutions the rounding of
-    # sigma * remaining adds enough jump noise that a few seeds chase for
-    # tens of periods before locking
-    return ProtocolConfig(period_t=10000, epsilon=0.01, sigma=sigma,
-                          s_th=s_th, init_listen_periods=0)
+def _seeds(point) -> list:
+    """The series of point's run at each of seeds 0-99."""
+    return [run_config(apply_override(point, "run.seed", seed)).series for seed in range(100)]
 
 
 def test_c1_convergence_speed():
-    topo = make_regular_grid(5, 5, wraparound=True)
     start = time.perf_counter()
     counts = {}
     for sigma in (0.001, 0.005):
-        ok = 0
-        for seed in range(100):
-            res = run(topo, _torus_cfg(sigma), horizon=6, seed=seed)
-            if any(r.dphi_circular < 0.01 for r in res.series[:5]):
-                ok += 1
-        counts[sigma] = ok
+        runs = _seeds(stability_map._point(0.01, 0.0, sigma, periods=6))
+        counts[sigma] = sum(any(r.dphi_circular < 0.01 for r in series[:5]) for series in runs)
     elapsed = time.perf_counter() - start
     passed = all(c >= 95 for c in counts.values()) and elapsed < 5.0
     assert _report(
@@ -79,12 +72,8 @@ def test_c1_convergence_speed():
 
 
 def test_c2_phase_advancement_quiescence():
-    topo = make_regular_grid(5, 5, wraparound=True)
-    bad = 0
-    for seed in range(100):
-        res = run(topo, _torus_cfg(0.005), horizon=20, seed=seed)
-        if any(r.dplus > 0.0 for r in res.series if r.period > 10):
-            bad += 1
+    runs = _seeds(stability_map._point(0.01, 0.0, 0.005, periods=20))
+    bad = sum(any(r.dplus > 0.0 for r in series if r.period > 10) for series in runs)
     assert _report(
         "C2 advancement quiescence",
         bad == 0,
@@ -97,11 +86,10 @@ def test_c3_instability_above_bound():
     # A moderate synchronicity threshold keeps most of the network in the
     # always-awake coupling mode; with a high threshold, nodes that briefly
     # align freeze into duty-cycled sleep and quench the fluctuation instead.
-    topo = make_regular_grid(5, 5, wraparound=True)
+    point = stability_map._point(0.01, 0.0, 0.02, periods=50)
     sustaining = 0
-    for seed in range(100):
-        res = run(topo, _torus_cfg(0.02, s_th=60.0), horizon=50, seed=seed)
-        window = [r for r in res.series if 10 <= r.period <= 50]
+    for series in _seeds(apply_override(point, "protocol.s_th", 60)):
+        window = [r for r in series if 10 <= r.period <= 50]
         active = sum(1 for r in window if r.dplus > 0.0)
         if active >= 0.8 * len(window):
             sustaining += 1

@@ -7,9 +7,8 @@ import pytest
 
 from ebsim import cli, scenario
 from ebsim.cli import main
-from ebsim.protocol import MrfConfig, ProtocolConfig, Variant
-from ebsim.sim import (ClockDriftModel, DelayModel, LinkFaultModel, RunSpec,
-                       SimulationError)
+from ebsim.protocol import MrfConfig, Variant
+from ebsim.sim import RunSpec, SimulationError
 from ebsim.topology import make_regular_grid
 from ebsim.scenario import (KEYS, ScenarioError, apply_override, build_topology,
                             parse_scenario, parse_scenario_text,
@@ -287,31 +286,6 @@ def test_period_override_below_refractory_is_an_error():
     cfg = parse_scenario_text(MINIMAL + "mrf.enabled = true\nmrf.t_ref = 600\n")
     with pytest.raises(ScenarioError, match="sweep point protocol.period_t = 500"):
         apply_override(cfg, "protocol.period_t", 500)
-
-
-def test_key_defaults_match_the_library():
-    # a default written both in KEYS and on the RunSpec field, or field of
-    # a RunSpec record, that the key sets must be the same value, of the same type
-    library = {"protocol": ProtocolConfig, "mrf": MrfConfig, "delay": DelayModel,
-               "fault": LinkFaultModel, "drift": ClockDriftModel}
-    defaults = {name: dict(cls._field_defaults) for name, cls in library.items()}
-    defaults[""] = RunSpec._field_defaults
-    compared = []
-    for key, spec in KEYS.items():
-        section, _, attr = (spec.field or "").rpartition(".")
-        if (spec.default is scenario._REQUIRED or callable(spec.default)
-                or not attr or section not in defaults):
-            continue
-        theirs = defaults[section][attr]
-        assert (type(spec.default), spec.default) == (type(theirs), theirs), key
-        compared.append(key)
-    assert compared == [
-        "protocol.c0", "protocol.variant", "protocol.adaptive_c",
-        "protocol.init_listen_periods", "mrf.sleep", "delay.kind", "delay.nu",
-        "delay.lo", "delay.hi", "delay.link_lo", "delay.link_seed",
-        "fault.loss_probability", "fault.collisions", "fault.beta",
-        "drift.skew_ppm_min", "drift.skew_ppm_max", "run.horizon", "run.seed",
-        "run.payload_rate", "churn"]
 
 
 def test_the_keys_set_every_run_input_and_nothing_else():
